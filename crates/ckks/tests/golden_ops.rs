@@ -1,0 +1,373 @@
+//! Golden pin of the evaluator's observable behaviour.
+//!
+//! Runs one fixed-seed IR program that covers all twelve op kinds under
+//! both representations, plus a deliberately misaligned program under
+//! [`EvalPolicy::AutoAlign`] that forces adjust and rescale repairs, and
+//! asserts an FNV-1a 64 digest over every node's `write_ciphertext`
+//! bytes. Any change to an op's arithmetic, noise update, or capacity
+//! clamp moves a digest.
+//!
+//! When telemetry is live the test also pins the per-op trace record
+//! sequence `(kind, level, residues, shed, added, batched, repair)` and
+//! the set of profiler call paths, so refactors of the evaluator's
+//! instrumentation cannot silently drop, duplicate, or re-nest a record.
+//!
+//! Telemetry state is process-global, so this file holds exactly one
+//! test.
+
+use bp_ckks::ir::{Program, ProgramBuilder};
+use bp_ckks::telemetry::{self, profile, trace};
+use bp_ckks::wire::write_ciphertext;
+use bp_ckks::{
+    level_budget, BpThreadPool, CkksContext, CkksParams, EvalPolicy, Representation, SecurityLevel,
+};
+use rand::SeedableRng;
+use rand_chacha::ChaCha20Rng;
+use std::sync::Arc;
+
+fn context(repr: Representation) -> CkksContext {
+    let params = CkksParams::builder()
+        .log_n(7)
+        .word_bits(28)
+        .representation(repr)
+        .security(SecurityLevel::Insecure)
+        .levels(4, 26)
+        .base_modulus_bits(30)
+        .dnum(2)
+        .build()
+        .expect("params");
+    CkksContext::with_threads(&params, Arc::new(BpThreadPool::sequential())).expect("context")
+}
+
+/// Every op kind once, Strict-aligned: plaintext ops, a keyswitching
+/// multiply/square/rotate/conjugate each, and rescale/adjust transitions
+/// (including a two-level adjust).
+fn all_kinds_program() -> Program {
+    let mut b = ProgramBuilder::new(28).seed(11);
+    let x = b.input();
+    let y = b.input();
+    let a = b.add(x, y);
+    let s = b.sub(a, y);
+    let n = b.negate(s);
+    let ap = b.add_plain(n, 1);
+    let sp = b.sub_plain(ap, 2);
+    let mp = b.mul_plain(sp, 3);
+    let r1 = b.rescale(mp);
+    let adj = b.adjust(x, 3);
+    let m = b.mul(r1, adj);
+    let r2 = b.rescale(m);
+    let sq = b.square(r2);
+    let r3 = b.rescale(sq);
+    let rot = b.rotate(r3, 1);
+    let cj = b.conjugate(rot);
+    let sum = b.add(rot, cj);
+    let low = b.adjust(y, 1);
+    let out = b.sub(sum, low);
+    b.output("out", out);
+    b.finish()
+}
+
+/// Misaligned on purpose: run under AutoAlign it needs a rescale repair
+/// (unrescaled product added to a fresh input), single- and multi-level
+/// adjust repairs, and a level repair on a multiply.
+fn misaligned_program() -> Program {
+    let mut b = ProgramBuilder::new(28).seed(12);
+    let x = b.input();
+    let y = b.input();
+    let m = b.mul(x, y);
+    let s = b.add(m, x);
+    let sq = b.square(s);
+    let r = b.rescale(sq);
+    let t = b.mul(r, y);
+    let u = b.rescale(t);
+    let v = b.sub(u, x);
+    b.output("v", v);
+    b.finish()
+}
+
+/// FNV-1a 64 over the concatenated wire bytes of every node.
+fn fnv64<'a>(chunks: impl IntoIterator<Item = &'a [u8]>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for chunk in chunks {
+        for &byte in chunk {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+struct Observed {
+    digest: u64,
+    records: Vec<String>,
+    paths: Vec<String>,
+}
+
+fn run(repr: Representation, policy: EvalPolicy, program: &Program) -> Observed {
+    let ctx = context(repr);
+    if policy == EvalPolicy::Strict {
+        program
+            .validate(&level_budget(ctx.chain()))
+            .expect("golden program fits the chain");
+    }
+    let mut rng = ChaCha20Rng::seed_from_u64(2024);
+    let mut keys = ctx.keygen(&mut rng);
+    ctx.gen_rotation_keys(&mut keys, &[1], &mut rng);
+    ctx.gen_conjugation_key(&mut keys, &mut rng);
+    let slots = ctx.params().slots();
+    let inputs: Vec<_> = (0..program.inputs)
+        .map(|k| {
+            let vals: Vec<f64> = (0..slots)
+                .map(|i| ((i + 3 * k) as f64 * 0.37).sin() * 0.4)
+                .collect();
+            ctx.encrypt(&ctx.encode(&vals, ctx.max_level()), &keys.public, &mut rng)
+        })
+        .collect();
+    let mut plain = |pseed: u64, n: usize| -> Vec<f64> {
+        (0..n)
+            .map(|i| 0.1 + 0.05 * pseed as f64 - 0.002 * i as f64)
+            .collect()
+    };
+
+    telemetry::reset();
+    let ev = ctx.evaluator_with_policy(policy);
+    let run = ev
+        .run_program(program, inputs, &keys.evaluation, &mut plain)
+        .expect("golden program runs");
+    let records = trace::take()
+        .entries
+        .iter()
+        .map(|e| {
+            format!(
+                "{} l{} r{} s{} a{} b{} p{}",
+                e.op.kind.name(),
+                e.op.level,
+                e.op.residues,
+                e.op.shed,
+                e.op.added,
+                u8::from(e.op.batched),
+                u8::from(e.op.repair)
+            )
+        })
+        .collect();
+    let paths = profile::snapshot()
+        .paths
+        .into_iter()
+        .map(|p| p.path)
+        .collect();
+    let bytes: Vec<Vec<u8>> = run.nodes().iter().map(write_ciphertext).collect();
+    Observed {
+        digest: fnv64(bytes.iter().map(Vec::as_slice)),
+        records,
+        paths,
+    }
+}
+
+struct Golden {
+    label: &'static str,
+    repr: Representation,
+    policy: EvalPolicy,
+    program: fn() -> Program,
+    digest: u64,
+    records: &'static [&'static str],
+}
+
+// Records read `kind l<level> r<residues> s<shed> a<added> b<batched>
+// p<repair>`. The constants are observations, not derivations: a change
+// that moves one changes evaluator behaviour.
+const GOLDEN: &[Golden] = &[
+    Golden {
+        label: "all-kinds/bitpacker",
+        repr: Representation::BitPacker,
+        policy: EvalPolicy::Strict,
+        program: all_kinds_program,
+        digest: 0x9166_805a_e76a_9d43,
+        records: &[
+            "add l4 r5 s0 a0 b0 p0",
+            "sub l4 r5 s0 a0 b0 p0",
+            "negate l4 r5 s0 a0 b0 p0",
+            "add_plain l4 r5 s0 a0 b0 p0",
+            "sub_plain l4 r5 s0 a0 b0 p0",
+            "mul_plain l4 r5 s0 a0 b0 p0",
+            "rescale l3 r4 s2 a1 b1 p0",
+            "adjust l3 r4 s2 a1 b1 p0",
+            "mul l3 r4 s0 a0 b0 p0",
+            "rescale l2 r3 s2 a1 b1 p0",
+            "square l2 r3 s0 a0 b0 p0",
+            "rescale l1 r2 s1 a0 b1 p0",
+            "rotate l1 r2 s0 a0 b0 p0",
+            "conjugate l1 r2 s0 a0 b0 p0",
+            "add l1 r2 s0 a0 b0 p0",
+            "adjust l3 r4 s2 a1 b1 p0",
+            "adjust l2 r3 s2 a1 b1 p0",
+            "adjust l1 r2 s1 a0 b1 p0",
+            "sub l1 r2 s0 a0 b0 p0",
+        ],
+    },
+    Golden {
+        label: "all-kinds/rns-ckks",
+        repr: Representation::RnsCkks,
+        policy: EvalPolicy::Strict,
+        program: all_kinds_program,
+        digest: 0xac92_bb77_0929_a116,
+        records: &[
+            "add l4 r6 s0 a0 b0 p0",
+            "sub l4 r6 s0 a0 b0 p0",
+            "negate l4 r6 s0 a0 b0 p0",
+            "add_plain l4 r6 s0 a0 b0 p0",
+            "sub_plain l4 r6 s0 a0 b0 p0",
+            "mul_plain l4 r6 s0 a0 b0 p0",
+            "rescale l3 r5 s1 a0 b0 p0",
+            "adjust l3 r5 s1 a0 b0 p0",
+            "mul l3 r5 s0 a0 b0 p0",
+            "rescale l2 r4 s1 a0 b0 p0",
+            "square l2 r4 s0 a0 b0 p0",
+            "rescale l1 r3 s1 a0 b0 p0",
+            "rotate l1 r3 s0 a0 b0 p0",
+            "conjugate l1 r3 s0 a0 b0 p0",
+            "add l1 r3 s0 a0 b0 p0",
+            "adjust l3 r5 s1 a0 b0 p0",
+            "adjust l2 r4 s1 a0 b0 p0",
+            "adjust l1 r3 s1 a0 b0 p0",
+            "sub l1 r3 s0 a0 b0 p0",
+        ],
+    },
+    Golden {
+        label: "misaligned/bitpacker",
+        repr: Representation::BitPacker,
+        policy: EvalPolicy::AutoAlign,
+        program: misaligned_program,
+        digest: 0x4d39_3696_b58f_2f73,
+        records: &[
+            "mul l4 r5 s0 a0 b0 p0",
+            "rescale l3 r4 s2 a1 b1 p1",
+            "adjust l3 r4 s2 a1 b1 p1",
+            "add l3 r4 s0 a0 b0 p0",
+            "square l3 r4 s0 a0 b0 p0",
+            "rescale l2 r3 s2 a1 b1 p0",
+            "adjust l3 r4 s2 a1 b1 p1",
+            "adjust l2 r3 s2 a1 b1 p1",
+            "mul l2 r3 s0 a0 b0 p0",
+            "rescale l1 r2 s1 a0 b1 p0",
+            "adjust l3 r4 s2 a1 b1 p1",
+            "adjust l2 r3 s2 a1 b1 p1",
+            "adjust l1 r2 s1 a0 b1 p1",
+            "sub l1 r2 s0 a0 b0 p0",
+        ],
+    },
+    Golden {
+        label: "misaligned/rns-ckks",
+        repr: Representation::RnsCkks,
+        policy: EvalPolicy::AutoAlign,
+        program: misaligned_program,
+        digest: 0xaa77_21e2_93ce_49f2,
+        records: &[
+            "mul l4 r6 s0 a0 b0 p0",
+            "rescale l3 r5 s1 a0 b0 p1",
+            "adjust l3 r5 s1 a0 b0 p1",
+            "add l3 r5 s0 a0 b0 p0",
+            "square l3 r5 s0 a0 b0 p0",
+            "rescale l2 r4 s1 a0 b0 p0",
+            "adjust l3 r5 s1 a0 b0 p1",
+            "adjust l2 r4 s1 a0 b0 p1",
+            "mul l2 r4 s0 a0 b0 p0",
+            "rescale l1 r3 s1 a0 b0 p0",
+            "adjust l3 r5 s1 a0 b0 p1",
+            "adjust l2 r4 s1 a0 b0 p1",
+            "adjust l1 r3 s1 a0 b0 p1",
+            "sub l1 r3 s0 a0 b0 p0",
+        ],
+    },
+];
+
+/// Every profiler call path the four golden runs open, in sorted order:
+/// each op frames itself at the root, repairs nest under the op that
+/// needed them, and kernels nest under both.
+const PATHS: &[&str] = &[
+    "add",
+    "add;adjust",
+    "add;adjust;basis_convert",
+    "add;adjust;ntt_forward",
+    "add;adjust;ntt_inverse",
+    "add;rescale",
+    "add;rescale;basis_convert",
+    "add;rescale;ntt_forward",
+    "add;rescale;ntt_inverse",
+    "add_plain",
+    "add_plain;ntt_forward",
+    "adjust",
+    "adjust;basis_convert",
+    "adjust;ntt_forward",
+    "adjust;ntt_inverse",
+    "conjugate",
+    "conjugate;keyswitch",
+    "conjugate;keyswitch;basis_convert",
+    "conjugate;keyswitch;ntt_forward",
+    "conjugate;keyswitch;ntt_inverse",
+    "conjugate;ntt_forward",
+    "conjugate;ntt_inverse",
+    "mul",
+    "mul;adjust",
+    "mul;adjust;basis_convert",
+    "mul;adjust;ntt_forward",
+    "mul;adjust;ntt_inverse",
+    "mul;keyswitch",
+    "mul;keyswitch;basis_convert",
+    "mul;keyswitch;ntt_forward",
+    "mul;keyswitch;ntt_inverse",
+    "mul_plain",
+    "mul_plain;ntt_forward",
+    "negate",
+    "rescale",
+    "rescale;basis_convert",
+    "rescale;ntt_forward",
+    "rescale;ntt_inverse",
+    "rotate",
+    "rotate;keyswitch",
+    "rotate;keyswitch;basis_convert",
+    "rotate;keyswitch;ntt_forward",
+    "rotate;keyswitch;ntt_inverse",
+    "rotate;ntt_forward",
+    "rotate;ntt_inverse",
+    "square",
+    "square;keyswitch",
+    "square;keyswitch;basis_convert",
+    "square;keyswitch;ntt_forward",
+    "square;keyswitch;ntt_inverse",
+    "sub",
+    "sub;adjust",
+    "sub;adjust;basis_convert",
+    "sub;adjust;ntt_forward",
+    "sub;adjust;ntt_inverse",
+    "sub_plain",
+    "sub_plain;ntt_forward",
+];
+
+#[test]
+fn evaluator_outputs_records_and_profile_paths_are_pinned() {
+    telemetry::set_enabled(true);
+    let live = telemetry::enabled();
+    let mut paths = std::collections::BTreeSet::new();
+    for g in GOLDEN {
+        let seen = run(g.repr, g.policy, &(g.program)());
+        assert_eq!(
+            seen.digest, g.digest,
+            "{}: node wire-byte digest moved (got {:#018x})",
+            g.label, seen.digest
+        );
+        if live {
+            assert_eq!(
+                seen.records, g.records,
+                "{}: trace record sequence moved",
+                g.label
+            );
+            paths.extend(seen.paths);
+        } else {
+            assert!(seen.records.is_empty() && seen.paths.is_empty());
+        }
+    }
+    if live {
+        let paths: Vec<&str> = paths.iter().map(String::as_str).collect();
+        assert_eq!(paths, PATHS, "profiler call-path set moved");
+    }
+}
