@@ -37,7 +37,7 @@ mod config;
 mod energy;
 #[cfg(feature = "fault-injection")]
 pub mod fault;
-pub mod replay;
+mod lower;
 mod simulate;
 
 #[cfg(feature = "fault-injection")]
@@ -46,5 +46,5 @@ pub use fault::{simulate_with_faults, FaultSchedule, FuStall, SimFaultError};
 pub use compile::{compile, FheOp, OpCategory, TraceContext, Work};
 pub use config::{AcceleratorConfig, FuKind, FU_KINDS};
 pub use energy::{EnergyBreakdown, EnergyModel};
-pub use replay::{lower_kind, lower_program, replay, ChainProfile, LevelCost, ReplayError};
+pub use lower::{lower_program, ChainProfile, LevelCost, LowerError};
 pub use simulate::{simulate, SimReport, TraceOp};

@@ -154,8 +154,8 @@ impl CkksContext {
 
     /// Trace metadata describing this context, for
     /// [`bp_telemetry::trace::set_meta`] — stamps emitted traces with the
-    /// ring degree, digit count, and special-prime count the accelerator
-    /// replay needs.
+    /// ring degree, digit count, special-prime count, and word size they
+    /// were recorded under.
     pub fn telemetry_meta(&self, workload: &str) -> bp_telemetry::trace::TraceMeta {
         bp_telemetry::trace::TraceMeta {
             workload: workload.to_string(),

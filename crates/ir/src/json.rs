@@ -8,8 +8,8 @@
 //! numbers via shortest-roundtrip `{}` formatting); the parser rejects
 //! trailing garbage and enforces a recursion-depth limit.
 //!
-//! This module is compiled regardless of the `enabled` feature: replay
-//! tooling and schema validation must work on traces produced elsewhere.
+//! This module is compiled regardless of the `enabled` feature: program
+//! documents and schema validation must work in every build.
 
 use std::collections::BTreeMap;
 use std::fmt;

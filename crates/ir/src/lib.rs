@@ -16,9 +16,7 @@
 //! - the program DAG with symbolic `(level, pow)` scale inference and
 //!   validation against a [`LevelBudget`] ([`Program`], [`NodeState`]),
 //! - a builder API ([`ProgramBuilder`]),
-//! - the versioned `bitpacker-ir/v1` JSON wire format, whose reader
-//!   also ingests legacy `bitpacker-oracle-trace/v1` and
-//!   `bitpacker-eval-trace/*` documents ([`IrDoc`]),
+//! - the versioned `bitpacker-ir/v1` JSON wire format ([`IrDoc`]),
 //! - an exact `f64` reference interpreter ([`reference`]), and
 //! - the dependency-free JSON codec ([`json`]) the wire format (and the
 //!   rest of the workspace) is built on.
@@ -36,4 +34,4 @@ pub mod wire;
 pub use builder::ProgramBuilder;
 pub use op::{Op, OpKind, NUM_OP_KINDS};
 pub use program::{LevelBudget, NodeState, Output, Program};
-pub use wire::{canonical_json, IrDoc, IrError, IR_SCHEMA, LEGACY_ORACLE_SCHEMA};
+pub use wire::{canonical_json, IrDoc, IrError, IR_SCHEMA};

@@ -7,18 +7,8 @@
 //! re-encodes a document and is what CI uses to reject hand-edited
 //! non-canonical traces.
 //!
-//! Reading is more liberal — [`IrDoc::from_json`] ingests three schema
-//! families:
-//!
-//! - `bitpacker-ir/v1`: the native format (ops plus named outputs).
-//! - `bitpacker-oracle-trace/v1`: the legacy oracle trace (same op
-//!   encoding, no outputs). Checked-in divergence traces from before the
-//!   IR unification keep replaying through this path.
-//! - `bitpacker-eval-trace/*`: a recorded evaluator trace. The recorder
-//!   keeps no operand indices, so the entries are rebuilt as a straight
-//!   chain (each op consumes the previous node) — a structural skeleton
-//!   that preserves op kinds and the level schedule for replay and
-//!   lowering, not the original dataflow.
+//! Reading accepts that one schema only: [`IrDoc::from_json`] rejects
+//! any other tag.
 
 use crate::json::{Json, JsonError, Obj};
 use crate::op::{Op, OpKind};
@@ -27,11 +17,10 @@ use crate::program::{Output, Program};
 /// Schema tag written by [`Program::to_json`] / [`IrDoc::to_json`].
 pub const IR_SCHEMA: &str = "bitpacker-ir/v1";
 
-/// Legacy oracle-trace schema tag still accepted by the reader.
-pub const LEGACY_ORACLE_SCHEMA: &str = "bitpacker-oracle-trace/v1";
-
-/// Prefix of the evaluator-trace schema family accepted by the reader.
-const EVAL_TRACE_PREFIX: &str = "bitpacker-eval-trace/";
+/// Largest node count (`inputs + ops`) a parsed document may declare.
+/// Validators and interpreters allocate per node, so the untrusted
+/// `inputs` field is bounded before any of them sees it.
+const MAX_NODES: usize = 1 << 20;
 
 /// Errors from parsing or validating a program document.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,27 +74,24 @@ impl IrDoc {
         self.program.to_json(self.note.as_deref())
     }
 
-    /// Parses any accepted schema (see the module docs).
+    /// Parses a [`IR_SCHEMA`] document.
     ///
     /// # Errors
-    /// [`IrError::Json`] for malformed JSON, [`IrError::Schema`] for
-    /// unknown schemas, unknown ops, missing operand fields (bad arity),
-    /// or out-of-range node references.
+    /// [`IrError::Json`] for malformed JSON, [`IrError::Schema`] for any
+    /// other schema tag, unknown ops, missing operand fields (bad arity),
+    /// out-of-range node references, or more than `1 << 20` nodes.
     pub fn from_json(text: &str) -> Result<IrDoc, IrError> {
         let v = Json::parse(text)?;
         let schema = v
             .get("schema")
             .and_then(Json::as_str)
             .ok_or_else(|| IrError::Schema("missing schema tag".into()))?;
-        if schema == IR_SCHEMA || schema == LEGACY_ORACLE_SCHEMA {
-            parse_program_doc(&v, schema == IR_SCHEMA)
-        } else if schema.starts_with(EVAL_TRACE_PREFIX) {
-            parse_eval_trace_doc(&v)
-        } else {
-            Err(IrError::Schema(format!(
-                "schema {schema:?}, expected {IR_SCHEMA:?}, {LEGACY_ORACLE_SCHEMA:?}, or {EVAL_TRACE_PREFIX}*"
-            )))
+        if schema != IR_SCHEMA {
+            return Err(IrError::Schema(format!(
+                "schema {schema:?}, expected {IR_SCHEMA:?}"
+            )));
         }
+        parse_program_doc(&v)
     }
 }
 
@@ -140,7 +126,7 @@ impl Program {
         obj.build()
     }
 
-    /// Parses a program from any accepted schema, dropping the note.
+    /// Parses a program document, dropping the note.
     ///
     /// # Errors
     /// As [`IrDoc::from_json`].
@@ -158,7 +144,7 @@ pub fn canonical_json(text: &str) -> Result<String, IrError> {
     IrDoc::from_json(text).map(|d| d.to_json())
 }
 
-fn parse_program_doc(v: &Json, allow_outputs: bool) -> Result<IrDoc, IrError> {
+fn parse_program_doc(v: &Json) -> Result<IrDoc, IrError> {
     let field = |k: &str| {
         v.get(k)
             .and_then(Json::as_u64)
@@ -167,22 +153,20 @@ fn parse_program_doc(v: &Json, allow_outputs: bool) -> Result<IrDoc, IrError> {
     let seed = field("seed")?;
     let word_bits = u32::try_from(field("word_bits")?)
         .map_err(|_| IrError::Schema("word_bits out of range".into()))?;
-    let inputs = field("inputs")? as usize;
     let ops_json = v
         .get("ops")
         .and_then(Json::as_arr)
         .ok_or_else(|| IrError::Schema("missing ops array".into()))?;
+    let inputs = usize::try_from(field("inputs")?)
+        .ok()
+        .filter(|&i| i.saturating_add(ops_json.len()) <= MAX_NODES)
+        .ok_or_else(|| IrError::Schema(format!("program exceeds {MAX_NODES} nodes")))?;
     let ops = ops_json
         .iter()
         .map(op_from_json)
         .collect::<Result<Vec<_>, _>>()?;
     let mut outputs = Vec::new();
     if let Some(outs) = v.get("outputs") {
-        if !allow_outputs {
-            return Err(IrError::Schema(
-                "legacy oracle traces carry no outputs field".into(),
-            ));
-        }
         let outs = outs
             .as_arr()
             .ok_or_else(|| IrError::Schema("outputs is not an array".into()))?;
@@ -216,62 +200,6 @@ fn parse_program_doc(v: &Json, allow_outputs: bool) -> Result<IrDoc, IrError> {
     Ok(IrDoc {
         program,
         note: v.get("note").and_then(Json::as_str).map(str::to_string),
-    })
-}
-
-/// Rebuilds an evaluator trace as a single-input chain program (see the
-/// module docs for the fidelity caveats).
-fn parse_eval_trace_doc(v: &Json) -> Result<IrDoc, IrError> {
-    let meta = v
-        .get("meta")
-        .ok_or_else(|| IrError::Schema("eval trace missing meta".into()))?;
-    let word_bits = meta
-        .get("word_bits")
-        .and_then(Json::as_u64)
-        .and_then(|w| u32::try_from(w).ok())
-        .ok_or_else(|| IrError::Schema("meta.word_bits missing or invalid".into()))?;
-    let entries = v
-        .get("entries")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| IrError::Schema("eval trace missing entries array".into()))?;
-    let mut ops = Vec::with_capacity(entries.len());
-    let mut prev = 0usize;
-    for (i, e) in entries.iter().enumerate() {
-        let name = e
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or_else(|| IrError::Schema(format!("entries[{i}].op missing")))?;
-        let kind = OpKind::from_name(name)
-            .ok_or_else(|| IrError::Schema(format!("entries[{i}].op unknown: {name}")))?;
-        let level = e
-            .get("level")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| IrError::Schema(format!("entries[{i}].level missing")))?
-            as usize;
-        let op = match kind {
-            OpKind::Add => Op::Add { a: prev, b: prev },
-            OpKind::Sub => Op::Sub { a: prev, b: prev },
-            OpKind::Negate => Op::Negate { a: prev },
-            OpKind::AddPlain => Op::AddPlain { a: prev, pseed: 0 },
-            OpKind::SubPlain => Op::SubPlain { a: prev, pseed: 0 },
-            OpKind::MulPlain => Op::MulPlain { a: prev, pseed: 0 },
-            OpKind::Mul => Op::Mul { a: prev, b: prev },
-            OpKind::Square => Op::Square { a: prev },
-            OpKind::Rotate => Op::Rotate { a: prev, steps: 1 },
-            OpKind::Conjugate => Op::Conjugate { a: prev },
-            OpKind::Rescale => Op::Rescale { a: prev },
-            OpKind::Adjust => Op::Adjust {
-                a: prev,
-                target: level,
-            },
-        };
-        ops.push(op);
-        prev = 1 + i;
-    }
-    let workload = meta.get("workload").and_then(Json::as_str);
-    Ok(IrDoc {
-        program: Program::new(0, word_bits, 1, ops),
-        note: workload.map(|w| format!("rebuilt from eval trace of workload {w:?}")),
     })
 }
 
@@ -396,35 +324,27 @@ mod tests {
     }
 
     #[test]
-    fn legacy_oracle_traces_parse() {
-        let text = r#"{"schema":"bitpacker-oracle-trace/v1","seed":9,"word_bits":64,"inputs":2,"ops":[{"op":"adjust","a":1,"target":0},{"op":"square","a":2}],"note":"legacy"}"#;
-        let doc = IrDoc::from_json(text).unwrap();
-        assert_eq!(doc.program.inputs, 2);
-        assert_eq!(doc.program.ops.len(), 2);
-        assert!(doc.program.outputs.is_empty());
-        assert_eq!(doc.note.as_deref(), Some("legacy"));
-        // Re-encoding upgrades the schema tag.
-        assert!(doc.to_json().starts_with(r#"{"schema":"bitpacker-ir/v1""#));
-    }
-
-    #[test]
-    fn eval_traces_rebuild_as_a_chain() {
-        let text = r#"{"schema":"bitpacker-eval-trace/v2","meta":{"workload":"w","n":64,"dnum":1,"special":1,"word_bits":28},"dropped":0,"entries":[
-            {"seq":0,"op":"square","level":3,"residues":4,"shed":0,"added":0,"batched":false,"repair":false,"duration_ns":1,"noise_bits":1,"clear_bits":9,"scale_log2":26,"log_q":80},
-            {"seq":1,"op":"rescale","level":2,"residues":3,"shed":1,"added":0,"batched":true,"repair":false,"duration_ns":1,"noise_bits":1,"clear_bits":9,"scale_log2":26,"log_q":54},
-            {"seq":2,"op":"adjust","level":1,"residues":2,"shed":1,"added":0,"batched":true,"repair":false,"duration_ns":1,"noise_bits":1,"clear_bits":9,"scale_log2":26,"log_q":28}]}"#;
-        let doc = IrDoc::from_json(text).unwrap();
-        let p = &doc.program;
-        assert_eq!(p.inputs, 1);
+    fn rejects_other_schemas_and_oversized_programs() {
+        for text in [
+            // Declares 2^40 inputs: must be refused before anything
+            // allocates per node.
+            r#"{"schema":"bitpacker-ir/v1","seed":1,"word_bits":28,"inputs":1099511627776,"ops":[{"op":"negate","a":0}]}"#,
+            r#"{"schema":"bitpacker-ir/v1","seed":1,"word_bits":28,"inputs":18446744073709551615,"ops":[]}"#,
+            r#"{"schema":"bitpacker-ir/v1","seed":1,"word_bits":28,"inputs":1048576,"ops":[{"op":"negate","a":0}]}"#,
+            r#"{"schema":"bitpacker-oracle-trace/v1","seed":9,"word_bits":64,"inputs":2,"ops":[{"op":"square","a":1}]}"#,
+            r#"{"schema":"bitpacker-eval-trace/v3","meta":{"workload":"w","n":64,"dnum":1,"special":1,"word_bits":28},"dropped":0,"entries":[{"seq":0,"op":"square","level":3,"residues":4,"shed":0,"added":0,"batched":false,"repair":false,"duration_ns":1,"noise_bits":1,"clear_bits":9,"scale_log2":26,"log_q":80,"ir_op":1}]}"#,
+        ] {
+            assert!(
+                matches!(IrDoc::from_json(text), Err(IrError::Schema(_))),
+                "accepted: {text}"
+            );
+        }
+        // Exactly at the limit still parses.
+        let at_limit = r#"{"schema":"bitpacker-ir/v1","seed":1,"word_bits":28,"inputs":1048575,"ops":[{"op":"negate","a":0}]}"#;
         assert_eq!(
-            p.ops,
-            vec![
-                Op::Square { a: 0 },
-                Op::Rescale { a: 1 },
-                Op::Adjust { a: 2, target: 1 },
-            ]
+            IrDoc::from_json(at_limit).unwrap().program.num_nodes(),
+            MAX_NODES
         );
-        assert!(p.infer_states(3).is_ok());
     }
 
     #[test]

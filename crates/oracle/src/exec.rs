@@ -407,7 +407,7 @@ fn backend_run(backend: &Backend, program: &Program, slots: usize) -> BackendRun
     let mut plain = |pseed: u64, n: usize| plain_values(pseed, n);
     for (k, op) in program.ops.iter().enumerate() {
         let node = program.inputs + k;
-        let ct = match ev.step_op(op, |i| &cts[i], ek, &mut plain) {
+        let ct = match ev.step_op(node, op, |i| &cts[i], ek, &mut plain) {
             Ok(ct) => ct,
             Err(e) => {
                 run.error = Some((node, e.to_string()));

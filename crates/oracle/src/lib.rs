@@ -14,8 +14,8 @@
 //!
 //! Failing programs are shrunk ([`shrink`]) to a minimal repro and dumped
 //! as a replayable `bitpacker-ir/v1` JSON document (the [`bp_ir`] wire
-//! format; legacy `bitpacker-oracle-trace/v1` dumps still parse); replay
-//! with `cargo run -p bp-oracle -- replay <trace.json>`.
+//! format, the only one the reader accepts); replay with
+//! `cargo run -p bp-oracle -- replay <trace.json>`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -24,11 +24,7 @@ pub mod exec;
 pub mod generate;
 pub mod shrink;
 
+pub use bp_ir::{Op, Program, IR_SCHEMA};
 pub use exec::{run_program, Divergence, DivergenceKind, OracleEnv, WordConfig, WORD_LABELS};
 pub use generate::{generate, GenLimits};
-// The program vocabulary is the shared IR; these re-exports keep the
-// oracle's historical names alive for downstream callers.
-pub use bp_ir::{
-    IrError as TraceError, Op, Program, IR_SCHEMA, LEGACY_ORACLE_SCHEMA as ORACLE_SCHEMA,
-};
 pub use shrink::{shrink, Shrunk};

@@ -17,7 +17,7 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use bp_oracle::{generate, run_program, shrink, OracleEnv, Program, WORD_LABELS};
+use bp_oracle::{generate, run_program, shrink, OracleEnv, WORD_LABELS};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -169,23 +169,15 @@ fn replay(args: &[String]) -> ExitCode {
 
 fn replay_file(path: &Path) -> Result<Option<String>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
-    let program = Program::from_json(&text).map_err(|e| format!("bad trace: {e}"))?;
-    // Checked-in `bitpacker-ir/v1` documents must be byte-canonical, so a
-    // dumped trace never drifts from what `bp_ir` would re-encode. Legacy
-    // `bitpacker-oracle-trace/v1` dumps are exempt (re-encoding upgrades
-    // their schema by design).
-    let schema = bp_ir::json::Json::parse(&text)
-        .ok()
-        .and_then(|v| v.get("schema").and_then(|s| s.as_str().map(str::to_owned)));
-    if schema.as_deref() == Some(bp_oracle::IR_SCHEMA) {
-        let canon =
-            bp_ir::canonical_json(&text).map_err(|e| format!("cannot re-encode trace: {e}"))?;
-        if canon != text.trim_end() {
-            return Err("trace is not canonical bitpacker-ir/v1 JSON; \
-                 re-encode it with bp_ir::canonical_json"
-                .to_string());
-        }
+    let doc = bp_ir::IrDoc::from_json(&text).map_err(|e| format!("bad trace: {e}"))?;
+    // Traces must be byte-canonical, so a dumped trace never drifts from
+    // what `bp_ir` would re-encode.
+    if doc.to_json() != text.trim_end() {
+        return Err("trace is not canonical bitpacker-ir/v1 JSON; \
+             re-encode it with bp_ir::canonical_json"
+            .to_string());
     }
+    let program = doc.program;
     let env =
         OracleEnv::new(program.word_bits).map_err(|e| format!("cannot build environment: {e}"))?;
     Ok(run_program(&env, &program).map(|d| d.to_string()))

@@ -44,51 +44,6 @@ fn checked_in_traces_replay_clean() {
     }
 }
 
-/// The checked-in traces were migrated from `bitpacker-oracle-trace/v1` to
-/// `bitpacker-ir/v1`; the original v1 bytes are kept under
-/// `traces/legacy-v1/`. This pins both halves of the migration: the legacy
-/// documents must keep parsing (the reader's compatibility contract), and
-/// each must parse to exactly the program its migrated counterpart holds,
-/// which itself must be byte-canonical IR JSON.
-#[test]
-fn legacy_v1_traces_parse_and_match_migrated_ir() {
-    let base = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("traces");
-    let legacy_dir = base.join("legacy-v1");
-    let mut entries: Vec<_> = std::fs::read_dir(&legacy_dir)
-        .expect("legacy-v1 dir exists")
-        .map(|e| e.expect("readable entry").path())
-        .filter(|p| p.extension().is_some_and(|e| e == "json"))
-        .collect();
-    entries.sort();
-    assert!(!entries.is_empty(), "no legacy traces checked in?");
-    for path in entries {
-        let name = path.file_name().expect("file name").to_owned();
-        let legacy_text = std::fs::read_to_string(&path).expect("readable legacy trace");
-        assert!(
-            legacy_text.contains(bp_oracle::ORACLE_SCHEMA),
-            "{name:?} is not a legacy v1 document"
-        );
-        let legacy = Program::from_json(&legacy_text).expect("legacy v1 parses");
-
-        let migrated_text =
-            std::fs::read_to_string(base.join(&name)).expect("migrated counterpart exists");
-        let migrated = Program::from_json(&migrated_text).expect("migrated trace parses");
-        assert_eq!(
-            legacy, migrated,
-            "{name:?}: programs differ after migration"
-        );
-
-        // Re-encoding the legacy document upgrades it to canonical ir/v1 —
-        // which must be byte-identical to the migrated file.
-        let canon = bp_ir::canonical_json(&legacy_text).expect("legacy re-encodes");
-        assert_eq!(
-            canon,
-            migrated_text.trim_end(),
-            "{name:?}: migrated trace is not the canonical re-encoding"
-        );
-    }
-}
-
 /// The library-level fix behind the `fail-w64-*` traces: a multiply whose
 /// product scale exceeds the level modulus must report an exhausted noise
 /// budget (and checked decryption must refuse) instead of pretending the

@@ -2,7 +2,7 @@
 //!
 //! [`Runtime::run_program`] is the runtime's binding of the shared
 //! program IR ([`bp_ir::Program`]): the job spec carries the program, the
-//! interpreter dispatch is `bp-ckks`'s [`Evaluator::step_op`] (the same
+//! interpreter dispatch is [`bp_ckks::Evaluator::step_op`] (the same
 //! one `run_program` on the evaluator and the oracle's differential
 //! harness use), and every checkpoint records an exact op position plus
 //! the live node set — so resume means "continue at `ops[pos]`", not a
@@ -13,7 +13,7 @@
 use crate::checkpoint::Checkpoint;
 use crate::error::RuntimeError;
 use crate::job::{JobSpec, Runtime};
-use bp_ckks::{level_budget, Ciphertext, CkksContext, EvaluationKey, Evaluator};
+use bp_ckks::{level_budget, Ciphertext, CkksContext, EvaluationKey};
 use bp_ir::Program;
 use std::sync::Mutex;
 
@@ -198,8 +198,14 @@ impl Runtime {
             let mut checkpoints = 0u64;
             for (k, op) in program.ops.iter().enumerate().skip(start) {
                 jctx.check()?;
-                let ct = step(&ev, op, &nodes, ek, &mut plain_src)?;
-                nodes[program.inputs + k] = Some(ct);
+                let id = program.inputs + k;
+                let operand = |i: usize| {
+                    nodes[i]
+                        .as_ref()
+                        .expect("operands of a validated program are live")
+                };
+                let ct = ev.step_op(id, op, operand, ek, &mut plain_src)?;
+                nodes[id] = Some(ct);
                 let pos = k + 1;
                 if every > 0 && (pos % every == 0 || pos == program.ops.len()) {
                     let mut cp = Checkpoint::new(spec.workload_key(), pos as u64);
@@ -247,29 +253,6 @@ impl Runtime {
             })
         })
     }
-}
-
-/// One interpreter step over sparse node storage. Split out so the borrow
-/// of `nodes` inside the lookup closure ends before the caller writes the
-/// result back.
-fn step(
-    ev: &Evaluator<'_>,
-    op: &bp_ir::Op,
-    nodes: &[Option<Ciphertext>],
-    ek: &EvaluationKey,
-    plain: &mut dyn bp_ckks::PlainSource,
-) -> Result<Ciphertext, RuntimeError> {
-    ev.step_op(
-        op,
-        |i| {
-            nodes[i]
-                .as_ref()
-                .expect("operands of a validated program are live")
-        },
-        ek,
-        plain,
-    )
-    .map_err(RuntimeError::from)
 }
 
 #[cfg(test)]

@@ -12,8 +12,8 @@
 //! * [`spans`] — RAII timing spans aggregated per hot-path kind,
 //! * [`events`] — a bounded in-process event stream carrying per-op
 //!   noise/scale snapshots and evaluator repair events,
-//! * [`trace`] — the [`trace::EvalTrace`] op-trace recorder whose JSON
-//!   form replays through `bp-accel` for a predicted cycle/energy report,
+//! * [`trace`] — the [`trace::EvalTrace`] op-trace recorder, keyed by IR
+//!   node and serialized to JSON,
 //! * [`json`] — the dependency-free JSON reader/writer (re-exported from
 //!   `bp-ir`, which owns it) used by the trace codec and the bench
 //!   metadata headers,
@@ -40,7 +40,7 @@
 //!   [`enabled`] is a `const false`, so guarded blocks are eliminated at
 //!   compile time. All counter reads return zero. The data model types
 //!   ([`trace::EvalTrace`], [`events::Event`], …) and the [`json`] module
-//!   remain available so replay tooling builds without the feature.
+//!   remain available so reporting tools build without the feature.
 //! * **feature on**: recording is live, gated at runtime by the
 //!   `BITPACKER_TELEMETRY` environment variable (read once; set it to
 //!   `0`, `false`, or `off` to disable) or programmatically via

@@ -74,9 +74,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // 4. One canonical wire format. Shrunk oracle traces, the replay
-    //    command, and the CI `ir-conformance` job all speak this schema,
-    //    and CI rejects documents that are not canonically encoded.
+    // 4. One canonical wire format, and the only one the reader accepts.
+    //    Shrunk oracle traces, the replay command, and the CI
+    //    `ir-conformance` job all speak it, and replay rejects documents
+    //    that are not canonically encoded.
     let json = program.to_json(Some("x^2 + x (examples/ir_program.rs)"));
     println!("\ncanonical bitpacker-ir/v1:\n{json}");
     assert_eq!(bitpacker::ir::canonical_json(&json)?, json);
