@@ -16,9 +16,12 @@
 //! integer; that rounding is the only approximation and is what the
 //! precision experiments (paper Figs. 18–19) measure.
 //!
-//! All entry points return typed [`EvalError`]s: a level-0 ciphertext
-//! cannot be rescaled ([`EvalError::LevelExhausted`]) and adjusts only move
-//! down ([`EvalError::AdjustUpward`]).
+//! Each entry point moves one level down and returns typed
+//! [`EvalError`]s: a level-0 ciphertext cannot be rescaled or adjusted
+//! ([`EvalError::LevelExhausted`]). Multi-level adjusts step one level at
+//! a time through [`crate::Evaluator::adjust_to`]; the paper's variant
+//! (drop residues, then one adjust) reaches the same modulus and scale,
+//! and its cost difference lives in the accelerator model.
 
 use crate::chain::ModulusChain;
 use crate::ciphertext::Ciphertext;
@@ -97,36 +100,6 @@ pub fn adjust_one(
         message_bits: noise_before.message_bits + k_bits,
     }
     .rescale(shed_bits, ct.c0.n());
-    Ok(())
-}
-
-/// Adjusts a ciphertext down to `target_level` by repeated single-level
-/// adjusts.
-///
-/// The paper's multi-level adjust first drops residues while the modulus
-/// exceeds the target's and then applies one adjust; iterating the
-/// single-level adjust is functionally equivalent (identical final modulus
-/// and scale) and is what we use here — the cost difference is captured by
-/// the accelerator model, not the functional library.
-///
-/// # Errors
-/// [`EvalError::AdjustUpward`] if `target_level` exceeds the ciphertext's
-/// level.
-pub fn adjust_to(
-    ct: &mut Ciphertext,
-    chain: &ModulusChain,
-    pool: &PrimePool,
-    target_level: usize,
-) -> Result<(), EvalError> {
-    if target_level > ct.level {
-        return Err(EvalError::AdjustUpward {
-            from: ct.level,
-            to: target_level,
-        });
-    }
-    while ct.level > target_level {
-        adjust_one(ct, chain, pool)?;
-    }
     Ok(())
 }
 
@@ -320,15 +293,6 @@ mod tests {
     }
 
     #[test]
-    fn adjust_to_reaches_level_zero() {
-        let (chain, pool) = small_chain(Representation::BitPacker);
-        let mut ct = dummy_ct(&chain, &pool, chain.max_level());
-        adjust_to(&mut ct, &chain, &pool, 0).unwrap();
-        assert_eq!(ct.level, 0);
-        assert_eq!(ct.moduli(), chain.moduli_at(0));
-    }
-
-    #[test]
     fn mod_down_discards_residues() {
         let (chain, pool) = small_chain(Representation::RnsCkks);
         let mut ct = dummy_ct(&chain, &pool, chain.max_level());
@@ -362,16 +326,6 @@ mod tests {
                 Err(EvalError::LevelExhausted { op: "adjust" })
             ));
         }
-    }
-
-    #[test]
-    fn adjust_upward_is_an_error() {
-        let (chain, pool) = small_chain(Representation::BitPacker);
-        let mut ct = dummy_ct(&chain, &pool, 1);
-        assert!(matches!(
-            adjust_to(&mut ct, &chain, &pool, chain.max_level()),
-            Err(EvalError::AdjustUpward { from: 1, .. })
-        ));
     }
 
     #[test]

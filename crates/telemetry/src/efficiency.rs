@@ -11,12 +11,10 @@
 //! run through the same evaluator, the same accounting measures both —
 //! the efficiency gap between them becomes a number instead of a figure.
 //!
-//! The report type and [`EfficiencyReport::from_trace`] compile
-//! regardless of the `enabled` feature so saved traces can be analysed
-//! offline; only the global accumulator is feature-gated.
+//! The report type compiles regardless of the `enabled` feature; only the
+//! global accumulator is feature-gated.
 
 use crate::json::Obj;
-use crate::trace::EvalTrace;
 
 /// Number of buckets in the wasted-bit histogram.
 pub const NUM_WASTE_BUCKETS: usize = 8;
@@ -175,25 +173,6 @@ impl EfficiencyReport {
         row.ops += 1;
         row.sum_efficiency += eff;
         row.wasted_bits += wasted;
-    }
-
-    /// Rebuilds a report from a saved trace using each entry's `log_q`
-    /// and the trace-wide word width. Entries without `log_q` (schema
-    /// v1) are skipped.
-    pub fn from_trace(trace: &EvalTrace) -> EfficiencyReport {
-        let mut report = EfficiencyReport::default();
-        for e in &trace.entries {
-            if e.op.log_q <= 0.0 {
-                continue;
-            }
-            report.observe(&PackingSample {
-                level: e.op.level,
-                residues: e.op.residues,
-                word_bits: trace.meta.word_bits,
-                info_bits: e.op.log_q,
-            });
-        }
-        report
     }
 
     /// Serializes the report as a compact JSON document.
@@ -373,37 +352,6 @@ mod tests {
         assert_eq!(r.histogram[0], 1);
         assert_eq!(r.histogram[4], 1);
         assert_eq!(r.histogram[5], 1);
-    }
-
-    #[test]
-    fn from_trace_skips_v1_entries_without_log_q() {
-        use crate::trace::{OpKind, OpRecord, TraceEntry, TraceMeta};
-        let entry = |log_q: f64| TraceEntry {
-            seq: 0,
-            op: OpRecord {
-                kind: OpKind::Mul,
-                level: 1,
-                residues: 3,
-                shed: 0,
-                added: 0,
-                batched: false,
-                repair: false,
-                duration_ns: 0,
-                noise_bits: 0.0,
-                clear_bits: 0.0,
-                scale_log2: 0.0,
-                log_q,
-                ir_op: None,
-            },
-        };
-        let trace = EvalTrace {
-            meta: TraceMeta::default(),
-            entries: vec![entry(0.0), entry(70.0)],
-            dropped: 0,
-        };
-        let r = EfficiencyReport::from_trace(&trace);
-        assert_eq!(r.samples, 1);
-        assert!((r.mean_efficiency() - 70.0 / 84.0).abs() < 1e-12);
     }
 
     #[test]
