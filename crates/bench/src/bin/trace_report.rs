@@ -15,7 +15,7 @@
 //! default is the paper-scale N=8192 mul+relin+rescale pipeline.
 //! `--repairs` adds a per-op column counting ops performed by the
 //! auto-align repair loop (rather than requested by the circuit) and
-//! prints the drained repair/degrade/breaker event stream.
+//! prints the drained repair/breaker event stream.
 //! `--folded <path>` writes the hierarchical profiler's flamegraph-
 //! compatible folded-stack output. An optional trailing argument
 //! overrides the trace output path. When `BITPACKER_METRICS` is set the
@@ -213,23 +213,21 @@ fn main() {
     }
     if show_repairs {
         // Repairs also flow through the event stream interleaved with
-        // runtime degradation/breaker activity; drain and summarize it.
+        // runtime breaker activity; drain and summarize it.
         let evs = events::drain();
         let mut repairs = 0u64;
-        let mut degrades = 0u64;
         let mut breaker_moves = 0u64;
         for ev in &evs {
             match ev {
                 events::Event::Repair { .. } => repairs += 1,
-                events::Event::Degrade { .. } => degrades += 1,
                 events::Event::Breaker { .. } => breaker_moves += 1,
                 events::Event::Op(_) => {}
             }
         }
         println!();
         println!(
-            "repairs: {repairs} repair event(s), {degrades} degradation(s), \
-             {breaker_moves} breaker transition(s), {} event(s) dropped",
+            "repairs: {repairs} repair event(s), {breaker_moves} breaker transition(s), \
+             {} event(s) dropped",
             events::dropped()
         );
     }

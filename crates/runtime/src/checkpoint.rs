@@ -3,26 +3,23 @@
 //! A multi-epoch encrypted computation (the logistic-regression training
 //! workload runs minutes at production parameters) must survive preemption
 //! without redoing completed epochs. A [`Checkpoint`] snapshots exactly
-//! what the evaluator's determinism contract needs to resume
-//! bit-identically: the live ciphertexts in the `bp-ckks` wire format
-//! (which preserves exact factored scales and chain positions), the step
-//! counter, and the workload key — protected end-to-end by an FNV-1a
-//! checksum and the wire layer's full structural validation on restore.
+//! what [`crate::Runtime::run_program`] needs to resume bit-identically:
+//! the workload key, a fingerprint of the [`bp_ir::Program`] being run,
+//! the op position (`ops[..pos]` are complete), and the live ciphertexts
+//! in the `bp-ckks` wire format (which preserves exact factored scales and
+//! chain positions) — protected end-to-end by an FNV-1a checksum and the
+//! wire layer's full structural validation on restore.
 //!
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! "BPCK" | version u16 | workload: len u32 + bytes | step u64
-//!        | program_pos: flag u8 (+ pos u64 when 1)          [version ≥ 2]
+//! "BPCK" | version u16 = 3 | workload: len u32 + bytes | fingerprint u64 | pos u64
 //!        | slot_count u32 | { name: len u32 + bytes, data: len u32 + bytes }*
 //!        | fnv1a64 over everything above: u64
 //! ```
 //!
-//! Version 2 adds `program_pos`: when the job executes a [`bp_ir::Program`]
-//! (see [`crate::Runtime::run_program`]), the checkpoint records the exact
-//! op position so resume is "continue at `ops[pos]`" rather than a
-//! workload-specific step convention. Version-1 streams are still read;
-//! they decode with `program_pos = None`.
+//! Only version 3 is read or written; an older stream fails to decode
+//! with [`CheckpointError::UnsupportedVersion`].
 
 use bp_ckks::wire::{read_ciphertext, write_ciphertext, WireError};
 use bp_ckks::{Ciphertext, CkksContext};
@@ -30,9 +27,8 @@ use std::fmt;
 
 /// File magic for checkpoints ("BPCK").
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"BPCK";
-/// Current checkpoint format version (writes are always this version;
-/// reads accept every version back to 1).
-pub const CHECKPOINT_VERSION: u16 = 2;
+/// Checkpoint format version: the only one this build reads or writes.
+pub const CHECKPOINT_VERSION: u16 = 3;
 
 /// Why a checkpoint could not be decoded or restored.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,7 +102,7 @@ impl fmt::Display for CheckpointError {
             }
             CheckpointError::UnsupportedVersion { found } => write!(
                 f,
-                "unsupported checkpoint version {found} (this build reads 1..={CHECKPOINT_VERSION})"
+                "unsupported checkpoint version {found} (this build reads {CHECKPOINT_VERSION})"
             ),
             CheckpointError::ChecksumMismatch { stored, computed } => write!(
                 f,
@@ -132,22 +128,23 @@ impl std::error::Error for CheckpointError {
     }
 }
 
-/// A resumable snapshot of an evaluation in progress.
+/// A resumable snapshot of an IR program run in progress.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
     workload: String,
-    step: u64,
-    program_pos: Option<u64>,
+    fingerprint: u64,
+    pos: u64,
     slots: Vec<(String, Vec<u8>)>,
 }
 
 impl Checkpoint {
-    /// An empty checkpoint for `workload` at `step`.
-    pub fn new(workload: &str, step: u64) -> Self {
+    /// An empty checkpoint for `workload` running the program with
+    /// `fingerprint`, taken with `ops[..pos]` complete.
+    pub fn new(workload: &str, fingerprint: u64, pos: u64) -> Self {
         Self {
             workload: workload.to_string(),
-            step,
-            program_pos: None,
+            fingerprint,
+            pos,
             slots: Vec::new(),
         }
     }
@@ -157,21 +154,15 @@ impl Checkpoint {
         &self.workload
     }
 
-    /// Step counter recorded at snapshot time (e.g. completed epochs).
-    pub fn step(&self) -> u64 {
-        self.step
+    /// Fingerprint of the program the snapshot belongs to.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
-    /// The IR op position this snapshot was taken at: `ops[..pos]` of the
-    /// job's [`bp_ir::Program`] are complete, `ops[pos]` is next. `None`
-    /// for non-program jobs and for version-1 streams.
-    pub fn program_pos(&self) -> Option<u64> {
-        self.program_pos
-    }
-
-    /// Records the IR op position (see [`Checkpoint::program_pos`]).
-    pub fn set_program_pos(&mut self, pos: u64) {
-        self.program_pos = Some(pos);
+    /// The op position this snapshot was taken at: `ops[..pos]` of the
+    /// job's [`bp_ir::Program`] are complete, `ops[pos]` is next.
+    pub fn pos(&self) -> u64 {
+        self.pos
     }
 
     /// Names of the stored ciphertext slots, in insertion order.
@@ -220,14 +211,8 @@ impl Checkpoint {
         out.extend_from_slice(&CHECKPOINT_MAGIC);
         out.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
         put_bytes(&mut out, self.workload.as_bytes());
-        out.extend_from_slice(&self.step.to_le_bytes());
-        match self.program_pos {
-            Some(pos) => {
-                out.push(1);
-                out.extend_from_slice(&pos.to_le_bytes());
-            }
-            None => out.push(0),
-        }
+        out.extend_from_slice(&self.fingerprint.to_le_bytes());
+        out.extend_from_slice(&self.pos.to_le_bytes());
         out.extend_from_slice(&(self.slots.len() as u32).to_le_bytes());
         for (name, data) in &self.slots {
             put_bytes(&mut out, name.as_bytes());
@@ -280,30 +265,13 @@ impl Checkpoint {
                 .try_into()
                 .expect("take(2) yields exactly 2 bytes"),
         );
-        if version == 0 || version > CHECKPOINT_VERSION {
+        if version != CHECKPOINT_VERSION {
             return Err(CheckpointError::UnsupportedVersion { found: version });
         }
         let workload = String::from_utf8(r.take_prefixed()?.to_vec())
             .map_err(|_| CheckpointError::Malformed("workload is not valid UTF-8"))?;
-        let step = u64::from_le_bytes(
-            r.take(8)?
-                .try_into()
-                .expect("take(8) yields exactly 8 bytes"),
-        );
-        // program_pos was added in version 2; v1 streams simply lack it.
-        let program_pos = if version >= 2 {
-            match r.take(1)?[0] {
-                0 => None,
-                1 => Some(u64::from_le_bytes(
-                    r.take(8)?
-                        .try_into()
-                        .expect("take(8) yields exactly 8 bytes"),
-                )),
-                _ => return Err(CheckpointError::Malformed("program_pos flag is not 0 or 1")),
-            }
-        } else {
-            None
-        };
+        let fingerprint = r.take_u64()?;
+        let pos = r.take_u64()?;
         let slot_count = u32::from_le_bytes(
             r.take(4)?
                 .try_into()
@@ -323,8 +291,8 @@ impl Checkpoint {
         }
         Ok(Self {
             workload,
-            step,
-            program_pos,
+            fingerprint,
+            pos,
             slots,
         })
     }
@@ -351,6 +319,14 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
+    fn take_u64(&mut self) -> Result<u64, CheckpointError> {
+        Ok(u64::from_le_bytes(
+            self.take(8)?
+                .try_into()
+                .expect("take(8) yields exactly 8 bytes"),
+        ))
+    }
+
     fn take_prefixed(&mut self) -> Result<&'a [u8], CheckpointError> {
         let len = u32::from_le_bytes(
             self.take(4)?
@@ -363,7 +339,7 @@ impl<'a> Reader<'a> {
 
 /// FNV-1a 64-bit over `bytes` — tiny, dependency-free, and plenty for
 /// detecting at-rest corruption (not a cryptographic MAC).
-fn fnv1a64(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= u64::from(b);
@@ -375,12 +351,45 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bp_ckks::{BpThreadPool, CkksParams, Representation, SecurityLevel};
+    use rand::{Rng, RngCore, SeedableRng};
+    use rand_chacha::ChaCha20Rng;
+    use std::sync::Arc;
 
     fn sample() -> Checkpoint {
-        let mut cp = Checkpoint::new("logreg", 3);
+        let mut cp = Checkpoint::new("logreg", 0xfeed_f00d, 3);
         cp.slots.push(("w".to_string(), vec![1, 2, 3, 4]));
         cp.slots.push(("x".to_string(), vec![9; 17]));
         cp
+    }
+
+    /// A stream as the runtime writes it: one real ciphertext slot.
+    fn real_stream() -> Vec<u8> {
+        let params = CkksParams::builder()
+            .log_n(6)
+            .word_bits(28)
+            .representation(Representation::BitPacker)
+            .security(SecurityLevel::Insecure)
+            .levels(3, 30)
+            .base_modulus_bits(35)
+            .build()
+            .expect("test params are valid");
+        let ctx = CkksContext::with_threads(&params, Arc::new(BpThreadPool::sequential()))
+            .expect("test context builds");
+        let mut rng = ChaCha20Rng::seed_from_u64(11);
+        let keys = ctx.keygen(&mut rng);
+        let pt = ctx.encode(&[0.5, -0.25], ctx.max_level());
+        let mut cp = Checkpoint::new("logreg", 0xfeed_f00d, 3);
+        cp.insert("n2", &ctx.encrypt(&pt, &keys.public, &mut rng));
+        cp.to_bytes()
+    }
+
+    /// `payload` followed by its valid checksum, so decoding gets past the
+    /// checksum to the field decoder.
+    fn stamped(payload: &[u8]) -> Vec<u8> {
+        let mut out = payload.to_vec();
+        out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        out
     }
 
     #[test]
@@ -389,7 +398,8 @@ mod tests {
         let back = Checkpoint::from_bytes(&cp.to_bytes()).expect("roundtrip");
         assert_eq!(cp, back);
         assert_eq!(back.workload(), "logreg");
-        assert_eq!(back.step(), 3);
+        assert_eq!(back.fingerprint(), 0xfeed_f00d);
+        assert_eq!(back.pos(), 3);
         assert_eq!(back.slot_bytes("x"), Some(&[9u8; 17][..]));
     }
 
@@ -410,6 +420,50 @@ mod tests {
     }
 
     #[test]
+    fn every_restamped_prefix_of_a_real_stream_is_a_typed_error() {
+        let bytes = real_stream();
+        let payload = &bytes[..bytes.len() - 8];
+        for cut in 0..payload.len() {
+            let err = Checkpoint::from_bytes(&stamped(&payload[..cut]))
+                .expect_err("a prefix must not decode");
+            assert!(
+                matches!(
+                    err,
+                    CheckpointError::Truncated { .. } | CheckpointError::BadMagic { .. }
+                ),
+                "cut at {cut}: unexpected {err:?}"
+            );
+        }
+        assert!(Checkpoint::from_bytes(&stamped(payload)).is_ok());
+    }
+
+    #[test]
+    fn byte_soup_behind_a_valid_header_is_a_typed_error() {
+        let mut rng = ChaCha20Rng::seed_from_u64(0xB9C3);
+        for case in 0..10_000 {
+            let mut payload = CHECKPOINT_MAGIC.to_vec();
+            payload.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+            // Mostly zero or tiny bytes, so length and count fields often
+            // fit the stream and the decoder gets past them.
+            let len = rng.gen_range(0..64);
+            payload.extend((0..len).map(|_| match rng.gen_range(0..4) {
+                0 | 1 => 0,
+                2 => rng.gen_range(1..4),
+                _ => rng.next_u32() as u8,
+            }));
+            let err =
+                Checkpoint::from_bytes(&stamped(&payload)).expect_err("byte soup must not decode");
+            assert!(
+                matches!(
+                    err,
+                    CheckpointError::Truncated { .. } | CheckpointError::Malformed(_)
+                ),
+                "case {case}: unexpected {err:?}"
+            );
+        }
+    }
+
+    #[test]
     fn bitflips_are_detected() {
         let bytes = sample().to_bytes();
         for pos in [0, 5, 10, bytes.len() / 2, bytes.len() - 1] {
@@ -423,17 +477,18 @@ mod tests {
     }
 
     #[test]
-    fn wrong_version_is_rejected_with_valid_checksum() {
-        let mut cp_bytes = sample().to_bytes();
+    fn other_versions_are_rejected_with_valid_checksum() {
+        let bytes = sample().to_bytes();
         // Rewrite the version field and re-stamp the checksum so only the
-        // version check can fire.
-        cp_bytes[4] = 0xFF;
-        let payload_len = cp_bytes.len() - 8;
-        let sum = fnv1a64(&cp_bytes[..payload_len]).to_le_bytes();
-        cp_bytes[payload_len..].copy_from_slice(&sum);
-        let err = Checkpoint::from_bytes(&cp_bytes).expect_err("version must be rejected");
-        assert_eq!(err, CheckpointError::UnsupportedVersion { found: 0x00FF });
-        assert!(!err.is_transient());
+        // version check can fire: the older layouts 1 and 2 included.
+        for version in [1u16, 2, 0xFF] {
+            let mut payload = bytes[..bytes.len() - 8].to_vec();
+            payload[4..6].copy_from_slice(&version.to_le_bytes());
+            let err =
+                Checkpoint::from_bytes(&stamped(&payload)).expect_err("version must be rejected");
+            assert_eq!(err, CheckpointError::UnsupportedVersion { found: version });
+            assert!(!err.is_transient());
+        }
     }
 
     #[test]
@@ -450,35 +505,8 @@ mod tests {
     }
 
     #[test]
-    fn program_pos_roundtrips_and_v1_streams_still_decode() {
-        let mut cp = sample();
-        cp.set_program_pos(17);
-        let back = Checkpoint::from_bytes(&cp.to_bytes()).expect("v2 roundtrip");
-        assert_eq!(back.program_pos(), Some(17));
-        assert_eq!(back, cp);
-
-        // Hand-build the version-1 layout (no program_pos field): it must
-        // still decode, with the position absent.
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(&CHECKPOINT_MAGIC);
-        v1.extend_from_slice(&1u16.to_le_bytes());
-        put_bytes(&mut v1, b"logreg");
-        v1.extend_from_slice(&3u64.to_le_bytes());
-        v1.extend_from_slice(&1u32.to_le_bytes());
-        put_bytes(&mut v1, b"w");
-        put_bytes(&mut v1, &[1, 2, 3, 4]);
-        let sum = fnv1a64(&v1);
-        v1.extend_from_slice(&sum.to_le_bytes());
-        let old = Checkpoint::from_bytes(&v1).expect("v1 stream decodes");
-        assert_eq!(old.workload(), "logreg");
-        assert_eq!(old.step(), 3);
-        assert_eq!(old.program_pos(), None);
-        assert_eq!(old.slot_bytes("w"), Some(&[1u8, 2, 3, 4][..]));
-    }
-
-    #[test]
     fn insert_replaces_existing_slot() {
-        let mut cp = Checkpoint::new("w", 0);
+        let mut cp = Checkpoint::new("w", 0, 0);
         cp.slots.push(("a".to_string(), vec![1]));
         // insert() with a real ciphertext is exercised in the integration
         // tests; here we only check the replace-by-name contract shape.

@@ -1,11 +1,11 @@
 //! The runtime's error taxonomy.
 //!
-//! Every job submitted to [`crate::Runtime::run`] terminates in exactly one
-//! of these states — including jobs that panicked, missed their deadline,
-//! or were refused admission by an open circuit breaker. The taxonomy
-//! extends the layered `bp-ckks` scheme: evaluator and wire errors pass
-//! through unchanged (so callers keep their typed detail), and the
-//! runtime adds the supervision-level outcomes on top.
+//! Every job submitted to [`crate::Runtime::run_program`] terminates in
+//! exactly one of these states — including jobs that panicked, missed
+//! their deadline, or were refused admission by an open circuit breaker.
+//! The taxonomy extends the layered `bp-ckks` scheme: evaluator and wire
+//! errors pass through unchanged (so callers keep their typed detail),
+//! and the runtime adds the supervision-level outcomes on top.
 
 use bp_ckks::wire::WireError;
 use bp_ckks::{CancelReason, EvalError};
@@ -62,11 +62,11 @@ pub enum RuntimeError {
 }
 
 impl RuntimeError {
-    /// True when retrying the same job may succeed: data-corruption-class
-    /// failures (detected integrity violations, unreduced residues,
-    /// checksum mismatches) and noise-budget exhaustion, which graceful
-    /// degradation can relieve. Structural errors, panics, deadline and
-    /// cancellation outcomes are permanent.
+    /// True when retrying the same job may succeed: wrapped evaluator,
+    /// wire and checkpoint errors keep their own classification —
+    /// data-corruption-class failures (detected integrity violations,
+    /// unreduced residues, checksum mismatches) are transient. Structural
+    /// errors, panics, deadline and cancellation outcomes are permanent.
     pub fn is_transient(&self) -> bool {
         match self {
             RuntimeError::Eval(e) => e.is_transient(),

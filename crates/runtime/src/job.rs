@@ -1,29 +1,27 @@
-//! The job supervisor: deadlines, panic isolation, retry, degradation.
+//! The job supervisor: deadlines, panic isolation, retry, circuit breaking.
 //!
-//! [`Runtime::run`] executes a job body under full supervision:
+//! [`Runtime::run_program`] runs each attempt of a job under the private
+//! supervisor loop, which gives it:
 //!
-//! * a per-job **deadline** becomes a [`CancelToken`] the job threads into
+//! * a per-job **deadline** as a [`CancelToken`] the attempt threads into
 //!   its evaluator ([`bp_ckks::Evaluator::with_cancel`]), so a runaway
 //!   circuit stops cooperatively at the next op boundary;
-//! * **panics are contained** at the job boundary (`catch_unwind`) and
-//!   surface as [`RuntimeError::JobPanicked`] carrying the workload key
-//!   and panic text — a buggy workload never takes down the host;
-//! * **transient** failures ([`RuntimeError::is_transient`]) are retried
+//! * **panic containment** at the job boundary (`catch_unwind`): a panic
+//!   surfaces as [`RuntimeError::JobPanicked`] carrying the workload key
+//!   and panic text, so a buggy workload never takes down the host;
+//! * **retry** of transient failures ([`RuntimeError::is_transient`])
 //!   with exponential backoff and deterministic jitter, bounded by the
 //!   retry budget and the remaining deadline;
-//! * each retry can **degrade gracefully** before giving up: escalate the
-//!   evaluation policy from `Strict` to `AutoAlign`, then shed chain
-//!   levels (trading precision headroom for noise margin), as permitted
-//!   by the job's [`DegradePolicy`];
-//! * a per-workload **circuit breaker** fail-fasts workloads that keep
-//!   failing (see [`crate::breaker`]).
+//! * a per-workload **circuit breaker** that fail-fasts workloads that
+//!   keep failing (see [`crate::breaker`]).
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
+use crate::checkpoint::fnv1a64;
 use crate::error::RuntimeError;
-use bp_ckks::{BpThreadPool, CancelReason, CancelToken, EvalPolicy};
+use bp_ckks::{CancelReason, CancelToken};
 use bp_ir::Program;
 use bp_telemetry::counters::{self, Counter};
-use bp_telemetry::events::{self, BreakerPhase, DegradeKind, Event};
+use bp_telemetry::events::BreakerPhase;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
@@ -64,51 +62,15 @@ impl RetryPolicy {
     }
 }
 
-/// What the runtime may degrade on retries before giving up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DegradePolicy {
-    /// Permit escalating [`EvalPolicy::Strict`] to
-    /// [`EvalPolicy::AutoAlign`] from the first retry on.
-    pub auto_align: bool,
-    /// Maximum chain levels the job may be asked to shed (0 = never).
-    pub max_shed_levels: usize,
-}
-
-/// The degradation state of one attempt, derived deterministically from
-/// the attempt index: attempt 0 runs pristine, the first degradation
-/// budget goes to policy escalation (if permitted), further retries shed
-/// one level each up to the cap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Degradation {
-    policy: EvalPolicy,
-    shed_levels: usize,
-}
-
-impl Degradation {
-    fn for_attempt(attempt: u32, p: &DegradePolicy) -> Self {
-        let mut budget = attempt as usize;
-        let mut policy = EvalPolicy::Strict;
-        if p.auto_align && budget > 0 {
-            policy = EvalPolicy::AutoAlign;
-            budget -= 1;
-        }
-        Self {
-            policy,
-            shed_levels: budget.min(p.max_shed_levels),
-        }
-    }
-}
-
 /// A supervised job description.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
-    workload: String,
+    pub(crate) workload: String,
     deadline: Option<Duration>,
     token: Option<CancelToken>,
     retry: RetryPolicy,
-    degrade: DegradePolicy,
-    program: Option<Arc<Program>>,
-    checkpoint_every: usize,
+    pub(crate) program: Option<Arc<Program>>,
+    pub(crate) checkpoint_every: usize,
 }
 
 impl Default for JobSpec {
@@ -118,7 +80,6 @@ impl Default for JobSpec {
             deadline: None,
             token: None,
             retry: RetryPolicy::default(),
-            degrade: DegradePolicy::default(),
             program: None,
             checkpoint_every: 1,
         }
@@ -154,15 +115,8 @@ impl JobSpec {
         self
     }
 
-    /// Degradation permissions.
-    pub fn degrade(mut self, degrade: DegradePolicy) -> Self {
-        self.degrade = degrade;
-        self
-    }
-
     /// Attaches the IR program this job executes. Required by
-    /// [`Runtime::run_program`]; also surfaced to plain [`Runtime::run`]
-    /// bodies through [`JobCtx::program`].
+    /// [`Runtime::run_program`].
     pub fn program(mut self, program: Arc<Program>) -> Self {
         self.program = Some(program);
         self
@@ -176,80 +130,10 @@ impl JobSpec {
         self.checkpoint_every = every;
         self
     }
-
-    /// Workload key (breaker partition and telemetry tag).
-    pub fn workload_key(&self) -> &str {
-        &self.workload
-    }
-
-    /// The attached IR program, if any.
-    pub fn program_ref(&self) -> Option<&Arc<Program>> {
-        self.program.as_ref()
-    }
-
-    /// The checkpoint cadence (see [`JobSpec::checkpoint_every`]).
-    pub fn checkpoint_interval(&self) -> usize {
-        self.checkpoint_every
-    }
 }
 
-/// Per-attempt context handed to the job body.
-#[derive(Debug, Clone)]
-pub struct JobCtx {
-    token: CancelToken,
-    attempt: u32,
-    degradation: Degradation,
-    threads: Arc<BpThreadPool>,
-    program: Option<Arc<Program>>,
-}
-
-impl JobCtx {
-    /// The attempt's cancel token — thread it into every evaluator the
-    /// job creates ([`bp_ckks::Evaluator::with_cancel`]) so deadlines
-    /// interrupt long circuits cooperatively.
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.token
-    }
-
-    /// Zero-based attempt index (0 = first try).
-    pub fn attempt(&self) -> u32 {
-        self.attempt
-    }
-
-    /// Evaluation policy this attempt should run under (escalates to
-    /// [`EvalPolicy::AutoAlign`] on retries when the spec permits).
-    pub fn eval_policy(&self) -> EvalPolicy {
-        self.degradation.policy
-    }
-
-    /// Chain levels this attempt should shed relative to the pristine
-    /// run (0 on the first attempt; grows on retries up to the spec's
-    /// cap). The job interprets this — typically by encoding inputs at
-    /// `max_level - shed_levels()`.
-    pub fn shed_levels(&self) -> usize {
-        self.degradation.shed_levels
-    }
-
-    /// The runtime's thread pool, for evaluation contexts
-    /// ([`bp_ckks::CkksContext::with_threads`]).
-    pub fn threads(&self) -> &Arc<BpThreadPool> {
-        &self.threads
-    }
-
-    /// The IR program attached to the job spec, if any (the position
-    /// vocabulary for [`crate::Checkpoint::program_pos`]).
-    pub fn program(&self) -> Option<&Program> {
-        self.program.as_deref()
-    }
-
-    /// Explicit cancellation check for job-side loops between evaluator
-    /// calls.
-    pub fn check(&self) -> Result<(), RuntimeError> {
-        self.token.check().map_err(terminal_for)
-    }
-}
-
-fn terminal_for(reason: CancelReason) -> RuntimeError {
+/// The terminal state a fired cancel token stands for.
+pub(crate) fn terminal_for(reason: CancelReason) -> RuntimeError {
     match reason {
         CancelReason::DeadlineExceeded => RuntimeError::DeadlineExceeded,
         CancelReason::Requested => RuntimeError::Cancelled,
@@ -260,44 +144,23 @@ fn terminal_for(reason: CancelReason) -> RuntimeError {
 ///
 /// Cheap to share behind an `Arc`; all interior state (the breaker map)
 /// is synchronized.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Runtime {
-    threads: Arc<BpThreadPool>,
     breaker_cfg: BreakerConfig,
     breakers: Mutex<HashMap<String, Arc<CircuitBreaker>>>,
 }
 
-impl Default for Runtime {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Runtime {
-    /// A runtime on the process-global thread pool
-    /// (`BITPACKER_THREADS`-sized).
+    /// A runtime with default breaker tuning. Jobs evaluate on the thread
+    /// pool of the context they are given.
     pub fn new() -> Self {
-        Self::with_threads(BpThreadPool::global())
-    }
-
-    /// A runtime on an explicit pool.
-    pub fn with_threads(threads: Arc<BpThreadPool>) -> Self {
-        Self {
-            threads,
-            breaker_cfg: BreakerConfig::default(),
-            breakers: Mutex::new(HashMap::new()),
-        }
+        Self::default()
     }
 
     /// Overrides the breaker tuning for breakers created after this call.
     pub fn breaker_config(mut self, cfg: BreakerConfig) -> Self {
         self.breaker_cfg = cfg;
         self
-    }
-
-    /// The runtime's thread pool.
-    pub fn threads(&self) -> &Arc<BpThreadPool> {
-        &self.threads
     }
 
     /// Current breaker phase for `workload` (Closed if the workload has
@@ -320,14 +183,14 @@ impl Runtime {
 
     /// Runs `job` under supervision until it reaches a terminal state:
     /// success, a permanent error, retry exhaustion, deadline,
-    /// cancellation, contained panic, or breaker rejection. The job body
-    /// may be invoked several times (once per attempt) and must be
-    /// idempotent from the runtime's point of view — attempts must not
-    /// leak partial state into each other.
-    pub fn run<T, F>(&self, spec: &JobSpec, job: F) -> Result<T, RuntimeError>
-    where
-        F: Fn(&JobCtx) -> Result<T, RuntimeError>,
-    {
+    /// cancellation, contained panic, or breaker rejection. `job` is
+    /// called once per attempt with the job's cancel token and must not
+    /// leak partial state from one attempt into the next.
+    pub(crate) fn supervise<T>(
+        &self,
+        spec: &JobSpec,
+        job: impl Fn(&CancelToken) -> Result<T, RuntimeError>,
+    ) -> Result<T, RuntimeError> {
         let breaker = self.breaker(&spec.workload);
         let token = match (&spec.token, spec.deadline) {
             (Some(t), _) => t.clone(),
@@ -350,17 +213,7 @@ impl Runtime {
                 }
                 return Err(err);
             }
-            if attempt > 0 {
-                self.export_degradation(spec, attempt);
-            }
-            let ctx = JobCtx {
-                token: token.clone(),
-                attempt,
-                degradation: Degradation::for_attempt(attempt, &spec.degrade),
-                threads: self.threads.clone(),
-                program: spec.program.clone(),
-            };
-            match catch_unwind(AssertUnwindSafe(|| job(&ctx))) {
+            match catch_unwind(AssertUnwindSafe(|| job(&token))) {
                 Err(payload) => {
                     counters::add(Counter::RtPanics, 1);
                     breaker.on_failure();
@@ -404,29 +257,6 @@ impl Runtime {
             }
         }
     }
-
-    /// Exports the degradation steps that became active at `attempt`
-    /// (events + the `rt_degradations` counter).
-    fn export_degradation(&self, spec: &JobSpec, attempt: u32) {
-        let prev = Degradation::for_attempt(attempt - 1, &spec.degrade);
-        let cur = Degradation::for_attempt(attempt, &spec.degrade);
-        if prev.policy != cur.policy && cur.policy == EvalPolicy::AutoAlign {
-            counters::add(Counter::RtDegradations, 1);
-            events::emit(Event::Degrade {
-                workload: spec.workload.clone(),
-                attempt,
-                kind: DegradeKind::AutoAlign,
-            });
-        }
-        if cur.shed_levels > prev.shed_levels {
-            counters::add(Counter::RtDegradations, 1);
-            events::emit(Event::Degrade {
-                workload: spec.workload.clone(),
-                attempt,
-                kind: DegradeKind::ShedLevels,
-            });
-        }
-    }
 }
 
 /// Renders a contained panic payload to text (best effort: `&str` and
@@ -453,11 +283,7 @@ fn backoff_delay(policy: &RetryPolicy, attempt: u32, workload: &str) -> Duration
     if !policy.jitter {
         return capped;
     }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in workload.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let mut h = fnv1a64(workload.as_bytes());
     h ^= u64::from(attempt).wrapping_add(0x9e37_79b9_7f4a_7c15);
     h ^= h << 13;
     h ^= h >> 7;
@@ -471,30 +297,8 @@ fn backoff_delay(policy: &RetryPolicy, attempt: u32, workload: &str) -> Duration
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::CheckpointError;
     use std::sync::atomic::{AtomicU32, Ordering};
-
-    #[test]
-    fn degradation_schedule_is_deterministic() {
-        let p = DegradePolicy {
-            auto_align: true,
-            max_shed_levels: 2,
-        };
-        let d0 = Degradation::for_attempt(0, &p);
-        assert_eq!((d0.policy, d0.shed_levels), (EvalPolicy::Strict, 0));
-        let d1 = Degradation::for_attempt(1, &p);
-        assert_eq!((d1.policy, d1.shed_levels), (EvalPolicy::AutoAlign, 0));
-        let d2 = Degradation::for_attempt(2, &p);
-        assert_eq!((d2.policy, d2.shed_levels), (EvalPolicy::AutoAlign, 1));
-        let d9 = Degradation::for_attempt(9, &p);
-        assert_eq!(d9.shed_levels, 2, "shed is capped");
-        // Without auto-align permission the budget goes straight to shed.
-        let only_shed = DegradePolicy {
-            auto_align: false,
-            max_shed_levels: 3,
-        };
-        let d1 = Degradation::for_attempt(1, &only_shed);
-        assert_eq!((d1.policy, d1.shed_levels), (EvalPolicy::Strict, 1));
-    }
 
     #[test]
     fn backoff_grows_caps_and_keeps_half_delay_under_jitter() {
@@ -522,9 +326,9 @@ mod tests {
 
     #[test]
     fn panic_is_contained_and_typed() {
-        let rt = Runtime::with_threads(Arc::new(BpThreadPool::sequential()));
+        let rt = Runtime::new();
         let spec = JobSpec::new("panicky");
-        let result: Result<(), _> = rt.run(&spec, |_| panic!("boom {}", 42));
+        let result: Result<(), _> = rt.supervise(&spec, |_| panic!("boom {}", 42));
         match result {
             Err(RuntimeError::JobPanicked { workload, message }) => {
                 assert_eq!(workload, "panicky");
@@ -536,7 +340,7 @@ mod tests {
 
     #[test]
     fn transient_errors_retry_then_succeed() {
-        let rt = Runtime::with_threads(Arc::new(BpThreadPool::sequential()));
+        let rt = Runtime::new();
         let spec = JobSpec::new("flaky").retry(RetryPolicy {
             max_attempts: 3,
             base_delay: Duration::from_millis(1),
@@ -544,12 +348,10 @@ mod tests {
             jitter: true,
         });
         let calls = AtomicU32::new(0);
-        let out = rt.run(&spec, |ctx| {
-            let n = calls.fetch_add(1, Ordering::SeqCst);
-            assert_eq!(ctx.attempt(), n);
-            if n < 2 {
+        let out = rt.supervise(&spec, |_| {
+            if calls.fetch_add(1, Ordering::SeqCst) < 2 {
                 Err(RuntimeError::Checkpoint(
-                    crate::checkpoint::CheckpointError::ChecksumMismatch {
+                    CheckpointError::ChecksumMismatch {
                         stored: 0,
                         computed: 1,
                     },
@@ -564,14 +366,14 @@ mod tests {
 
     #[test]
     fn permanent_errors_do_not_retry() {
-        let rt = Runtime::with_threads(Arc::new(BpThreadPool::sequential()));
+        let rt = Runtime::new();
         let spec = JobSpec::new("broken").retry(RetryPolicy::default());
         let calls = AtomicU32::new(0);
-        let out: Result<(), _> = rt.run(&spec, |_| {
+        let out: Result<(), _> = rt.supervise(&spec, |_| {
             calls.fetch_add(1, Ordering::SeqCst);
-            Err(RuntimeError::Checkpoint(
-                crate::checkpoint::CheckpointError::Malformed("structural"),
-            ))
+            Err(RuntimeError::Checkpoint(CheckpointError::Malformed(
+                "structural",
+            )))
         });
         assert!(matches!(out, Err(RuntimeError::Checkpoint(_))));
         assert_eq!(calls.load(Ordering::SeqCst), 1, "no retry on permanent");
@@ -579,16 +381,16 @@ mod tests {
 
     #[test]
     fn retries_exhausted_wraps_the_last_transient_error() {
-        let rt = Runtime::with_threads(Arc::new(BpThreadPool::sequential()));
+        let rt = Runtime::new();
         let spec = JobSpec::new("hopeless").retry(RetryPolicy {
             max_attempts: 2,
             base_delay: Duration::from_millis(1),
             max_delay: Duration::from_millis(1),
             jitter: false,
         });
-        let out: Result<(), _> = rt.run(&spec, |_| {
+        let out: Result<(), _> = rt.supervise(&spec, |_| {
             Err(RuntimeError::Checkpoint(
-                crate::checkpoint::CheckpointError::ChecksumMismatch {
+                CheckpointError::ChecksumMismatch {
                     stored: 1,
                     computed: 2,
                 },
@@ -607,11 +409,11 @@ mod tests {
 
     #[test]
     fn expired_deadline_is_terminal_before_running() {
-        let rt = Runtime::with_threads(Arc::new(BpThreadPool::sequential()));
+        let rt = Runtime::new();
         let spec = JobSpec::new("late").deadline(Duration::ZERO);
         std::thread::sleep(Duration::from_millis(2));
         let calls = AtomicU32::new(0);
-        let out: Result<(), _> = rt.run(&spec, |_| {
+        let out: Result<(), _> = rt.supervise(&spec, |_| {
             calls.fetch_add(1, Ordering::SeqCst);
             Ok(())
         });
@@ -621,39 +423,35 @@ mod tests {
 
     #[test]
     fn explicit_cancellation_is_terminal() {
-        let rt = Runtime::with_threads(Arc::new(BpThreadPool::sequential()));
+        let rt = Runtime::new();
         let token = CancelToken::new();
         token.cancel();
         let spec = JobSpec::new("shutdown").token(token);
-        let out: Result<(), _> = rt.run(&spec, |_| Ok(()));
+        let out: Result<(), _> = rt.supervise(&spec, |_| Ok(()));
         assert_eq!(out, Err(RuntimeError::Cancelled));
     }
 
     #[test]
     fn breaker_rejects_after_repeated_failures() {
-        let rt = Runtime::with_threads(Arc::new(BpThreadPool::sequential())).breaker_config(
-            BreakerConfig {
-                failure_threshold: 2,
-                cooldown: Duration::from_secs(60),
-            },
-        );
+        let rt = Runtime::new().breaker_config(BreakerConfig {
+            failure_threshold: 2,
+            cooldown: Duration::from_secs(60),
+        });
         let spec = JobSpec::new("sick").retry(RetryPolicy::none());
         for _ in 0..2 {
-            let _ = rt.run::<(), _>(&spec, |_| {
-                Err(RuntimeError::Checkpoint(
-                    crate::checkpoint::CheckpointError::Malformed("x"),
-                ))
+            let _ = rt.supervise::<()>(&spec, |_| {
+                Err(RuntimeError::Checkpoint(CheckpointError::Malformed("x")))
             });
         }
         assert_eq!(rt.breaker_phase("sick"), BreakerPhase::Open);
         let calls = AtomicU32::new(0);
-        let out: Result<(), _> = rt.run(&spec, |_| {
+        let out: Result<(), _> = rt.supervise(&spec, |_| {
             calls.fetch_add(1, Ordering::SeqCst);
             Ok(())
         });
         assert!(matches!(out, Err(RuntimeError::CircuitOpen { .. })));
         assert_eq!(calls.load(Ordering::SeqCst), 0, "rejected without running");
         // Other workloads are unaffected.
-        assert!(rt.run(&JobSpec::new("healthy"), |_| Ok(1)).is_ok());
+        assert!(rt.supervise(&JobSpec::new("healthy"), |_| Ok(1)).is_ok());
     }
 }

@@ -7,24 +7,21 @@
 //! supervision layer that turns the panic-free `bp-ckks` pipeline into a
 //! *fault-tolerant* one:
 //!
-//! * [`Runtime::run`] — supervised job execution: cooperative
-//!   **deadlines** (a [`CancelToken`] threaded into the evaluator),
-//!   **panic isolation** (`catch_unwind` at the job boundary →
-//!   [`RuntimeError::JobPanicked`]), **retry** of transient failures with
-//!   exponential backoff and deterministic jitter, **graceful
-//!   degradation** (policy escalation, then level shedding) before
-//!   rejection, and a per-workload **circuit breaker**
-//!   ([`CircuitBreaker`]) exported through `bp-telemetry`.
-//! * [`Checkpoint`] — versioned, checksummed snapshots of live
-//!   ciphertexts (exact scales and chain positions preserved via the
-//!   `bp-ckks` wire format) so long evaluations resume bit-identically
-//!   after a kill.
-//! * [`Runtime::run_program`] — supervised execution of a
-//!   [`bp_ir::Program`] attached to the [`JobSpec`], checkpointing an
-//!   **exact program position** ([`Checkpoint::program_pos`]) plus the
-//!   live node set after each op, and resuming from the latest snapshot
-//!   on retry — through the same `Evaluator::step_op` dispatch every
-//!   other IR consumer uses.
+//! * [`Runtime::run_program`] — the one entry point: supervised execution
+//!   of the [`bp_ir::Program`] attached to a [`JobSpec`], through the
+//!   same `Evaluator::step_op` dispatch every other IR consumer uses.
+//!   Each job gets cooperative **deadlines** (a [`CancelToken`] threaded
+//!   into the evaluator), **panic isolation** (`catch_unwind` at the job
+//!   boundary → [`RuntimeError::JobPanicked`]), **retry** of transient
+//!   failures with exponential backoff and deterministic jitter, and a
+//!   per-workload **circuit breaker** ([`CircuitBreaker`]) exported
+//!   through `bp-telemetry`.
+//! * [`Checkpoint`] — versioned, checksummed snapshots of the live
+//!   ciphertexts at an exact op position ([`Checkpoint::pos`]) of one
+//!   program ([`Checkpoint::fingerprint`]), with exact scales and chain
+//!   positions preserved via the `bp-ckks` wire format, so a retry or a
+//!   restarted process resumes bit-identically from a
+//!   [`CheckpointStore`].
 //! * [`RuntimeError`] — the terminal-state taxonomy: every submitted job
 //!   ends in exactly one typed outcome, and
 //!   [`RuntimeError::is_transient`] is the retry contract.
@@ -32,22 +29,35 @@
 //! # Quick start
 //!
 //! ```
-//! use bp_runtime::{JobSpec, RetryPolicy, Runtime};
-//! use std::time::Duration;
+//! use bp_ckks::{CkksContext, CkksParams, SecurityLevel};
+//! use bp_ir::ProgramBuilder;
+//! use bp_runtime::{JobSpec, MemoryStore, RetryPolicy, Runtime};
+//! use rand::SeedableRng;
+//! use std::{sync::Arc, time::Duration};
 //!
-//! let rt = Runtime::new();
+//! let params = CkksParams::builder().log_n(6).security(SecurityLevel::Insecure).build()?;
+//! let ctx = CkksContext::new(&params)?;
+//! let mut rng = rand_chacha::ChaCha20Rng::seed_from_u64(1);
+//! let keys = ctx.keygen(&mut rng);
+//! let x = ctx.encrypt(&ctx.encode(&[0.5], ctx.max_level()), &keys.public, &mut rng);
+//!
+//! let mut b = ProgramBuilder::new(28); // y = (x · plain(0))²
+//! let input = b.input();
+//! let m = b.mul_plain(input, 0);
+//! let r = b.rescale(m);
+//! let sq = b.square(r);
+//! let y = b.rescale(sq);
+//! b.output("y", y);
 //! let spec = JobSpec::new("demo")
+//!     .program(Arc::new(b.finish()))
 //!     .deadline(Duration::from_secs(5))
 //!     .retry(RetryPolicy::default());
-//! let answer = rt.run(&spec, |ctx| {
-//!     // Real jobs build a CkksContext on ctx.threads(), attach
-//!     // ctx.cancel_token() to the evaluator, and honor
-//!     // ctx.eval_policy() / ctx.shed_levels() on retries.
-//!     ctx.check()?;
-//!     Ok(6 * 7)
-//! })?;
-//! assert_eq!(answer, 42);
-//! # Ok::<(), bp_runtime::RuntimeError>(())
+//! let plain = |_pseed: u64, slots: usize| vec![0.5; slots];
+//! let store = MemoryStore::new();
+//! let out = Runtime::new().run_program(&spec, &ctx, &keys.evaluation, &[x], &plain, &store)?;
+//! let y = ctx.decrypt_to_values(out.output("y").expect("declared"), &keys.secret, 1)?;
+//! assert!((y[0] - 0.0625).abs() < 1e-3);
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -62,9 +72,9 @@ mod error;
 mod job;
 mod program;
 
-pub use bp_ckks::{BpThreadPool, CancelReason, CancelToken};
+pub use bp_ckks::{CancelReason, CancelToken};
 pub use breaker::{BreakerConfig, CircuitBreaker};
 pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 pub use error::RuntimeError;
-pub use job::{Degradation, DegradePolicy, JobCtx, JobSpec, RetryPolicy, Runtime};
+pub use job::{JobSpec, RetryPolicy, Runtime};
 pub use program::{CheckpointStore, MemoryStore, ProgramOutcome};

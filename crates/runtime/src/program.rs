@@ -4,15 +4,16 @@
 //! program IR ([`bp_ir::Program`]): the job spec carries the program, the
 //! interpreter dispatch is [`bp_ckks::Evaluator::step_op`] (the same
 //! one `run_program` on the evaluator and the oracle's differential
-//! harness use), and every checkpoint records an exact op position plus
-//! the live node set — so resume means "continue at `ops[pos]`", not a
-//! per-workload step convention. Ciphertexts travel through the `bp-ckks`
-//! wire format, which preserves exact factored scales and chain
-//! positions; an interrupted run therefore resumes **bit-identically**.
+//! harness use), and every checkpoint records the program's fingerprint,
+//! an exact op position and the live node set — so resume means
+//! "continue at `ops[pos]` of this program", not a per-workload step
+//! convention. Ciphertexts travel through the `bp-ckks` wire format,
+//! which preserves exact factored scales and chain positions; an
+//! interrupted run therefore resumes **bit-identically**.
 
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{fnv1a64, Checkpoint};
 use crate::error::RuntimeError;
-use crate::job::{JobSpec, Runtime};
+use crate::job::{terminal_for, JobSpec, Runtime};
 use bp_ckks::{level_budget, Ciphertext, CkksContext, EvaluationKey};
 use bp_ir::Program;
 use std::sync::Mutex;
@@ -93,20 +94,21 @@ fn slot_name(node: usize) -> String {
 
 /// Decodes `bytes` and restores every node live at the recorded program
 /// position. `None` (fall back to a fresh start) when the snapshot is
-/// corrupt, from another workload, position-less, or fails ciphertext
+/// corrupt, from another workload or program, or fails ciphertext
 /// validation against `ctx` — a bad checkpoint must never be worse than
 /// no checkpoint.
 fn try_resume(
     bytes: &[u8],
     workload: &str,
+    fingerprint: u64,
     program: &Program,
     ctx: &CkksContext,
 ) -> Option<(usize, Vec<(usize, Ciphertext)>)> {
     let cp = Checkpoint::from_bytes(bytes).ok()?;
-    if cp.workload() != workload {
+    if cp.workload() != workload || cp.fingerprint() != fingerprint {
         return None;
     }
-    let pos = usize::try_from(cp.program_pos()?).ok()?;
+    let pos = usize::try_from(cp.pos()).ok()?;
     if pos > program.ops.len() {
         return None;
     }
@@ -121,26 +123,23 @@ impl Runtime {
     /// Executes the spec's IR program under full supervision — deadline,
     /// panic isolation, retry, circuit breaker — checkpointing into
     /// `store` at the spec's cadence ([`JobSpec::checkpoint_every`]).
+    /// Ops run under the Strict policy on `ctx`'s thread pool.
     ///
     /// Each attempt first tries to resume from the store's latest
-    /// snapshot: live nodes are restored through the validated wire
-    /// format and execution continues at the recorded op position, so a
-    /// retry (or a new process primed with the same bytes) redoes only
-    /// the ops after the last snapshot and the final outputs are
-    /// bit-identical to an uninterrupted run. An unusable snapshot is
-    /// ignored and the attempt starts fresh.
-    ///
-    /// Policy degradation applies ([`JobCtx::eval_policy`] escalates to
-    /// AutoAlign on retries when permitted); level shedding does not —
-    /// the caller fixed the input encoding when it encrypted `inputs`.
+    /// snapshot (one `store.load()` per attempt): live nodes are restored
+    /// through the validated wire format and execution continues at the
+    /// recorded op position, so a retry (or a new process primed with the
+    /// same bytes) redoes only the ops after the last snapshot and the
+    /// final outputs are bit-identical to an uninterrupted run. A snapshot
+    /// that does not decode, belongs to another workload or program, or
+    /// fails validation is ignored and the attempt starts fresh.
     ///
     /// # Errors
     /// [`RuntimeError::InvalidProgram`] when the spec carries no program,
     /// the program fails structural or level validation against `ctx`'s
     /// chain, or `inputs` does not match its input count; otherwise the
-    /// supervision outcomes of [`Runtime::run`].
-    ///
-    /// [`JobCtx::eval_policy`]: crate::JobCtx::eval_policy
+    /// job's terminal state: an evaluation error, deadline, cancellation,
+    /// contained panic, exhausted retries, or an open circuit breaker.
     pub fn run_program(
         &self,
         spec: &JobSpec,
@@ -151,11 +150,11 @@ impl Runtime {
         store: &dyn CheckpointStore,
     ) -> Result<ProgramOutcome, RuntimeError> {
         let program = spec
-            .program_ref()
+            .program
+            .as_deref()
             .ok_or_else(|| RuntimeError::InvalidProgram {
                 reason: "job spec carries no IR program".to_string(),
-            })?
-            .clone();
+            })?;
         program
             .validate(&level_budget(ctx.chain()))
             .map_err(|e| RuntimeError::InvalidProgram {
@@ -171,11 +170,10 @@ impl Runtime {
             });
         }
 
-        let every = spec.checkpoint_interval();
-        self.run(spec, |jctx| {
-            let ev = ctx
-                .evaluator_with_policy(jctx.eval_policy())
-                .with_cancel(jctx.cancel_token().clone());
+        let fingerprint = fnv1a64(program.to_json(None).as_bytes());
+        let every = spec.checkpoint_every;
+        self.supervise(spec, |token| {
+            let ev = ctx.evaluator().with_cancel(token.clone());
             let mut nodes: Vec<Option<Ciphertext>> = vec![None; program.num_nodes()];
             for (slot, ct) in nodes.iter_mut().zip(inputs) {
                 *slot = Some(ct.clone());
@@ -184,7 +182,7 @@ impl Runtime {
             let mut resumed_at = None;
             if let Some(bytes) = store.load() {
                 if let Some((pos, restored)) =
-                    try_resume(&bytes, spec.workload_key(), &program, ctx)
+                    try_resume(&bytes, &spec.workload, fingerprint, program, ctx)
                 {
                     for (i, ct) in restored {
                         nodes[i] = Some(ct);
@@ -197,7 +195,7 @@ impl Runtime {
             let mut plain_src = |pseed: u64, n: usize| plain(pseed, n);
             let mut checkpoints = 0u64;
             for (k, op) in program.ops.iter().enumerate().skip(start) {
-                jctx.check()?;
+                token.check().map_err(terminal_for)?;
                 let id = program.inputs + k;
                 let operand = |i: usize| {
                     nodes[i]
@@ -208,8 +206,7 @@ impl Runtime {
                 nodes[id] = Some(ct);
                 let pos = k + 1;
                 if every > 0 && (pos % every == 0 || pos == program.ops.len()) {
-                    let mut cp = Checkpoint::new(spec.workload_key(), pos as u64);
-                    cp.set_program_pos(pos as u64);
+                    let mut cp = Checkpoint::new(&spec.workload, fingerprint, pos as u64);
                     let live = program.live_nodes(pos);
                     for &i in &live {
                         if let Some(ct) = nodes[i].as_ref() {
@@ -258,7 +255,6 @@ impl Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{JobSpec, Runtime};
     use bp_ckks::wire::write_ciphertext;
     use bp_ckks::{BpThreadPool, CkksParams, KeySet, Representation, SecurityLevel};
     use bp_ir::ProgramBuilder;
@@ -285,11 +281,12 @@ mod tests {
     }
 
     /// weights → rescale → rotate-add → square → rescale: exercises
-    /// plaintext streams, keyswitching ops, and level transitions.
-    fn sample_program() -> Arc<Program> {
+    /// plaintext streams, keyswitching ops, and level transitions. The
+    /// weights are plaintext operand `pseed`.
+    fn sample_program(pseed: u64) -> Arc<Program> {
         let mut b = ProgramBuilder::new(28);
         let x = b.input();
-        let w = b.mul_plain(x, 1);
+        let w = b.mul_plain(x, pseed);
         let r = b.rescale(w);
         let rot = b.rotate(r, 1);
         let s = b.add(r, rot);
@@ -305,6 +302,21 @@ mod tests {
             .collect()
     }
 
+    /// Keeps every snapshot a run saves and never resumes.
+    #[derive(Default)]
+    struct History {
+        all: Mutex<Vec<Vec<u8>>>,
+    }
+
+    impl CheckpointStore for History {
+        fn save(&self, bytes: Vec<u8>) {
+            self.all.lock().unwrap().push(bytes);
+        }
+        fn load(&self) -> Option<Vec<u8>> {
+            None
+        }
+    }
+
     fn encrypted_input(ctx: &CkksContext, keys: &KeySet) -> Ciphertext {
         let slots = ctx.params().slots();
         let vals: Vec<f64> = (0..slots)
@@ -317,7 +329,7 @@ mod tests {
     #[test]
     fn missing_program_and_bad_inputs_are_invalid_program_errors() {
         let (ctx, keys) = ctx_and_keys();
-        let rt = Runtime::with_threads(Arc::new(BpThreadPool::sequential()));
+        let rt = Runtime::new();
         let store = MemoryStore::new();
         let no_program = JobSpec::new("p");
         let err = rt
@@ -332,7 +344,7 @@ mod tests {
             .expect_err("spec without a program must be rejected");
         assert!(matches!(err, RuntimeError::InvalidProgram { .. }));
 
-        let spec = JobSpec::new("p").program(sample_program());
+        let spec = JobSpec::new("p").program(sample_program(1));
         let err = rt
             .run_program(&spec, &ctx, &keys.evaluation, &[], &plain_table, &store)
             .expect_err("wrong input count must be rejected");
@@ -347,8 +359,8 @@ mod tests {
     #[test]
     fn run_writes_positioned_checkpoints_with_only_live_slots() {
         let (ctx, keys) = ctx_and_keys();
-        let rt = Runtime::with_threads(Arc::new(BpThreadPool::sequential()));
-        let program = sample_program();
+        let rt = Runtime::new();
+        let program = sample_program(1);
         let spec = JobSpec::new("ckpt").program(program.clone());
         let store = MemoryStore::new();
         let input = encrypted_input(&ctx, &keys);
@@ -369,7 +381,7 @@ mod tests {
         // the live node set (here: only the named output).
         let cp = Checkpoint::from_bytes(&store.snapshot().expect("snapshot saved"))
             .expect("snapshot decodes");
-        assert_eq!(cp.program_pos(), Some(program.ops.len() as u64));
+        assert_eq!(cp.pos(), program.ops.len() as u64);
         let slots: Vec<&str> = cp.slot_names().collect();
         assert_eq!(slots, vec!["n6"]);
         // And the stored bytes are the output's exact wire encoding.
@@ -382,81 +394,58 @@ mod tests {
     #[test]
     fn resume_from_mid_run_checkpoint_is_bit_identical() {
         let (ctx, keys) = ctx_and_keys();
-        let rt = Runtime::with_threads(Arc::new(BpThreadPool::sequential()));
-        let program = sample_program();
+        let rt = Runtime::new();
         let input = encrypted_input(&ctx, &keys);
+        // Runs `program` under one shared workload key; returns where it
+        // resumed and a digest of output y's wire bytes.
+        let run = |program: Arc<Program>, store: &dyn CheckpointStore| {
+            let out = rt
+                .run_program(
+                    &JobSpec::new("resume").program(program),
+                    &ctx,
+                    &keys.evaluation,
+                    std::slice::from_ref(&input),
+                    &plain_table,
+                    store,
+                )
+                .expect("program runs");
+            let y = write_ciphertext(out.output("y").expect("output y"));
+            (out.resumed_at, fnv1a64(&y))
+        };
+        let primed = |bytes: &[u8]| {
+            let store = MemoryStore::new();
+            store.prime(bytes.to_vec());
+            store
+        };
 
         // Uninterrupted run: capture every intermediate snapshot.
-        #[derive(Default)]
-        struct History {
-            all: Mutex<Vec<Vec<u8>>>,
-        }
-        impl CheckpointStore for History {
-            fn save(&self, bytes: Vec<u8>) {
-                self.all.lock().unwrap().push(bytes);
-            }
-            fn load(&self) -> Option<Vec<u8>> {
-                None
-            }
-        }
         let history = History::default();
-        let spec = JobSpec::new("resume").program(program.clone());
-        let straight = rt
-            .run_program(
-                &spec,
-                &ctx,
-                &keys.evaluation,
-                std::slice::from_ref(&input),
-                &plain_table,
-                &history,
-            )
-            .expect("uninterrupted run");
-        let straight_bytes = write_ciphertext(straight.output("y").expect("output"));
+        let (_, straight) = run(sample_program(1), &history);
         let snapshots = history.all.into_inner().unwrap();
-        assert_eq!(snapshots.len(), program.ops.len());
+        assert_eq!(snapshots.len(), sample_program(1).ops.len());
 
         // "Kill" the job after op 3 and resume from that snapshot in a
         // store primed as if the process restarted: the remaining ops
         // re-execute and the output wire bytes are identical.
-        let store = MemoryStore::new();
-        store.prime(snapshots[2].clone());
-        let resumed = rt
-            .run_program(
-                &spec,
-                &ctx,
-                &keys.evaluation,
-                std::slice::from_ref(&input),
-                &plain_table,
-                &store,
-            )
-            .expect("resumed run");
-        assert_eq!(resumed.resumed_at, Some(3));
         assert_eq!(
-            write_ciphertext(resumed.output("y").expect("output")),
-            straight_bytes,
+            run(sample_program(1), &primed(&snapshots[2])),
+            (Some(3), straight),
             "resume must be bit-identical to the uninterrupted run"
         );
 
         // A corrupt snapshot must fall back to a fresh start, not fail.
-        let corrupt = MemoryStore::new();
         let mut bad = snapshots[2].clone();
         let last = bad.len() - 1;
         bad[last] ^= 0xA5;
-        corrupt.prime(bad);
-        let fresh = rt
-            .run_program(
-                &spec,
-                &ctx,
-                &keys.evaluation,
-                &[input],
-                &plain_table,
-                &corrupt,
-            )
-            .expect("corrupt snapshot falls back to a fresh start");
-        assert_eq!(fresh.resumed_at, None);
+        assert_eq!(run(sample_program(1), &primed(&bad)), (None, straight));
+
+        // So must a snapshot of another program under the same workload
+        // key, here one whose first op has another plaintext operand.
+        let (_, fresh) = run(sample_program(2), &MemoryStore::new());
         assert_eq!(
-            write_ciphertext(fresh.output("y").expect("output")),
-            straight_bytes
+            run(sample_program(2), &primed(&snapshots[0])),
+            (None, fresh),
+            "a snapshot of program A must not resume program B"
         );
     }
 }

@@ -1,8 +1,11 @@
-//! Cross-layer chaos harness: faults injected at the RNS, CKKS, and
-//! accelerator layers, driven through the supervised runtime.
+//! Chaos harness: faults injected underneath supervised IR programs.
 //!
-//! Invariants under test (the acceptance bar of the fault-tolerant
-//! runtime):
+//! Every job here runs through [`Runtime::run_program`]. The fault
+//! classes: armed keyswitch and rescale failures in the evaluator
+//! (`bp_ckks::fault`), panics raised by the caller's plaintext source, a
+//! deadline that expires mid-program, and truncated or bit-flipped
+//! checkpoint bytes (`bp_rns::fault`). Invariants under test (the
+//! acceptance bar of the fault-tolerant runtime):
 //!
 //! 1. **No panic escapes** the job boundary — every injected fault and
 //!    every deliberate panic ends as a typed [`RuntimeError`].
@@ -11,41 +14,91 @@
 //!    `DeadlineExceeded`, or `CircuitOpen`.
 //! 3. **Retried jobs are bit-identical** — a job that fails transiently
 //!    and succeeds on retry produces the same wire bytes as a run that
-//!    never faulted.
+//!    never faulted, also when the retry resumes from the failed
+//!    attempt's checkpoint.
 //!
 //! The CKKS fault plan (`bp_ckks::fault`) is process-global, so every
-//! case that arms it lives in ONE test function, executed sequentially.
+//! case that arms it lives in ONE test function, executed sequentially;
+//! the other tests run only ops that neither keyswitch nor rescale, so
+//! they cannot consume an armed fault.
 
 use bp_ckks::wire::write_ciphertext;
 use bp_ckks::{
-    fault as ckks_fault, BpThreadPool, CkksContext, CkksParams, EvalError, EvalPolicy, KeySet,
-    Representation, SecurityLevel,
+    fault as ckks_fault, BpThreadPool, Ciphertext, CkksContext, CkksParams, KeySet, Representation,
+    SecurityLevel,
 };
-use bp_rns::{fault as rns_fault, Domain, PrimePool, RnsPoly};
+use bp_ir::{Program, ProgramBuilder};
+use bp_rns::fault as rns_fault;
 use bp_runtime::{
-    BreakerConfig, Checkpoint, CheckpointError, JobSpec, RetryPolicy, Runtime, RuntimeError,
+    BreakerConfig, Checkpoint, CheckpointStore, JobSpec, MemoryStore, ProgramOutcome, RetryPolicy,
+    Runtime, RuntimeError,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn ctx_and_keys() -> (CkksContext, KeySet) {
-    let params = CkksParams::builder()
-        .log_n(6)
-        .word_bits(28)
-        .representation(Representation::BitPacker)
-        .security(SecurityLevel::Insecure)
-        .levels(3, 30)
-        .base_modulus_bits(35)
-        .build()
-        .expect("chaos params are valid");
-    let ctx = CkksContext::with_threads(&params, Arc::new(BpThreadPool::sequential()))
-        .expect("chaos context builds");
-    let mut rng = ChaCha20Rng::seed_from_u64(77);
-    let keys = ctx.keygen(&mut rng);
-    (ctx, keys)
+/// A small BitPacker context, its keys, and one encrypted input.
+struct Harness {
+    ctx: CkksContext,
+    keys: KeySet,
+    input: Ciphertext,
+}
+
+impl Harness {
+    fn new() -> Self {
+        let params = CkksParams::builder()
+            .log_n(6)
+            .word_bits(28)
+            .representation(Representation::BitPacker)
+            .security(SecurityLevel::Insecure)
+            .levels(3, 30)
+            .base_modulus_bits(35)
+            .build()
+            .expect("chaos params are valid");
+        let ctx = CkksContext::with_threads(&params, Arc::new(BpThreadPool::sequential()))
+            .expect("chaos context builds");
+        let mut rng = ChaCha20Rng::seed_from_u64(77);
+        let keys = ctx.keygen(&mut rng);
+        let pt = ctx.encode(&[0.5, -0.25, 0.125], ctx.max_level());
+        let input = ctx.encrypt(&pt, &keys.public, &mut rng);
+        Self { ctx, keys, input }
+    }
+
+    fn run(
+        &self,
+        rt: &Runtime,
+        spec: &JobSpec,
+        plain: &dyn Fn(u64, usize) -> Vec<f64>,
+        store: &dyn CheckpointStore,
+    ) -> Result<ProgramOutcome, RuntimeError> {
+        rt.run_program(
+            spec,
+            &self.ctx,
+            &self.keys.evaluation,
+            std::slice::from_ref(&self.input),
+            plain,
+            store,
+        )
+    }
+}
+
+/// A one-input program whose output `y` is the node `body` returns.
+fn program(body: impl FnOnce(&mut ProgramBuilder, usize) -> usize) -> Arc<Program> {
+    let mut b = ProgramBuilder::new(28);
+    let x = b.input();
+    let y = body(&mut b, x);
+    b.output("y", y);
+    Arc::new(b.finish())
+}
+
+fn halves(_pseed: u64, slots: usize) -> Vec<f64> {
+    vec![0.5; slots]
+}
+
+fn y_bytes(out: &ProgramOutcome) -> Vec<u8> {
+    write_ciphertext(out.output("y").expect("declared output y"))
 }
 
 fn fast_retry(attempts: u32) -> RetryPolicy {
@@ -57,86 +110,94 @@ fn fast_retry(attempts: u32) -> RetryPolicy {
     }
 }
 
-/// Fault class 1 (RNS layer): a residue coefficient corrupted in memory.
-/// The corruption is *detected* (`check_reduced`), surfaces as a typed
-/// transient error, and a retry against pristine data succeeds.
-#[test]
-fn rns_coefficient_corruption_is_transient_and_retried() {
-    let rt = Runtime::with_threads(Arc::new(BpThreadPool::sequential()));
-    let spec = JobSpec::new("chaos-rns").retry(fast_retry(3));
-    let pool = PrimePool::new(1 << 3);
-    let qs = pool.first_primes_below(30, 2);
-    let attempts = AtomicU32::new(0);
-    let out = rt.run(&spec, |_| {
-        let mut p = RnsPoly::zero(&pool, &qs, Domain::Coeff);
-        if attempts.fetch_add(1, Ordering::SeqCst) == 0 {
-            rns_fault::corrupt_coefficient(&mut p, 1, 3);
-        }
-        p.check_reduced().map_err(EvalError::Rns)?;
-        Ok(p.residue(0).coeffs().to_vec())
-    });
-    assert!(out.is_ok(), "retry against pristine data succeeds: {out:?}");
-    assert_eq!(attempts.load(Ordering::SeqCst), 2, "exactly one retry");
+/// A [`MemoryStore`] that counts `load()` calls: one per attempt.
+#[derive(Default)]
+struct CountingStore {
+    inner: MemoryStore,
+    loads: Cell<u32>,
 }
 
-/// Fault classes 2+3 (CKKS layer): armed keyswitch and rescale faults.
-/// All cases share the process-global fault plan, so they run here
-/// sequentially in one test function.
+impl CheckpointStore for CountingStore {
+    fn save(&self, bytes: Vec<u8>) {
+        self.inner.save(bytes);
+    }
+
+    fn load(&self) -> Option<Vec<u8>> {
+        self.loads.set(self.loads.get() + 1);
+        self.inner.load()
+    }
+}
+
+/// Armed keyswitch and rescale faults. All cases share the
+/// process-global fault plan, so they run here sequentially in one test
+/// function.
 #[test]
 fn ckks_evaluator_faults_retry_bit_identically() {
     ckks_fault::disarm_all();
-    let (ctx, keys) = ctx_and_keys();
-    let mut rng = ChaCha20Rng::seed_from_u64(99);
-    let x = vec![0.5, -0.25, 0.125];
-    let ct = ctx.encrypt(&ctx.encode(&x, ctx.max_level()), &keys.public, &mut rng);
-
-    // Reference: the fault-free wire bytes of square+rescale.
-    let ev = ctx.evaluator();
-    let clean = ev
-        .rescale(&ev.square(&ct, &keys.evaluation).expect("clean square"))
-        .expect("clean rescale");
-    let clean_bytes = write_ciphertext(&clean);
-
-    let rt = Runtime::with_threads(Arc::new(BpThreadPool::sequential()));
+    let h = Harness::new();
+    let rt = Runtime::new();
+    // One keyswitch (the relinearization) and one rescale.
+    let square = program(|b, x| {
+        let sq = b.square(x);
+        b.rescale(sq)
+    });
+    let clean = h
+        .run(
+            &rt,
+            &JobSpec::new("chaos-clean").program(square.clone()),
+            &halves,
+            &MemoryStore::new(),
+        )
+        .expect("fault-free run");
 
     // Case A: keyswitch fault on the first attempt → transient error →
     // retried → bit-identical to the fault-free run.
     ckks_fault::arm(ckks_fault::FaultSite::KeySwitch, 0);
-    let spec = JobSpec::new("chaos-ksk").retry(fast_retry(3));
-    let out = rt
-        .run(&spec, |job| {
-            let ev = ctx.evaluator().with_cancel(job.cancel_token().clone());
-            let sq = ev.square(&ct, &keys.evaluation)?;
-            Ok(write_ciphertext(&ev.rescale(&sq)?))
-        })
+    let spec = JobSpec::new("chaos-ksk")
+        .program(square.clone())
+        .retry(fast_retry(3));
+    let out = h
+        .run(&rt, &spec, &halves, &MemoryStore::new())
         .expect("keyswitch fault must be retried to success");
-    assert_eq!(out, clean_bytes, "retried result must be bit-identical");
+    assert_eq!(
+        y_bytes(&out),
+        y_bytes(&clean),
+        "retried result is identical"
+    );
     assert_eq!(ckks_fault::armed_count(), 0, "fault was consumed");
 
-    // Case B: rescale fault → same contract.
-    ckks_fault::arm(ckks_fault::FaultSite::Rescale, 0);
-    let spec = JobSpec::new("chaos-rescale").retry(fast_retry(3));
-    let out = rt
-        .run(&spec, |job| {
-            let ev = ctx.evaluator().with_cancel(job.cancel_token().clone());
-            let sq = ev.square(&ct, &keys.evaluation)?;
-            Ok(write_ciphertext(&ev.rescale(&sq)?))
-        })
+    // Case B: the second of two rescales fails. The failed attempt has
+    // checkpointed the ops before it, so the retry resumes at that
+    // rescale instead of starting over — and still matches a fault-free
+    // run byte for byte.
+    let two_rescales = program(|b, x| {
+        let m = b.mul_plain(x, 0);
+        let r = b.rescale(m);
+        let sq = b.square(r);
+        b.rescale(sq)
+    });
+    let spec = JobSpec::new("chaos-rescale").program(two_rescales.clone());
+    let clean_two = h
+        .run(&rt, &spec, &halves, &MemoryStore::new())
+        .expect("fault-free run");
+    ckks_fault::arm(ckks_fault::FaultSite::Rescale, 1);
+    let store = CountingStore::default();
+    let out = h
+        .run(&rt, &spec.retry(fast_retry(2)), &halves, &store)
         .expect("rescale fault must be retried to success");
-    assert_eq!(out, clean_bytes);
+    assert_eq!(out.resumed_at, Some(3), "resumed at the second rescale");
+    assert_eq!(y_bytes(&out), y_bytes(&clean_two));
+    assert_eq!(store.loads.get(), 2, "one load per attempt");
 
     // Case C: more faults than the retry budget → RetriesExhausted with
     // the last transient error preserved, never a panic.
     for _ in 0..4 {
         ckks_fault::arm(ckks_fault::FaultSite::KeySwitch, 0);
     }
-    let spec = JobSpec::new("chaos-exhaust").retry(fast_retry(2));
-    let out: Result<Vec<u8>, _> = rt.run(&spec, |job| {
-        let ev = ctx.evaluator().with_cancel(job.cancel_token().clone());
-        let sq = ev.square(&ct, &keys.evaluation)?;
-        Ok(write_ciphertext(&ev.rescale(&sq)?))
-    });
-    match out {
+    let spec = JobSpec::new("chaos-exhaust")
+        .program(square.clone())
+        .retry(fast_retry(2));
+    match h.run(&rt, &spec, &halves, &MemoryStore::new()) {
         Err(RuntimeError::RetriesExhausted { attempts, last, .. }) => {
             assert_eq!(attempts, 2);
             assert!(last.is_transient(), "wrapped error keeps its class");
@@ -147,107 +208,42 @@ fn ckks_evaluator_faults_retry_bit_identically() {
 
     // Case D: repeated transient failures trip the workload's breaker;
     // other workloads keep running.
-    let rt =
-        Runtime::with_threads(Arc::new(BpThreadPool::sequential())).breaker_config(BreakerConfig {
-            failure_threshold: 2,
-            cooldown: Duration::from_secs(60),
-        });
-    let spec = JobSpec::new("chaos-sick").retry(RetryPolicy::none());
+    let rt = Runtime::new().breaker_config(BreakerConfig {
+        failure_threshold: 2,
+        cooldown: Duration::from_secs(60),
+    });
+    let spec = JobSpec::new("chaos-sick")
+        .program(square.clone())
+        .retry(RetryPolicy::none());
     for _ in 0..2 {
         ckks_fault::arm(ckks_fault::FaultSite::KeySwitch, 0);
-        let _ = rt.run(&spec, |job| {
-            let ev = ctx.evaluator().with_cancel(job.cancel_token().clone());
-            Ok(write_ciphertext(&ev.square(&ct, &keys.evaluation)?))
-        });
+        let failed = h.run(&rt, &spec, &halves, &MemoryStore::new());
+        assert!(failed.is_err(), "armed keyswitch fault fails the job");
     }
-    let rejected: Result<(), _> = rt.run(&spec, |_| Ok(()));
+    let store = CountingStore::default();
+    let rejected = h.run(&rt, &spec, &halves, &store);
     assert!(
         matches!(rejected, Err(RuntimeError::CircuitOpen { .. })),
         "breaker must fail-fast: {rejected:?}"
     );
-    let healthy = rt.run(&JobSpec::new("chaos-healthy"), |job| {
-        let ev = ctx.evaluator().with_cancel(job.cancel_token().clone());
-        Ok(write_ciphertext(&ev.square(&ct, &keys.evaluation)?))
-    });
+    assert_eq!(store.loads.get(), 0, "rejected without running");
+    let healthy = h.run(
+        &rt,
+        &JobSpec::new("chaos-healthy").program(square),
+        &halves,
+        &MemoryStore::new(),
+    );
     assert!(healthy.is_ok(), "other workloads unaffected: {healthy:?}");
     ckks_fault::disarm_all();
-}
-
-/// Fault class 4 (accelerator layer): FU stalls degrade performance but
-/// complete; detected output corruption fail-stops with a typed error
-/// that the runtime maps to a terminal state.
-#[test]
-fn accel_faults_reach_typed_terminal_states() {
-    use bp_accel::{
-        simulate, simulate_with_faults, AcceleratorConfig, FaultSchedule, FheOp, FuKind,
-        TraceContext, TraceOp,
-    };
-    let cfg = AcceleratorConfig::craterlake();
-    let tctx = TraceContext {
-        n: 1 << 16,
-        dnum: 3,
-        special: 10,
-    };
-    let trace = vec![
-        TraceOp {
-            op: FheOp::HMult { r: 30 },
-            count: 10.0,
-        },
-        TraceOp {
-            op: FheOp::Rescale {
-                r: 30,
-                shed: 2,
-                added: 1,
-                batched: true,
-            },
-            count: 10.0,
-        },
-    ];
-    let clean = simulate(&trace, &cfg, &tctx, 0.0);
-
-    let rt = Runtime::with_threads(Arc::new(BpThreadPool::sequential()));
-    let attempts = AtomicU32::new(0);
-    let spec = JobSpec::new("chaos-accel").retry(fast_retry(2));
-    let report = rt
-        .run(&spec, |_| {
-            // First attempt: corrupted FU output (fail-stop). Retry: only
-            // a stall, which completes with degraded latency.
-            let faults = if attempts.fetch_add(1, Ordering::SeqCst) == 0 {
-                FaultSchedule::new().corrupt(0)
-            } else {
-                FaultSchedule::new().stall(0, FuKind::Crb, clean.cycles)
-            };
-            simulate_with_faults(&trace, &cfg, &tctx, 0.0, &faults).map_err(|e| {
-                // Detected corruption is a transient integrity failure in
-                // the runtime's taxonomy: a re-run may not hit it again.
-                assert!(!e.to_string().is_empty());
-                RuntimeError::Checkpoint(CheckpointError::ChecksumMismatch {
-                    stored: 0,
-                    computed: 1,
-                })
-            })
-        })
-        .expect("stalled retry completes");
-    assert_eq!(attempts.load(Ordering::SeqCst), 2);
-    assert!(
-        report.cycles > clean.cycles,
-        "stalled run completes but pays the stall"
-    );
 }
 
 /// Wire-layer faults through checkpoints: truncation and bit flips both
 /// surface as typed errors, with the checksum catching silent flips.
 #[test]
 fn checkpoint_faults_are_typed_never_panic() {
-    let (ctx, keys) = ctx_and_keys();
-    let mut rng = ChaCha20Rng::seed_from_u64(5);
-    let ct = ctx.encrypt(
-        &ctx.encode(&[1.0, 2.0], ctx.max_level()),
-        &keys.public,
-        &mut rng,
-    );
-    let mut cp = Checkpoint::new("chaos-wire", 1);
-    cp.insert("ct", &ct);
+    let h = Harness::new();
+    let mut cp = Checkpoint::new("chaos-wire", 0, 1);
+    cp.insert("ct", &h.input);
     let bytes = cp.to_bytes();
 
     // Truncation at every length: typed error, no panic, no garbage.
@@ -264,110 +260,77 @@ fn checkpoint_faults_are_typed_never_panic() {
     }
     // The pristine bytes still decode and restore a valid ciphertext.
     let back = Checkpoint::from_bytes(&bytes).expect("pristine checkpoint decodes");
-    let restored = back.restore(&ctx, "ct").expect("slot restores");
-    assert_eq!(write_ciphertext(&restored), write_ciphertext(&ct));
+    let restored = back.restore(&h.ctx, "ct").expect("slot restores");
+    assert_eq!(write_ciphertext(&restored), write_ciphertext(&h.input));
 }
 
-/// Deliberate panics in job bodies are contained, typed, and carry the
-/// workload context for telemetry.
+/// Panics raised by the caller's plaintext source are contained, typed,
+/// and carry the workload and panic text.
 #[test]
 fn panics_never_escape_the_job_boundary() {
-    let rt = Runtime::with_threads(Arc::new(BpThreadPool::sequential()));
-    for (workload, job) in [
-        ("chaos-panic-str", 0_u8),
-        ("chaos-panic-string", 1),
-        ("chaos-panic-arith", 2),
+    let h = Harness::new();
+    let rt = Runtime::new();
+    let p = program(|b, x| b.add_plain(x, 0));
+    for (workload, case, expected) in [
+        ("chaos-panic-str", 0_u8, "static payload"),
+        (
+            "chaos-panic-string",
+            1,
+            "formatted payload chaos-panic-string",
+        ),
+        ("chaos-panic-index", 2, "index out of bounds"),
     ] {
-        let spec = JobSpec::new(workload);
-        let out: Result<u64, _> = rt.run(&spec, |_| match job {
-            0 => panic!("static payload"),
-            1 => panic!("formatted payload {}", workload),
-            _ => {
-                // Out-of-bounds index: an arithmetic-class panic the
-                // compiler cannot prove at build time.
-                let empty: [u64; 0] = [];
-                let idx = std::hint::black_box(workload.len());
-                Ok(empty[idx])
+        let plain = |_pseed: u64, slots: usize| -> Vec<f64> {
+            match case {
+                0 => panic!("static payload"),
+                1 => panic!("formatted payload {workload}"),
+                _ => {
+                    // Out-of-bounds index: a panic the compiler cannot
+                    // prove at build time.
+                    let empty: [f64; 0] = [];
+                    vec![empty[std::hint::black_box(slots)]; slots]
+                }
             }
-        });
-        match out {
+        };
+        let spec = JobSpec::new(workload).program(p.clone());
+        match h.run(&rt, &spec, &plain, &MemoryStore::new()) {
             Err(RuntimeError::JobPanicked {
                 workload: w,
                 message,
             }) => {
                 assert_eq!(w, workload);
-                assert!(!message.is_empty());
+                assert!(message.contains(expected), "{workload}: {message}");
             }
             other => panic!("{workload}: expected JobPanicked, got {other:?}"),
         }
     }
 }
 
-/// A deadline interrupts a long evaluation cooperatively mid-circuit and
-/// surfaces as the canonical terminal state.
+/// A deadline that expires while the plaintext source sleeps mid-program
+/// stops the job at the next op boundary with the canonical terminal
+/// state; the ops before it were checkpointed.
 #[test]
-fn deadline_interrupts_evaluation_cooperatively() {
-    let (ctx, keys) = ctx_and_keys();
-    let mut rng = ChaCha20Rng::seed_from_u64(6);
-    let ct = ctx.encrypt(&ctx.encode(&[0.5], ctx.max_level()), &keys.public, &mut rng);
-    let rt = Runtime::with_threads(Arc::new(BpThreadPool::sequential()));
-    let spec = JobSpec::new("chaos-deadline").deadline(Duration::from_micros(1));
-    std::thread::sleep(Duration::from_millis(2));
-    let out: Result<(), _> = rt.run(&spec, |job| {
-        // If the pre-admission check ever races past an already-expired
-        // token, the evaluator's per-op check still stops the circuit.
-        let ev = ctx.evaluator().with_cancel(job.cancel_token().clone());
-        let mut acc = ct.clone();
-        loop {
-            acc = ev.square(&acc, &keys.evaluation)?;
-        }
+fn deadline_interrupts_a_program_cooperatively() {
+    let h = Harness::new();
+    let p = program(|b, x| {
+        let a = b.add_plain(x, 0);
+        let n = b.negate(a);
+        let c = b.add_plain(n, 1);
+        b.negate(c)
     });
-    assert_eq!(out, Err(RuntimeError::DeadlineExceeded));
-}
-
-/// Degradation escalates the evaluation policy on retries: a circuit
-/// with misaligned operands fails under `Strict`, then succeeds when the
-/// runtime escalates the retry to `AutoAlign`.
-#[test]
-fn degradation_escalates_policy_to_rescue_misaligned_circuit() {
-    let (ctx, keys) = ctx_and_keys();
-    let mut rng = ChaCha20Rng::seed_from_u64(7);
-    let a = ctx.encrypt(&ctx.encode(&[0.5], ctx.max_level()), &keys.public, &mut rng);
-    let rt = Runtime::with_threads(Arc::new(BpThreadPool::sequential()));
-    let spec =
-        JobSpec::new("chaos-degrade")
-            .retry(fast_retry(3))
-            .degrade(bp_runtime::DegradePolicy {
-                auto_align: true,
-                max_shed_levels: 0,
-            });
-    let attempts = AtomicU32::new(0);
-    let out = rt.run(&spec, |job| {
-        attempts.fetch_add(1, Ordering::SeqCst);
-        let ev = ctx
-            .evaluator_with_policy(job.eval_policy())
-            .with_cancel(job.cancel_token().clone());
-        // Misaligned multiply: `sq` sits one level below `a`.
-        let sq = ev.rescale(&ev.square(&a, &keys.evaluation)?)?;
-        let misaligned = ev.mul(&a, &sq, &keys.evaluation);
-        match misaligned {
-            // Strict attempt: the misalignment is a typed error. Report
-            // it as the transient class so the runtime retries degraded.
-            Err(e) if job.eval_policy() == EvalPolicy::Strict => {
-                assert!(matches!(e, EvalError::LevelMismatch { .. }));
-                Err(RuntimeError::Checkpoint(
-                    CheckpointError::ChecksumMismatch {
-                        stored: 0,
-                        computed: 1,
-                    },
-                ))
-            }
-            other => {
-                let ct = other?;
-                Ok(write_ciphertext(&ct))
-            }
+    let plain = |pseed: u64, slots: usize| {
+        if pseed == 1 {
+            std::thread::sleep(Duration::from_millis(500));
         }
-    });
-    assert!(out.is_ok(), "AutoAlign retry rescues the circuit: {out:?}");
-    assert_eq!(attempts.load(Ordering::SeqCst), 2);
+        vec![0.25; slots]
+    };
+    let spec = JobSpec::new("chaos-deadline")
+        .program(p)
+        .deadline(Duration::from_millis(250));
+    let store = MemoryStore::new();
+    let out = h.run(&Runtime::new(), &spec, &plain, &store);
+    assert_eq!(out.err(), Some(RuntimeError::DeadlineExceeded));
+    let last = Checkpoint::from_bytes(&store.snapshot().expect("ops before the sleep ran"))
+        .expect("snapshot decodes");
+    assert_eq!(last.pos(), 2, "stopped at the op whose plaintext slept");
 }

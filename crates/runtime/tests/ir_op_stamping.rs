@@ -28,8 +28,8 @@ fn checkpointed_run_stamps_every_record_with_its_node() {
         .base_modulus_bits(35)
         .build()
         .expect("params");
-    let pool = Arc::new(BpThreadPool::sequential());
-    let ctx = CkksContext::with_threads(&params, pool.clone()).expect("context");
+    let ctx =
+        CkksContext::with_threads(&params, Arc::new(BpThreadPool::sequential())).expect("context");
     let mut rng = ChaCha20Rng::seed_from_u64(3);
     let mut keys = ctx.keygen(&mut rng);
     ctx.gen_rotation_keys(&mut keys, &[1], &mut rng);
@@ -56,7 +56,7 @@ fn checkpointed_run_stamps_every_record_with_its_node() {
     let plain = |pseed: u64, n: usize| vec![0.5 + pseed as f64 / 8.0; n];
 
     telemetry::reset();
-    let outcome = Runtime::with_threads(pool)
+    let outcome = Runtime::new()
         .run_program(
             &JobSpec::new("stamping").program(program.clone()),
             &ctx,

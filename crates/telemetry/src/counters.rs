@@ -73,13 +73,10 @@ pub enum Counter {
     /// Circuit-breaker transitions into the open state. Utilization
     /// class.
     RtBreakerTrips,
-    /// Graceful-degradation escalations (policy or precision shed)
-    /// applied under failure/deadline pressure. Utilization class.
-    RtDegradations,
 }
 
 /// Number of counters in [`Counter::ALL`].
-pub const NUM_COUNTERS: usize = 23;
+pub const NUM_COUNTERS: usize = 22;
 
 impl Counter {
     /// Every counter, in stable report order.
@@ -106,7 +103,6 @@ impl Counter {
         Counter::RtPanics,
         Counter::RtDeadlines,
         Counter::RtBreakerTrips,
-        Counter::RtDegradations,
     ];
 
     /// Stable snake_case name used in reports and JSON.
@@ -134,7 +130,6 @@ impl Counter {
             Counter::RtPanics => "rt_panics",
             Counter::RtDeadlines => "rt_deadlines",
             Counter::RtBreakerTrips => "rt_breaker_trips",
-            Counter::RtDegradations => "rt_degradations",
         }
     }
 
@@ -156,7 +151,6 @@ impl Counter {
                 | Counter::RtPanics
                 | Counter::RtDeadlines
                 | Counter::RtBreakerTrips
-                | Counter::RtDegradations
         )
     }
 }

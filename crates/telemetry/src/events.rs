@@ -55,25 +55,6 @@ impl BreakerPhase {
     }
 }
 
-/// Which graceful-degradation step the runtime applied to a job attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DegradeKind {
-    /// Evaluation policy escalated from `Strict` to `AutoAlign`.
-    AutoAlign,
-    /// Optional precision shed: the job was asked to drop chain levels.
-    ShedLevels,
-}
-
-impl DegradeKind {
-    /// Stable snake_case name used in reports and JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            DegradeKind::AutoAlign => "auto_align",
-            DegradeKind::ShedLevels => "shed_levels",
-        }
-    }
-}
-
 /// One entry of the telemetry event stream.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
@@ -96,16 +77,6 @@ pub enum Event {
         from: BreakerPhase,
         /// Phase after the transition.
         to: BreakerPhase,
-    },
-    /// A graceful-degradation step applied to a job attempt under
-    /// failure or deadline pressure.
-    Degrade {
-        /// Workload key of the degraded job.
-        workload: String,
-        /// Zero-based attempt index the degradation applies to.
-        attempt: u32,
-        /// What was degraded.
-        kind: DegradeKind,
     },
 }
 

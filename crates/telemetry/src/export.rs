@@ -221,16 +221,6 @@ pub fn event_json(ev: &Event) -> String {
             .str("from", from.name())
             .str("to", to.name())
             .build(),
-        Event::Degrade {
-            workload,
-            attempt,
-            kind,
-        } => Obj::new()
-            .str("type", "degrade")
-            .str("workload", workload)
-            .u64("attempt", u64::from(*attempt))
-            .str("kind", kind.name())
-            .build(),
     }
 }
 
@@ -526,7 +516,7 @@ mod tests {
 
     #[test]
     fn event_json_is_one_line_per_variant() {
-        use crate::events::{BreakerPhase, DegradeKind, RepairKind};
+        use crate::events::{BreakerPhase, RepairKind};
         use crate::trace::OpKind;
         let repair = Event::Repair {
             kind: RepairKind::Rescale,
@@ -542,11 +532,5 @@ mod tests {
             to: BreakerPhase::Open,
         };
         assert!(event_json(&breaker).contains("\"to\":\"open\""));
-        let degrade = Event::Degrade {
-            workload: "w".into(),
-            attempt: 2,
-            kind: DegradeKind::ShedLevels,
-        };
-        assert!(event_json(&degrade).contains("\"attempt\":2"));
     }
 }

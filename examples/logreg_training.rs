@@ -1,40 +1,57 @@
 //! Encrypted logistic-regression training (a miniature HELR, the paper's
 //! LogReg benchmark): gradient-descent steps computed entirely on
-//! encrypted data, with the sigmoid replaced by its degree-3 polynomial
-//! approximation σ(z) ≈ 0.5 + 0.15·z − 0.0015·z³ scaled for |z| ≤ 4.
+//! encrypted data, with the sigmoid replaced by the linear term of its
+//! HELR polynomial, σ(z) ≈ 0.5 + 0.15·z, to fit the depth of this demo
+//! chain.
 //!
-//! One training example per slot; weights are packed into a second
-//! ciphertext. Each iteration costs 3 multiplicative levels, so the chain
-//! depth bounds the iteration count (real HELR bootstraps between
-//! batches — see `bp_ckks::levels::reference_bootstrap`).
+//! One training example per slot; the labels and the weights are packed
+//! into two more ciphertexts. Each step costs 4 multiplicative levels, so
+//! the chain depth bounds the step count (real HELR bootstraps between
+//! batches — see `bp_ckks::levels::reference_bootstrap`); a program that
+//! needs more levels than the chain has is refused before any op runs.
 //!
-//! Training runs as a supervised `bp-runtime` job (deadline + contained
-//! panics), and every epoch snapshots the live ciphertexts to a
-//! checkpoint, so a killed run resumes **bit-identically**:
+//! The whole training loop is one IR program, run as a supervised
+//! `bp-runtime` job (deadline, contained panics, retries) that snapshots
+//! the live ciphertexts after every op, so a killed run resumes
+//! **bit-identically**:
 //!
 //! ```text
 //! cargo run --release --example logreg_training
-//! # Simulate preemption after epoch 1, then resume:
+//! # Simulate preemption after step 1, then resume:
 //! cargo run --release --example logreg_training -- \
-//!     --checkpoint /tmp/logreg.ckpt --halt-after 1
+//!     --checkpoint /tmp/logreg.bpck --halt-after 1
 //! cargo run --release --example logreg_training -- \
-//!     --checkpoint /tmp/logreg.ckpt --resume
+//!     --checkpoint /tmp/logreg.bpck --resume
 //! ```
 
 use bitpacker::prelude::*;
-use bitpacker::runtime::Checkpoint;
+use bitpacker::runtime::{CancelToken, CheckpointStore, MemoryStore};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha20Rng;
+use std::cell::RefCell;
+use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
+
+/// Learning rate of the per-slot SGD update.
+const LR: f64 = 1.0;
+
+/// Plaintext operands by pseed: the sigmoid's slope and offset, and the
+/// learning rate.
+const PLAINS: [f64; 3] = [0.15, 0.5, LR];
+const SLOPE: u64 = 0;
+const OFFSET: u64 = 1;
+const RATE: u64 = 2;
 
 struct Args {
     /// Total gradient steps the training should reach.
     steps: u64,
     /// Where to write (and with --resume, read) the checkpoint.
-    checkpoint: Option<std::path::PathBuf>,
+    checkpoint: Option<PathBuf>,
     /// Resume from the checkpoint instead of starting at step 0.
     resume: bool,
-    /// Stop after this many steps *in this invocation* (simulated kill).
+    /// Stop once the checkpoint ending this step is written (simulated
+    /// kill).
     halt_after: Option<u64>,
 }
 
@@ -58,10 +75,90 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if args.resume && args.checkpoint.is_none() {
-        return Err("--resume requires --checkpoint".into());
+    if (args.resume || args.halt_after.is_some()) && args.checkpoint.is_none() {
+        return Err("--resume and --halt-after require --checkpoint".into());
     }
     Ok(args)
+}
+
+/// `steps` SGD steps over the inputs x, y and w, all encrypted at level
+/// `top`, with the trained weights as output `w`. Also returns the op
+/// position that ends each step.
+fn training_program(steps: u64, top: usize) -> (Program, Vec<u64>) {
+    let mut b = ProgramBuilder::new(28);
+    let (x, y, mut w) = (b.input(), b.input(), b.input());
+    // w's level. Saturating, so a program deeper than the chain still
+    // builds and validation refuses it.
+    let mut level = top;
+    let mut step_ends = Vec::new();
+    for _ in 0..steps {
+        // z = w·x; x needs an adjust once w has left the top level.
+        let x_z = if level == top { x } else { b.adjust(x, level) };
+        let wx = b.mul(w, x_z);
+        let z = b.rescale(wx);
+        // σ(z) − y ≈ 0.15·z + 0.5 − y
+        let sz = b.mul_plain(z, SLOPE);
+        let scaled = b.rescale(sz);
+        let sigma = b.add_plain(scaled, OFFSET);
+        let y_adj = b.adjust(y, level.saturating_sub(2));
+        let diff = b.sub(sigma, y_adj);
+        // grad = (σ − y)·x; the mean-reduce is skipped (per-slot SGD).
+        let x_grad = b.adjust(x, level.saturating_sub(2));
+        let dx = b.mul(diff, x_grad);
+        let grad = b.rescale(dx);
+        // w ← w − lr·grad
+        let lg = b.mul_plain(grad, RATE);
+        let update = b.rescale(lg);
+        level = level.saturating_sub(4);
+        let w_adj = b.adjust(w, level);
+        w = b.sub(w_adj, update);
+        // Nodes 0..3 are the inputs, so node w is op w − 3 and
+        // ops[..w − 2] are the steps so far.
+        step_ends.push((w - 2) as u64);
+    }
+    b.output("w", w);
+    (b.finish(), step_ends)
+}
+
+/// Persists every snapshot the runtime hands it to `path`. `load` reads
+/// the file back only under `--resume`, so a fresh run never picks up a
+/// stale one.
+struct FileStore {
+    path: PathBuf,
+    resume: bool,
+    step_ends: Vec<u64>,
+    halt_after: Option<u64>,
+    /// The job's token: cancelled to halt, or when a write fails.
+    token: CancelToken,
+    failed: RefCell<Option<std::io::Error>>,
+}
+
+impl CheckpointStore for FileStore {
+    fn save(&self, bytes: Vec<u8>) {
+        let pos = Checkpoint::from_bytes(&bytes)
+            .expect("the runtime writes valid checkpoints")
+            .pos();
+        if let Err(e) = std::fs::write(&self.path, &bytes) {
+            self.failed.replace(Some(e));
+            self.token.cancel();
+            return;
+        }
+        if let Some(i) = self.step_ends.iter().position(|&end| end == pos) {
+            let step = i as u64 + 1;
+            println!("step {step}: checkpoint written to {}", self.path.display());
+            if self.halt_after == Some(step) {
+                self.token.cancel();
+            }
+        }
+    }
+
+    fn load(&self) -> Option<Vec<u8>> {
+        if self.resume {
+            std::fs::read(&self.path).ok()
+        } else {
+            None
+        }
+    }
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -92,130 +189,75 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         })
         .collect();
+    let inputs: Vec<Ciphertext> = [xs.clone(), ys.clone(), vec![0.0; slots]]
+        .iter()
+        .map(|vals| ctx.encrypt(&ctx.encode(vals, ctx.max_level()), &keys.public, &mut rng))
+        .collect();
 
-    let mut ct_x = ctx.encrypt(&ctx.encode(&xs, ctx.max_level()), &keys.public, &mut rng);
-    let mut ct_y = ctx.encrypt(&ctx.encode(&ys, ctx.max_level()), &keys.public, &mut rng);
-    let lr = 1.0;
-    let mut ct_w = ctx.encrypt(
-        &ctx.encode(&vec![0.0; slots], ctx.max_level()),
-        &keys.public,
-        &mut rng,
-    );
-
-    // Resume: replace the fresh ciphertexts with the snapshot (exact
-    // scales and chain positions come back through the wire format, so
-    // the continuation is bit-identical to an uninterrupted run).
-    let mut start_step = 0u64;
-    if args.resume {
-        let path = args.checkpoint.as_ref().expect("checked in parse_args");
-        let cp = Checkpoint::from_bytes(&std::fs::read(path)?)?;
-        if cp.workload() != "logreg" {
-            return Err(format!("checkpoint belongs to workload '{}'", cp.workload()).into());
-        }
-        ct_w = cp.restore(&ctx, "w")?;
-        ct_x = cp.restore(&ctx, "x")?;
-        ct_y = cp.restore(&ctx, "y")?;
-        start_step = cp.step();
-        println!("resumed '{}' at step {start_step}", cp.workload());
-    }
-
-    // Encrypted training under runtime supervision: a deadline interrupts
-    // runaway circuits cooperatively, and a panicking epoch surfaces as a
-    // typed error instead of tearing the process down.
-    // grad_i = (sigma(w*x_i) - y_i) * x_i ; sigma approximated linearly
-    // around 0 (degree-1 term of the HELR polynomial) to fit the depth of
-    // this demo chain.
-    let rt = Runtime::new();
-    let spec = JobSpec::new("logreg").deadline(Duration::from_secs(120));
-    let (ct_w, completed) = rt.run(&spec, |job| {
-        let ev = ctx.evaluator().with_cancel(job.cancel_token().clone());
-        let mut ct_w = ct_w.clone();
-        let mut step = start_step;
-        while step < args.steps {
-            // z = w * x  (ciphertext-ciphertext multiply + rescale)
-            let aligned_x = ev.adjust_to(&ct_x, ct_w.level())?;
-            let z = ev.rescale(&ev.mul(&ct_w, &aligned_x, &keys.evaluation)?)?;
-            // sigma(z) - y ≈ 0.5 + 0.15 z - y
-            let grad_lin = {
-                let p = ctx.encode_at_scale(
-                    &vec![0.15; slots],
-                    z.level(),
-                    ctx.chain().scale_at(z.level()).clone(),
-                );
-                let scaled = ev.rescale(&ev.mul_plain(&z, &p)?)?;
-                let y_adj = ev.adjust_to(&ct_y, scaled.level())?;
-                let half =
-                    ctx.encode_at_scale(&vec![0.5; slots], scaled.level(), scaled.scale().clone());
-                ev.sub(&ev.add_plain(&scaled, &half)?, &y_adj)?
+    let (program, step_ends) = training_program(args.steps, ctx.max_level());
+    let ops = program.ops.len();
+    // A deadline interrupts a runaway circuit cooperatively, and a
+    // panicking op surfaces as a typed error instead of tearing the
+    // process down.
+    let token = CancelToken::with_deadline(Duration::from_secs(120));
+    let spec = JobSpec::new("logreg")
+        .program(Arc::new(program))
+        .token(token.clone());
+    let plain = |pseed: u64, n: usize| vec![PLAINS[pseed as usize]; n];
+    let run = |spec: &JobSpec, store: &dyn CheckpointStore| {
+        Runtime::new().run_program(spec, &ctx, &keys.evaluation, &inputs, &plain, store)
+    };
+    let outcome = match args.checkpoint.clone() {
+        None => run(&spec.checkpoint_every(0), &MemoryStore::new())?,
+        Some(path) => {
+            let store = FileStore {
+                path,
+                resume: args.resume,
+                step_ends,
+                halt_after: args.halt_after,
+                token,
+                failed: RefCell::new(None),
             };
-            // grad = (sigma - y) * x ; mean-reduce is skipped (per-slot SGD).
-            let x_adj = ev.adjust_to(&ct_x, grad_lin.level())?;
-            let grad = ev.rescale(&ev.mul(&grad_lin, &x_adj, &keys.evaluation)?)?;
-            // w <- w - lr * grad
-            let lr_pt = ctx.encode_at_scale(
-                &vec![lr; slots],
-                grad.level(),
-                ctx.chain().scale_at(grad.level()).clone(),
-            );
-            let update = ev.rescale(&ev.mul_plain(&grad, &lr_pt)?)?;
-            let w_aligned = ev.adjust_to(&ct_w, update.level())?;
-            ct_w = ev.sub(&w_aligned, &update)?;
-            step += 1;
-
-            println!(
-                "step {}: encrypted weight updated at level {}",
-                step - 1,
-                ct_w.level()
-            );
-
-            // Snapshot the live state so a kill after this epoch resumes
-            // exactly here.
-            if let Some(path) = &args.checkpoint {
-                let mut cp = Checkpoint::new("logreg", step);
-                cp.insert("w", &ct_w);
-                cp.insert("x", &ct_x);
-                cp.insert("y", &ct_y);
-                std::fs::write(path, cp.to_bytes()).map_err(|e| {
-                    RuntimeError::Checkpoint(bitpacker::runtime::CheckpointError::Malformed(
-                        if e.kind() == std::io::ErrorKind::NotFound {
-                            "checkpoint directory does not exist"
-                        } else {
-                            "checkpoint write failed"
-                        },
-                    ))
-                })?;
-                println!("  checkpoint written to {} (step {step})", path.display());
+            let result = run(&spec, &store);
+            if let Some(e) = store.failed.take() {
+                let path = store.path.display();
+                return Err(format!("checkpoint write to {path} failed: {e}").into());
             }
-
-            if args.halt_after == Some(step - start_step) {
+            // A failed write returned above and an expired deadline is
+            // DeadlineExceeded, so a cancelled run was halted on purpose.
+            if matches!(result, Err(RuntimeError::Cancelled)) {
                 println!(
-                    "  halting after {} step(s) (simulated preemption)",
-                    step - start_step
+                    "\nstopped after step {}/{} (simulated preemption); resume with --resume",
+                    args.halt_after.unwrap_or_default(),
+                    args.steps,
                 );
-                break;
+                return Ok(());
             }
+            result?
         }
-        Ok((ct_w, step))
-    })?;
-
-    if completed < args.steps {
-        println!(
-            "\nstopped at step {completed}/{}; resume with --resume --checkpoint <path>",
-            args.steps
-        );
-        return Ok(());
+    };
+    match outcome.resumed_at {
+        Some(pos) => println!("resumed at op {pos} of {ops}"),
+        None if args.resume => println!("no usable checkpoint; trained from the start"),
+        None => {}
     }
 
     // Verify: decrypt the per-slot weights and check a few slots against
     // the exact per-slot SGD recurrence.
-    let got = ctx.decrypt_to_values(&ct_w, &keys.secret, slots)?;
+    let ct_w = outcome.output("w").expect("the program declares output w");
+    println!(
+        "trained {} step(s) in {ops} IR ops; encrypted weights at level {}",
+        args.steps,
+        ct_w.level()
+    );
+    let got = ctx.decrypt_to_values(ct_w, &keys.secret, slots)?;
     let mut max_err = 0f64;
     for i in 0..8 {
         let (x, y) = (xs[i], ys[i]);
         let mut w = 0.0;
-        for _ in 0..completed {
+        for _ in 0..args.steps {
             let grad = (0.5 + 0.15 * (w * x) - y) * x;
-            w -= lr * grad;
+            w -= LR * grad;
         }
         max_err = max_err.max((got[i] - w).abs());
         println!(

@@ -207,7 +207,7 @@ pub mod prelude {
     pub use bp_ir::{Program, ProgramBuilder};
     pub use bp_math::{BigUint, FactoredScale, Modulus};
     pub use bp_rns::{Domain, PrimePool, RnsError, RnsPoly};
-    pub use bp_runtime::{Checkpoint, DegradePolicy, JobSpec, RetryPolicy, Runtime, RuntimeError};
+    pub use bp_runtime::{Checkpoint, JobSpec, RetryPolicy, Runtime, RuntimeError};
     pub use bp_workloads::{App, Bootstrap, WorkloadSpec};
 }
 
