@@ -5,7 +5,7 @@ use crate::ciphertext::Ciphertext;
 use crate::encoding::{Encoder, Plaintext};
 use crate::error::EvalError;
 use crate::eval::{EvalPolicy, Evaluator};
-use crate::keys::{self, EvaluationKey, KeySwitchKey, PublicKey, SecretKey};
+use crate::keys::{self, EvaluationKey, PublicKey, SecretKey};
 use crate::noise::NoiseEstimate;
 use crate::params::CkksParams;
 use crate::sampling;
@@ -206,8 +206,8 @@ impl CkksContext {
             if ks.evaluation.rotations.contains_key(&norm) {
                 continue;
             }
-            let key: KeySwitchKey =
-                keys::gen_rotation(&self.pool, &self.chain, &ks.secret, norm, rng);
+            let t = keys::galois_element(norm, self.params.n());
+            let key = keys::gen_galois(&self.pool, &self.chain, &ks.secret, t, rng);
             ks.evaluation.rotations.insert(norm, key);
         }
     }
@@ -216,10 +216,12 @@ impl CkksContext {
     pub fn gen_conjugation_key<R: Rng + ?Sized>(&self, ks: &mut KeySet, rng: &mut R) {
         let _span = bp_telemetry::spans::span(bp_telemetry::spans::SpanKind::KeyGen);
         if ks.evaluation.conjugation.is_none() {
-            ks.evaluation.conjugation = Some(keys::gen_conjugation(
+            let t = 2 * self.params.n() - 1;
+            ks.evaluation.conjugation = Some(keys::gen_galois(
                 &self.pool,
                 &self.chain,
                 &ks.secret,
+                t,
                 rng,
             ));
         }

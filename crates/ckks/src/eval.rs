@@ -617,8 +617,11 @@ impl<'a> Evaluator<'a> {
     }
 
     /// The Galois keyswitch behind rotation and conjugation: applies the
-    /// automorphism `X → X^t` to both components, then switches the
-    /// permuted `c1` back to the canonical secret with `key`.
+    /// automorphism `X → X^t` to both components as a permutation of NTT
+    /// slots, then switches the permuted `c1` back to the canonical secret
+    /// with `key`. A coefficient-domain operand (the wire format admits
+    /// one) is brought to NTT form first, so the result is always in NTT
+    /// form.
     fn galois(
         &self,
         a: &Ciphertext,
@@ -626,11 +629,11 @@ impl<'a> Evaluator<'a> {
         key: &KeySwitchKey,
     ) -> Result<Ciphertext, EvalError> {
         let permute = |p: &RnsPoly| -> Result<RnsPoly, EvalError> {
-            let mut c = p.clone();
-            c.to_coeff();
-            let mut r = c.automorphism(t)?;
-            r.to_ntt();
-            Ok(r)
+            let mut p = Cow::Borrowed(p);
+            if p.domain() == Domain::Coeff {
+                p.to_mut().to_ntt();
+            }
+            Ok(p.automorphism(t)?)
         };
         let c0t = permute(&a.c0)?;
         let c1t = permute(&a.c1)?;
@@ -800,17 +803,14 @@ impl<'a> Evaluator<'a> {
                 }
                 RnsPoly::from_residues(Domain::Ntt, residues)?
             };
-            let kb = digit.b.restricted(&f_l)?;
-            let ka = digit.a.restricted(&f_l)?;
             // Fused multiply-accumulate: one traversal per accumulator, no
-            // product temporaries.
-            acc_b.mul_add_assign(&ext, &kb)?;
-            acc_a.mul_add_assign(&ext, &ka)?;
-            // Retire the per-digit temporaries to the scratch pool so the
-            // next digit (and the next keyswitch) reuses their arenas.
+            // product temporaries. The key digits span the full basis and
+            // are read in place at `f_l`'s moduli, never copied.
+            acc_b.mul_add_assign(&ext, &digit.b)?;
+            acc_a.mul_add_assign(&ext, &digit.a)?;
+            // Retire the extension to the scratch pool so the next digit
+            // (and the next keyswitch) reuses its arenas.
             ext.into_scratch();
-            kb.into_scratch();
-            ka.into_scratch();
         }
 
         // Mod-down by the special primes, reusing the cached P → Q_ℓ
@@ -820,5 +820,65 @@ impl<'a> Evaluator<'a> {
         scale_down_with_converter(&mut acc_b, special, &conv)?;
         scale_down_with_converter(&mut acc_a, special, &conv)?;
         Ok((acc_b, acc_a))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::write_ciphertext;
+    use crate::{CkksParams, SecurityLevel};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha20Rng;
+
+    /// The wire format admits coefficient-domain ciphertexts; rotating or
+    /// conjugating one must give the same bytes as the op on its NTT form
+    /// (the automorphism permutes NTT slots, so coefficient data must be
+    /// transformed first, never gathered).
+    #[test]
+    fn galois_ops_on_coefficient_domain_operands_match_ntt_form() {
+        for repr in [Representation::BitPacker, Representation::RnsCkks] {
+            let params = CkksParams::builder()
+                .log_n(7)
+                .word_bits(28)
+                .representation(repr)
+                .security(SecurityLevel::Insecure)
+                .levels(3, 26)
+                .base_modulus_bits(30)
+                .build()
+                .unwrap();
+            let ctx = CkksContext::new(&params).unwrap();
+            let mut rng = ChaCha20Rng::seed_from_u64(31);
+            let mut keys = ctx.keygen(&mut rng);
+            ctx.gen_rotation_keys(&mut keys, &[3], &mut rng);
+            ctx.gen_conjugation_key(&mut keys, &mut rng);
+            let vals: Vec<f64> = (0..ctx.params().slots())
+                .map(|i| (i as f64 * 0.3).cos() / 2.0)
+                .collect();
+            let ntt = ctx.encrypt(&ctx.encode(&vals, ctx.max_level()), &keys.public, &mut rng);
+            let mut coeff = ntt.clone();
+            coeff.c0.to_coeff();
+            coeff.c1.to_coeff();
+            assert_ne!(write_ciphertext(&coeff), write_ciphertext(&ntt));
+
+            let ev = ctx.evaluator();
+            let ek = &keys.evaluation;
+            for (name, want, got) in [
+                ("rotate", ev.rotate(&ntt, 3, ek), ev.rotate(&coeff, 3, ek)),
+                (
+                    "conjugate",
+                    ev.conjugate(&ntt, ek),
+                    ev.conjugate(&coeff, ek),
+                ),
+            ] {
+                let (want, got) = (want.unwrap(), got.unwrap());
+                assert_eq!(got.c0.domain(), Domain::Ntt, "{repr} {name}");
+                assert_eq!(
+                    write_ciphertext(&got),
+                    write_ciphertext(&want),
+                    "{repr} {name}"
+                );
+            }
+        }
     }
 }

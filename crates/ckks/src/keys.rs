@@ -187,38 +187,19 @@ pub(crate) fn galois_element(steps: i64, n: usize) -> usize {
     bp_math::primes::pow_mod_u64(5, k, two_n) as usize
 }
 
-/// Generates the conjugation key (source key `φ_{2N−1}(s)`).
-pub(crate) fn gen_conjugation<R: Rng + ?Sized>(
+/// Generates the Galois key for the odd element `t` (source key `φₜ(s)`):
+/// a rotation key for `t = 5^steps mod 2N` ([`galois_element`]), the
+/// conjugation key for `t = 2N − 1`.
+pub(crate) fn gen_galois<R: Rng + ?Sized>(
     pool: &PrimePool,
     chain: &ModulusChain,
     sk: &SecretKey,
+    t: usize,
     rng: &mut R,
 ) -> KeySwitchKey {
-    let t = 2 * pool.n() - 1;
-    let mut s_coeff = sk.s.clone();
-    s_coeff.to_coeff();
-    let mut s_t = s_coeff
-        .automorphism(t)
-        .expect("2N-1 is odd and the key is in coefficient domain");
-    s_t.to_ntt();
-    gen_ksk(pool, chain, sk, &s_t, rng)
-}
-
-/// Generates the rotation key for `steps` (source key `φₜ(s)`).
-pub(crate) fn gen_rotation<R: Rng + ?Sized>(
-    pool: &PrimePool,
-    chain: &ModulusChain,
-    sk: &SecretKey,
-    steps: i64,
-    rng: &mut R,
-) -> KeySwitchKey {
-    let t = galois_element(steps, pool.n());
-    let mut s_coeff = sk.s.clone();
-    s_coeff.to_coeff();
-    let mut s_t = s_coeff
-        .automorphism(t)
-        .expect("Galois elements are odd and the key is in coefficient domain");
-    s_t.to_ntt();
+    let s_t =
+        sk.s.automorphism(t)
+            .expect("Galois elements are odd and the secret key is in NTT form");
     gen_ksk(pool, chain, sk, &s_t, rng)
 }
 

@@ -282,7 +282,9 @@ const GOLDEN: &[Golden] = &[
 
 /// Every profiler call path the four golden runs open, in sorted order:
 /// each op frames itself at the root, repairs nest under the op that
-/// needed them, and kernels nest under both.
+/// needed them, and kernels nest under both. `rotate` and `conjugate`
+/// run NTTs only inside their keyswitch: their automorphism permutes NTT
+/// slots.
 const PATHS: &[&str] = &[
     "add",
     "add;adjust",
@@ -304,8 +306,6 @@ const PATHS: &[&str] = &[
     "conjugate;keyswitch;basis_convert",
     "conjugate;keyswitch;ntt_forward",
     "conjugate;keyswitch;ntt_inverse",
-    "conjugate;ntt_forward",
-    "conjugate;ntt_inverse",
     "mul",
     "mul;adjust",
     "mul;adjust;basis_convert",
@@ -327,8 +327,6 @@ const PATHS: &[&str] = &[
     "rotate;keyswitch;basis_convert",
     "rotate;keyswitch;ntt_forward",
     "rotate;keyswitch;ntt_inverse",
-    "rotate;ntt_forward",
-    "rotate;ntt_inverse",
     "square",
     "square;keyswitch",
     "square;keyswitch;basis_convert",

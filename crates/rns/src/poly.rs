@@ -238,6 +238,15 @@ impl RnsPoly {
         &self.residues[i]
     }
 
+    /// The residue modulo `q`, borrowed in place.
+    fn residue_by_modulus(&self, q: u64) -> Result<&ResiduePoly, RnsError> {
+        self.moduli
+            .iter()
+            .position(|&m| m == q)
+            .map(|i| &self.residues[i])
+            .ok_or(RnsError::MissingModulus { modulus: q })
+    }
+
     /// All residues.
     pub fn residues(&self) -> &[ResiduePoly] {
         &self.residues
@@ -314,7 +323,7 @@ impl RnsPoly {
         self.domain = Domain::Coeff;
     }
 
-    fn check_compatible(&self, other: &Self) -> Result<(), RnsError> {
+    fn check_degree_and_domain(&self, other: &Self) -> Result<(), RnsError> {
         if self.n != other.n {
             return Err(RnsError::DegreeMismatch {
                 left: self.n,
@@ -327,6 +336,11 @@ impl RnsPoly {
                 right: other.domain,
             });
         }
+        Ok(())
+    }
+
+    fn check_compatible(&self, other: &Self) -> Result<(), RnsError> {
+        self.check_degree_and_domain(other)?;
         if self.moduli != other.moduli {
             return Err(RnsError::BasisMismatch {
                 left: self.moduli.clone(),
@@ -468,10 +482,14 @@ impl RnsPoly {
     ///
     /// One traversal instead of a product allocation plus an add pass —
     /// the keyswitch inner loop (`acc += ext * key`) is built on this.
+    /// `y`'s basis may be wider than `self`'s: each of `self`'s moduli is
+    /// looked up in `y` and that residue read in place, so a keyswitch
+    /// key over the full basis is never copied down to a level's basis.
     ///
     /// # Errors
-    /// [`RnsError`] if any operand is in coefficient domain or layouts
-    /// differ.
+    /// [`RnsError`] if any operand is in coefficient domain, if `x`'s
+    /// layout differs from `self`'s, if `y`'s degree differs, or
+    /// [`RnsError::MissingModulus`] if `y` lacks one of `self`'s moduli.
     pub fn mul_add_assign(&mut self, x: &Self, y: &Self) -> Result<(), RnsError> {
         if self.domain != Domain::Ntt {
             return Err(RnsError::WrongDomain {
@@ -481,10 +499,14 @@ impl RnsPoly {
             });
         }
         self.check_compatible(x)?;
-        self.check_compatible(y)?;
+        self.check_degree_and_domain(y)?;
+        let ys = self
+            .moduli
+            .iter()
+            .map(|&q| y.residue_by_modulus(q))
+            .collect::<Result<Vec<_>, _>>()?;
         count_elemwise(self.residues.len());
         let xs = x.residues.as_slice();
-        let ys = y.residues.as_slice();
         self.for_each_residue_mut(elemwise_work(self.n), |i, acc| {
             let m = *acc.table.modulus();
             for ((a, &xv), &yv) in acc.coeffs.iter_mut().zip(&xs[i].coeffs).zip(&ys[i].coeffs) {
@@ -535,39 +557,42 @@ impl RnsPoly {
             .expect("constant list built from own moduli");
     }
 
-    /// Applies the Galois automorphism `X → X^t` (odd `t`), used to
-    /// implement slot rotations and conjugation.
+    /// Applies the Galois automorphism `X → X^t` (odd `t`) to a polynomial
+    /// in NTT form, used to implement slot rotations and conjugation.
+    ///
+    /// Slot `k` of [`NttTable::forward`] holds the polynomial's value at
+    /// `ψ^(2k+1)`, in natural order, so slot `k` of `a(X^t)` is `a` at
+    /// `ψ^(t·(2k+1))`: the automorphism is the gather
+    /// `out[k] = in[(t·(2k+1) mod 2N) >> 1]`, with no transform and no
+    /// sign flips.
     ///
     /// # Errors
-    /// [`RnsError::WrongDomain`] if the polynomial is not in coefficient
+    /// [`RnsError::WrongDomain`] if the polynomial is in coefficient
     /// domain; [`RnsError::EvenGaloisElement`] if `t` is even.
     pub fn automorphism(&self, t: usize) -> Result<Self, RnsError> {
-        if self.domain != Domain::Coeff {
+        if self.domain != Domain::Ntt {
             return Err(RnsError::WrongDomain {
                 op: "automorphism",
                 found: self.domain,
-                required: Domain::Coeff,
+                required: Domain::Ntt,
             });
         }
         if t.is_multiple_of(2) {
             return Err(RnsError::EvenGaloisElement { t });
         }
         let n = self.n;
-        let two_n = 2 * n;
+        // 2N is a power of two, so `& mask` is `mod 2N`; reducing `t`
+        // first keeps `t·(2k+1) < 4N²` from overflowing.
+        let mask = 2 * n - 1;
+        let t = t & mask;
         let src = self.residues.as_slice();
         let residues = match self.executor() {
             None => Vec::new(),
-            Some(ex) => ex.par_map_with_work(src.len(), elemwise_work(n), |k| {
-                let sp = &src[k];
-                let m = *sp.table.modulus();
+            Some(ex) => ex.par_map_with_work(src.len(), elemwise_work(n), |i| {
+                let sp = &src[i];
                 let mut new = scratch::take_zeroed(n);
-                for (i, &c) in sp.coeffs.iter().enumerate() {
-                    let j = (i * t) % two_n;
-                    if j < n {
-                        new[j] = c;
-                    } else {
-                        new[j - n] = m.neg(c);
-                    }
+                for (k, out) in new.iter_mut().enumerate() {
+                    *out = sp.coeffs[((t * (2 * k + 1)) & mask) >> 1];
                 }
                 ResiduePoly {
                     table: Arc::clone(&sp.table),
@@ -577,7 +602,7 @@ impl RnsPoly {
         };
         Ok(Self {
             n,
-            domain: Domain::Coeff,
+            domain: Domain::Ntt,
             residues,
             moduli: self.moduli.clone(),
         })
@@ -679,13 +704,7 @@ impl RnsPoly {
     pub fn restricted(&self, moduli: &[u64]) -> Result<Self, RnsError> {
         let residues = moduli
             .iter()
-            .map(|&q| {
-                self.residues
-                    .iter()
-                    .find(|r| r.modulus() == q)
-                    .map(ResiduePoly::clone_scratch)
-                    .ok_or(RnsError::MissingModulus { modulus: q })
-            })
+            .map(|&q| self.residue_by_modulus(q).map(ResiduePoly::clone_scratch))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
             n: self.n,
@@ -780,52 +799,112 @@ mod tests {
         }
     }
 
+    /// The coefficient-domain automorphism `X → X^t`: coefficient `i`
+    /// moves to `i·t mod 2N`, negated when that lands at or past `N`
+    /// (`X^N = −1`). The reference the NTT-slot gather is checked against.
+    fn scatter(a: &RnsPoly, t: usize) -> RnsPoly {
+        assert_eq!(a.domain(), Domain::Coeff);
+        let n = a.n();
+        let residues = a
+            .residues()
+            .iter()
+            .map(|r| {
+                let m = *r.table().modulus();
+                let mut coeffs = vec![0u64; n];
+                for (i, &c) in r.coeffs().iter().enumerate() {
+                    let j = (i * t) % (2 * n);
+                    if j < n {
+                        coeffs[j] = c;
+                    } else {
+                        coeffs[j - n] = m.neg(c);
+                    }
+                }
+                ResiduePoly {
+                    table: Arc::clone(r.table()),
+                    coeffs,
+                }
+            })
+            .collect();
+        RnsPoly::from_residues(Domain::Coeff, residues).unwrap()
+    }
+
+    /// Uniform residues from a fixed seed, coefficient domain.
+    fn random_poly(pool: &PrimePool, qs: &[u64], seed: u64) -> RnsPoly {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha20Rng::seed_from_u64(seed);
+        let mut a = RnsPoly::zero(pool, qs, Domain::Coeff);
+        for r in a.residues_mut() {
+            let q = r.modulus();
+            for c in r.coeffs_mut() {
+                *c = rng.gen_range(0..q);
+            }
+        }
+        a
+    }
+
+    fn ntt(mut a: RnsPoly) -> RnsPoly {
+        a.to_ntt();
+        a
+    }
+
+    fn assert_same(a: &RnsPoly, b: &RnsPoly, what: &str) {
+        assert_eq!(a.moduli(), b.moduli(), "{what}");
+        assert_eq!(a.domain(), b.domain(), "{what}");
+        for i in 0..a.num_residues() {
+            assert_eq!(a.residue(i).coeffs(), b.residue(i).coeffs(), "{what}");
+        }
+    }
+
+    #[test]
+    fn gather_matches_coefficient_automorphism() {
+        for n in [8usize, 64, 4096] {
+            let pool = PrimePool::new(n);
+            let qs = pool.first_primes_below(40, 2);
+            let two_n = 2 * n as u64;
+            let mut ts = vec![1, two_n as usize - 1];
+            // Rotation elements 5^k mod 2N, up to the group order N/2.
+            for k in [1u64, 2, 3, n as u64 / 4, n as u64 / 2 - 1] {
+                ts.push(bp_math::primes::pow_mod_u64(5, k, two_n) as usize);
+            }
+            for (seed, &t) in ts.iter().enumerate() {
+                let a = random_poly(&pool, &qs, seed as u64);
+                let got = ntt(a.clone()).automorphism(t).unwrap();
+                assert_same(&got, &ntt(scatter(&a, t)), &format!("n={n} t={t}"));
+            }
+        }
+    }
+
     #[test]
     fn automorphism_identity_and_inverse() {
         let (pool, qs) = setup();
-        let a = RnsPoly::from_i64_coeffs(&pool, &qs, &[1, 2, 3, 4, 5, 6, 7]);
+        let a = ntt(random_poly(&pool, &qs, 1));
         // t = 1 is the identity.
-        let id = a.automorphism(1).unwrap();
-        assert_eq!(id.residue(0).coeffs(), a.residue(0).coeffs());
+        assert_same(&a.automorphism(1).unwrap(), &a, "t = 1");
         // Applying t then its inverse mod 2N is the identity.
-        let n = a.n();
-        let two_n = 2 * n;
+        let two_n = 2 * a.n();
         let t = 5usize;
-        // Find inverse of t mod 2N.
         let tinv = (1..two_n)
             .step_by(2)
             .find(|&x| (x * t) % two_n == 1)
             .unwrap();
         let back = a.automorphism(t).unwrap().automorphism(tinv).unwrap();
-        for i in 0..a.num_residues() {
-            assert_eq!(back.residue(i).coeffs(), a.residue(i).coeffs());
-        }
+        assert_same(&back, &a, "t then t^-1");
     }
 
     #[test]
     fn automorphism_is_ring_homomorphism() {
         // phi(a*b) == phi(a)*phi(b)
         let (pool, qs) = setup();
-        let a = RnsPoly::from_i64_coeffs(&pool, &qs, &[1, 2, 0, 1]);
-        let b = RnsPoly::from_i64_coeffs(&pool, &qs, &[3, 0, 0, 0, 1]);
+        let a = ntt(random_poly(&pool, &qs, 2));
+        let b = ntt(random_poly(&pool, &qs, 3));
         let t = 7usize;
-
-        let (mut an, mut bn) = (a.clone(), b.clone());
-        an.to_ntt();
-        bn.to_ntt();
-        let mut ab = an.mul(&bn).unwrap();
-        ab.to_coeff();
-        let lhs = ab.automorphism(t).unwrap();
-
-        let (mut at, mut bt) = (a.automorphism(t).unwrap(), b.automorphism(t).unwrap());
-        at.to_ntt();
-        bt.to_ntt();
-        let mut rhs = at.mul(&bt).unwrap();
-        rhs.to_coeff();
-
-        for i in 0..lhs.num_residues() {
-            assert_eq!(lhs.residue(i).coeffs(), rhs.residue(i).coeffs());
-        }
+        let lhs = a.mul(&b).unwrap().automorphism(t).unwrap();
+        let rhs = a
+            .automorphism(t)
+            .unwrap()
+            .mul(&b.automorphism(t).unwrap())
+            .unwrap();
+        assert_same(&lhs, &rhs, "phi(a*b)");
     }
 
     #[test]
@@ -888,18 +967,21 @@ mod tests {
     }
 
     #[test]
-    fn automorphism_rejects_even_and_ntt() {
+    fn automorphism_rejects_even_and_coeff() {
         let (pool, qs) = setup();
         let a = RnsPoly::from_i64_coeffs(&pool, &qs, &[1, 2]);
         assert!(matches!(
-            a.automorphism(4),
-            Err(RnsError::EvenGaloisElement { t: 4 })
+            a.automorphism(3),
+            Err(RnsError::WrongDomain {
+                op: "automorphism",
+                found: Domain::Coeff,
+                required: Domain::Ntt,
+            })
         ));
-        let mut b = a.clone();
-        b.to_ntt();
+        let b = ntt(a);
         assert!(matches!(
-            b.automorphism(3),
-            Err(RnsError::WrongDomain { .. })
+            b.automorphism(4),
+            Err(RnsError::EvenGaloisElement { t: 4 })
         ));
     }
 
@@ -953,6 +1035,44 @@ mod tests {
         for i in 0..acc.num_residues() {
             assert_eq!(acc.residue(i).coeffs(), expect.residue(i).coeffs());
         }
+    }
+
+    #[test]
+    fn mul_add_assign_reads_a_wider_operand_by_modulus() {
+        let (pool, qs) = setup();
+        // The accumulator's basis is a reordered subset of y's.
+        let sub = [qs[2], qs[0]];
+        let x = ntt(random_poly(&pool, &sub, 4));
+        let y = ntt(random_poly(&pool, &qs, 5));
+        let mut acc = ntt(random_poly(&pool, &sub, 6));
+        let expect = acc
+            .add(&x.mul(&y.restricted(&sub).unwrap()).unwrap())
+            .unwrap();
+        acc.mul_add_assign(&x, &y).unwrap();
+        assert_same(&acc, &expect, "acc += x * y|sub");
+
+        // y lacking one of acc's moduli, in the wrong domain, or of
+        // another degree is a typed error, and acc is left untouched.
+        let narrow = ntt(random_poly(&pool, &qs[..2], 7));
+        assert!(matches!(
+            acc.mul_add_assign(&x, &narrow),
+            Err(RnsError::MissingModulus { modulus }) if modulus == qs[2]
+        ));
+        let coeff = random_poly(&pool, &qs, 8);
+        assert!(matches!(
+            acc.mul_add_assign(&x, &coeff),
+            Err(RnsError::DomainMismatch {
+                left: Domain::Ntt,
+                right: Domain::Coeff
+            })
+        ));
+        let other = PrimePool::new(2 * pool.n());
+        let wide = ntt(random_poly(&other, &other.first_primes_below(30, 3), 9));
+        assert!(matches!(
+            acc.mul_add_assign(&x, &wide),
+            Err(RnsError::DegreeMismatch { .. })
+        ));
+        assert_same(&acc, &expect, "unchanged after errors");
     }
 
     #[test]
