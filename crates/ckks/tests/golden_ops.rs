@@ -8,15 +8,20 @@
 //! clamp moves a digest.
 //!
 //! When telemetry is live the test also pins the per-op trace record
-//! sequence `(kind, level, residues, shed, added, batched, repair)` and
-//! the set of profiler call paths, so refactors of the evaluator's
-//! instrumentation cannot silently drop, duplicate, or re-nest a record.
+//! sequence `(kind, level, residues, shed, added, batched, repair)`, the
+//! set of profiler call paths, and digests of the Prometheus exposition
+//! and the trace JSON, so refactors of the evaluator's or the telemetry
+//! crate's instrumentation cannot silently drop, duplicate, or re-nest a
+//! record or move an exported value. The documents are digested with
+//! their timing- and worker-count-dependent values masked: span seconds,
+//! the utilization-class counters, and per-op `duration_ns`.
 //!
 //! Telemetry state is process-global, so this file holds exactly one
 //! test.
 
 use bp_ckks::ir::{Program, ProgramBuilder};
-use bp_ckks::telemetry::{self, profile, trace};
+use bp_ckks::telemetry::counters::Counter;
+use bp_ckks::telemetry::{self, export, profile, trace};
 use bp_ckks::wire::write_ciphertext;
 use bp_ckks::{
     level_budget, BpThreadPool, CkksContext, CkksParams, EvalPolicy, Representation, SecurityLevel,
@@ -97,10 +102,57 @@ fn fnv64<'a>(chunks: impl IntoIterator<Item = &'a [u8]>) -> u64 {
     h
 }
 
+/// The exposition with every timing- or worker-count-dependent sample
+/// value replaced by `*`: span seconds and the counters whose
+/// [`Counter::deterministic`] is false.
+fn mask_exposition(doc: &str) -> String {
+    let volatile: Vec<String> = Counter::ALL
+        .iter()
+        .filter(|c| !c.deterministic())
+        .map(|c| format!("bitpacker_{}_total", c.name()))
+        .collect();
+    let mut out = String::with_capacity(doc.len());
+    for line in doc.lines() {
+        match line.rsplit_once(' ') {
+            Some((series, _))
+                if !line.starts_with('#')
+                    && (series.starts_with("bitpacker_span_seconds_total{")
+                        || volatile.iter().any(|v| v == series)) =>
+            {
+                out.push_str(series);
+                out.push_str(" *");
+            }
+            _ => out.push_str(line),
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// The trace JSON with every `duration_ns` value replaced by `*`.
+fn mask_durations(json: &str) -> String {
+    const KEY: &str = "\"duration_ns\":";
+    let mut out = String::with_capacity(json.len());
+    let mut rest = json;
+    while let Some(i) = rest.find(KEY) {
+        let (head, tail) = rest.split_at(i + KEY.len());
+        out.push_str(head);
+        out.push('*');
+        rest = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    out.push_str(rest);
+    out
+}
+
 struct Observed {
     digest: u64,
     records: Vec<String>,
     paths: Vec<String>,
+    /// Masked Prometheus exposition, rendered after the nodes were
+    /// serialized so the serializer's counters and spans are in it.
+    exposition: String,
+    /// Masked trace JSON.
+    trace_json: String,
 }
 
 fn run(repr: Representation, policy: EvalPolicy, program: &Program) -> Observed {
@@ -134,7 +186,15 @@ fn run(repr: Representation, policy: EvalPolicy, program: &Program) -> Observed 
     let run = ev
         .run_program(program, inputs, &keys.evaluation, &mut plain)
         .expect("golden program runs");
-    let records = trace::take()
+    let paths = profile::snapshot()
+        .paths
+        .into_iter()
+        .map(|p| p.path)
+        .collect();
+    let bytes: Vec<Vec<u8>> = run.nodes().iter().map(write_ciphertext).collect();
+    let exposition = mask_exposition(&export::prometheus());
+    let recorded = trace::take();
+    let records = recorded
         .entries
         .iter()
         .map(|e| {
@@ -150,16 +210,12 @@ fn run(repr: Representation, policy: EvalPolicy, program: &Program) -> Observed 
             )
         })
         .collect();
-    let paths = profile::snapshot()
-        .paths
-        .into_iter()
-        .map(|p| p.path)
-        .collect();
-    let bytes: Vec<Vec<u8>> = run.nodes().iter().map(write_ciphertext).collect();
     Observed {
         digest: fnv64(bytes.iter().map(Vec::as_slice)),
         records,
         paths,
+        exposition,
+        trace_json: mask_durations(&recorded.to_json()),
     }
 }
 
@@ -170,6 +226,10 @@ struct Golden {
     program: fn() -> Program,
     digest: u64,
     records: &'static [&'static str],
+    /// FNV-1a 64 of the masked Prometheus exposition.
+    exposition: u64,
+    /// FNV-1a 64 of the masked trace JSON.
+    trace_json: u64,
 }
 
 // Records read `kind l<level> r<residues> s<shed> a<added> b<batched>
@@ -203,6 +263,8 @@ const GOLDEN: &[Golden] = &[
             "adjust l1 r2 s1 a0 b1 p0",
             "sub l1 r2 s0 a0 b0 p0",
         ],
+        exposition: 0x0e91_ada1_e769_f827,
+        trace_json: 0xd3d9_36ac_56a9_3e24,
     },
     Golden {
         label: "all-kinds/rns-ckks",
@@ -231,6 +293,8 @@ const GOLDEN: &[Golden] = &[
             "adjust l1 r3 s1 a0 b0 p0",
             "sub l1 r3 s0 a0 b0 p0",
         ],
+        exposition: 0x3f05_33b3_7989_35a1,
+        trace_json: 0x74bd_f64b_38ec_7e86,
     },
     Golden {
         label: "misaligned/bitpacker",
@@ -254,6 +318,8 @@ const GOLDEN: &[Golden] = &[
             "adjust l1 r2 s1 a0 b1 p1",
             "sub l1 r2 s0 a0 b0 p0",
         ],
+        exposition: 0xe5b1_920a_c304_4e7a,
+        trace_json: 0xc386_c6c4_2a53_3d52,
     },
     Golden {
         label: "misaligned/rns-ckks",
@@ -277,6 +343,8 @@ const GOLDEN: &[Golden] = &[
             "adjust l1 r3 s1 a0 b0 p1",
             "sub l1 r3 s0 a0 b0 p0",
         ],
+        exposition: 0xf45c_77ad_fcb9_3428,
+        trace_json: 0x3d1a_b802_09a7_56bf,
     },
 ];
 
@@ -360,6 +428,17 @@ fn evaluator_outputs_records_and_profile_paths_are_pinned() {
                 g.label
             );
             paths.extend(seen.paths);
+            for (what, doc, pinned) in [
+                ("exposition", &seen.exposition, g.exposition),
+                ("trace JSON", &seen.trace_json, g.trace_json),
+            ] {
+                let got = fnv64([doc.as_bytes()]);
+                assert_eq!(
+                    got, pinned,
+                    "{}: masked {what} digest moved (got {got:#018x}):\n{doc}",
+                    g.label
+                );
+            }
         } else {
             assert!(seen.records.is_empty() && seen.paths.is_empty());
         }

@@ -3,7 +3,9 @@
 //! For a fixed op program, every counter classified deterministic
 //! (NTT/elementwise/basis/keyswitch/rescale/adjust/eval-op counts — not
 //! the pool-utilization gauges) and the full recorded op sequence must be
-//! bit-identical whether the thread pool runs 1 worker or 4.
+//! bit-identical whether the thread pool runs 1 worker or 4. At both
+//! worker counts the span rows must count exactly what their kernel
+//! counters count, including spans closed on pool worker threads.
 //!
 //! Telemetry state is process-global, so this file holds exactly one test
 //! (integration tests get their own process; `#[test]` fns within one
@@ -12,6 +14,7 @@
 #![cfg(feature = "telemetry")]
 
 use bp_ckks::telemetry::counters::{self, Counter};
+use bp_ckks::telemetry::spans::{self, SpanKind};
 use bp_ckks::telemetry::{self, trace};
 use bp_ckks::{BpThreadPool, CkksContext, CkksParams, Representation, SecurityLevel};
 use rand::SeedableRng;
@@ -50,6 +53,23 @@ fn run_program(threads: usize) -> (Vec<(Counter, u64)>, Vec<String>) {
     let _ = ev.sub(&low, &adjusted);
 
     let snap = counters::deterministic_snapshot();
+    let rows = spans::stats();
+    for (kind, counter) in [
+        (SpanKind::NttForward, Counter::NttForward),
+        (SpanKind::NttInverse, Counter::NttInverse),
+        (SpanKind::BasisConvert, Counter::BasisConversions),
+        (SpanKind::KeySwitch, Counter::KeySwitches),
+        (SpanKind::EvalOp, Counter::EvalOps),
+    ] {
+        let row = rows.iter().find(|s| s.kind == kind).expect("every kind");
+        assert_eq!(
+            row.count,
+            counters::get(counter),
+            "{threads} worker(s): span row {} disagrees with counter {}",
+            kind.name(),
+            counter.name()
+        );
+    }
     let ops: Vec<String> = trace::take()
         .entries
         .iter()
