@@ -14,19 +14,19 @@
 //! `--small` drops the ring degree to N=1024 for CI smoke runs; the
 //! default is the paper-scale N=8192 mul+relin+rescale pipeline.
 //! `--repairs` adds a per-op column counting ops performed by the
-//! auto-align repair loop (rather than requested by the circuit) and
-//! prints the drained repair/breaker event stream.
+//! auto-align repair loop (rather than requested by the circuit).
 //! `--folded <path>` writes the hierarchical profiler's flamegraph-
 //! compatible folded-stack output. An optional trailing argument
 //! overrides the trace output path. When `BITPACKER_METRICS` is set the
-//! Prometheus exposition (and the JSONL event tail) is flushed there on
-//! exit.
+//! Prometheus exposition (and the JSONL tail of the trace records) is
+//! flushed there on exit.
 
 use bp_accel::{lower_program, simulate, AcceleratorConfig, TraceContext};
 use bp_bench::RunMeta;
 use bp_ckks::ir::{Program, ProgramBuilder};
+use bp_ckks::telemetry::efficiency::EfficiencyReport;
 use bp_ckks::telemetry::trace::{self, EvalTrace, OpKind, TRACE_SCHEMA};
-use bp_ckks::telemetry::{self, counters, efficiency, events, export, profile, spans};
+use bp_ckks::telemetry::{self, counters, export, profile, spans};
 use bp_ckks::{CkksContext, CkksParams, ProgramError, Representation, SecurityLevel};
 use bp_workloads::chain_profile;
 use rand::SeedableRng;
@@ -85,12 +85,7 @@ fn summarize(tr: &EvalTrace) -> Vec<OpSummary> {
         let consumed = (e.op.noise_bits - prev_noise).max(0.0);
         prev_noise = e.op.noise_bits;
         let repair = u64::from(e.op.repair);
-        let capacity = e.op.residues as f64 * f64::from(tr.meta.word_bits);
-        let eff = if capacity > 0.0 {
-            (e.op.log_q / capacity).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
+        let eff = e.op.efficiency();
         match out.iter_mut().find(|s| s.kind == e.op.kind) {
             Some(s) => {
                 s.count += 1;
@@ -166,10 +161,11 @@ fn main() {
     let wall = std::time::Instant::now();
     run_pipeline(&ctx, &program).expect("pipeline");
     let wall_ns = wall.elapsed().as_nanos() as u64;
-    let tr = trace::take();
     // Snapshots, not `take()`: the Prometheus flush at the end renders
-    // the efficiency store, so it must stay populated.
-    let eff_report = efficiency::snapshot();
+    // the efficiency statistics, the span rows and the JSONL tail from
+    // the trace recorder and the profiler tree, so both stay populated.
+    let tr = trace::snapshot();
+    let eff_report = EfficiencyReport::of(&tr.entries);
     let tree = profile::snapshot();
     if tr.entries.is_empty() {
         eprintln!("error: pipeline recorded no trace entries");
@@ -210,26 +206,6 @@ fn main() {
             print!(" {:>8}", s.repairs);
         }
         println!();
-    }
-    if show_repairs {
-        // Repairs also flow through the event stream interleaved with
-        // runtime breaker activity; drain and summarize it.
-        let evs = events::drain();
-        let mut repairs = 0u64;
-        let mut breaker_moves = 0u64;
-        for ev in &evs {
-            match ev {
-                events::Event::Repair { .. } => repairs += 1,
-                events::Event::Breaker { .. } => breaker_moves += 1,
-                events::Event::Op(_) => {}
-            }
-        }
-        println!();
-        println!(
-            "repairs: {repairs} repair event(s), {breaker_moves} breaker transition(s), \
-             {} event(s) dropped",
-            events::dropped()
-        );
     }
     println!();
     println!("counters:");
@@ -293,7 +269,7 @@ fn main() {
     }
     println!();
 
-    // Flush the Prometheus exposition (and JSONL event tail) when
+    // Flush the Prometheus exposition (and the JSONL tail) when
     // BITPACKER_METRICS points somewhere.
     match export::flush_to_env() {
         Ok(Some(dest)) => println!("[metrics] exposition flushed to {dest}"),

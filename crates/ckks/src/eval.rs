@@ -24,7 +24,6 @@ use crate::params::Representation;
 use bp_math::FactoredScale;
 use bp_rns::rescale::scale_down_with_converter;
 use bp_rns::{CancelToken, Domain, ResiduePoly, RnsError, RnsPoly};
-use bp_telemetry::events::{self, Event, RepairKind};
 use bp_telemetry::trace::{self, OpKind, OpRecord};
 use bp_telemetry::Stopwatch;
 use std::borrow::Cow;
@@ -198,29 +197,20 @@ impl<'a> Evaluator<'a> {
         }
         let batched = matches!(kind, OpKind::Rescale | OpKind::Adjust)
             && self.chain().representation() == Representation::BitPacker;
-        // Bit-utilization accounting: the modulus bits the result
-        // actually carries vs the datapath bits its residues occupy —
-        // the paper's packing efficiency, sampled at every op.
-        let log_q = ct.c0().info_bits();
-        bp_telemetry::efficiency::record(bp_telemetry::efficiency::PackingSample {
-            level: ct.level(),
-            residues: ct.num_residues(),
-            word_bits: self.chain().word_bits(),
-            info_bits: log_q,
-        });
         trace::record_op(OpRecord {
             kind,
             level: ct.level(),
             residues: ct.num_residues(),
             shed,
             added,
+            word_bits: self.chain().word_bits(),
             batched,
             repair,
             duration_ns: sw.elapsed_ns(),
             noise_bits: ct.noise().noise_bits,
             clear_bits: ct.noise().clear_bits(),
             scale_log2: ct.scale().log2(),
-            log_q,
+            log_q: ct.c0().info_bits(),
             ir_op: self.ir_op.get(),
         });
     }
@@ -272,29 +262,19 @@ impl<'a> Evaluator<'a> {
         ct.noise = ct.noise.clamp_to_capacity(log_q);
     }
 
-    /// Auto-align repair on behalf of `op`: steps `ct` down to `target`
-    /// by `kind`, one repair-flagged trace entry and profiler frame per
-    /// level, then counts the repair and emits one [`Event::Repair`].
-    fn repair(
-        &self,
-        ct: &mut Ciphertext,
-        kind: RepairKind,
-        target: usize,
-        op: OpKind,
-    ) -> Result<(), EvalError> {
-        let (step, count) = match kind {
-            RepairKind::Adjust => (OpKind::Adjust, &self.repairs.adjusts),
-            RepairKind::Rescale => (OpKind::Rescale, &self.repairs.rescales),
+    /// Auto-align repair: steps `ct` down to `target` by `step`
+    /// (`Adjust` or `Rescale`), one repair-flagged trace entry and
+    /// profiler frame per level, then counts the repair.
+    fn repair(&self, ct: &mut Ciphertext, step: OpKind, target: usize) -> Result<(), EvalError> {
+        let count = if step == OpKind::Adjust {
+            &self.repairs.adjusts
+        } else {
+            &self.repairs.rescales
         };
         while ct.level() > target {
             let _frame = bp_telemetry::profile::frame(step.name());
             self.level_step(ct, step, true)?;
         }
-        events::emit(Event::Repair {
-            kind,
-            op,
-            level: ct.level(),
-        });
         count.set(count.get() + 1);
         Ok(())
     }
@@ -305,7 +285,6 @@ impl<'a> Evaluator<'a> {
     /// operands (the common Strict path) are returned borrowed — no clone.
     fn align<'c>(
         &self,
-        op: OpKind,
         a: &'c Ciphertext,
         b: &'c Ciphertext,
         scales: bool,
@@ -341,7 +320,7 @@ impl<'a> Evaluator<'a> {
             if a.level != b.level {
                 let target = a.level.min(b.level);
                 let hi = if a.level > b.level { &mut a } else { &mut b };
-                self.repair(hi, RepairKind::Adjust, target, op)?;
+                self.repair(hi, OpKind::Adjust, target)?;
                 continue;
             }
             // Same level, different scale: rescale the larger-scale operand
@@ -362,7 +341,7 @@ impl<'a> Evaluator<'a> {
                 });
             }
             let target = hi.level - 1;
-            self.repair(hi, RepairKind::Rescale, target, op)?;
+            self.repair(hi, OpKind::Rescale, target)?;
         }
         Err(EvalError::AutoAlignFailed {
             reason: format!(
@@ -381,7 +360,6 @@ impl<'a> Evaluator<'a> {
     /// Matching levels return the ciphertext borrowed — no clone.
     fn align_to_plain<'c>(
         &self,
-        op: OpKind,
         a: &'c Ciphertext,
         pt: &Plaintext,
     ) -> Result<Cow<'c, Ciphertext>, EvalError> {
@@ -395,7 +373,7 @@ impl<'a> Evaluator<'a> {
             });
         }
         let mut a = a.clone();
-        self.repair(&mut a, RepairKind::Adjust, pt.level, op)?;
+        self.repair(&mut a, OpKind::Adjust, pt.level)?;
         Ok(Cow::Owned(a))
     }
 
@@ -426,7 +404,7 @@ impl<'a> Evaluator<'a> {
         poly_op: PolyOp,
     ) -> Result<Ciphertext, EvalError> {
         self.run_op(kind, || {
-            let (a, b) = self.align(kind, a, b, true)?;
+            let (a, b) = self.align(a, b, true)?;
             let mut ct = Ciphertext::new(
                 poly_op(&a.c0, &b.c0)?,
                 poly_op(&a.c1, &b.c1)?,
@@ -467,7 +445,7 @@ impl<'a> Evaluator<'a> {
         poly_op: PolyOp,
     ) -> Result<Ciphertext, EvalError> {
         self.run_op(kind, || {
-            let a = self.align_to_plain(kind, a, pt)?;
+            let a = self.align_to_plain(a, pt)?;
             if a.scale != pt.scale {
                 return Err(EvalError::PlaintextScaleMismatch {
                     ciphertext_log2: a.scale.log2(),
@@ -496,7 +474,7 @@ impl<'a> Evaluator<'a> {
     /// [`EvalError::PlaintextLevelMismatch`] when the levels differ.
     pub fn mul_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
         self.run_op(OpKind::MulPlain, || {
-            let a = self.align_to_plain(OpKind::MulPlain, a, pt)?;
+            let a = self.align_to_plain(a, pt)?;
             let mut p = pt.poly.clone();
             p.to_ntt();
             let mut ct = Ciphertext::new(
@@ -525,7 +503,7 @@ impl<'a> Evaluator<'a> {
         ek: &EvaluationKey,
     ) -> Result<Ciphertext, EvalError> {
         self.run_op(OpKind::Mul, || {
-            let (a, b) = self.align(OpKind::Mul, a, b, false)?;
+            let (a, b) = self.align(a, b, false)?;
             let d0 = a.c0.mul(&b.c0)?;
             let mut d1 = a.c0.mul(&b.c1)?;
             // Fused: d1 += c1·c0' in one traversal, no product temporary.

@@ -9,14 +9,24 @@
 //! `cooldown` elapses it half-opens and admits a single probe, closing
 //! again on the probe's success.
 //!
-//! Every state transition is exported through `bp-telemetry` (an
-//! [`Event::Breaker`] plus the `rt_breaker_trips` counter) so a trace
-//! consumer can reconstruct the breaker timeline alongside evaluator ops.
+//! Every trip into the open phase bumps the `bp-telemetry`
+//! `rt_breaker_trips` counter; [`CircuitBreaker::phase`] (and
+//! `Runtime::breaker_phase`) report the current phase.
 
 use bp_telemetry::counters::{self, Counter};
-use bp_telemetry::events::{self, BreakerPhase, Event};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+/// Circuit-breaker phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BreakerPhase {
+    /// Healthy: every job is admitted.
+    Closed,
+    /// Tripped: jobs are rejected until the cooldown elapses.
+    Open,
+    /// Cooling down: a single probe job is admitted to test recovery.
+    HalfOpen,
+}
 
 /// Breaker tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,16 +66,14 @@ impl State {
 /// A circuit breaker guarding one workload key.
 #[derive(Debug)]
 pub struct CircuitBreaker {
-    workload: String,
     cfg: BreakerConfig,
     state: Mutex<State>,
 }
 
 impl CircuitBreaker {
-    /// A closed breaker for `workload`.
-    pub fn new(workload: &str, cfg: BreakerConfig) -> Self {
+    /// A closed breaker.
+    pub fn new(cfg: BreakerConfig) -> Self {
         Self {
-            workload: workload.to_string(),
             cfg,
             state: Mutex::new(State::Closed {
                 consecutive_failures: 0,
@@ -88,7 +96,7 @@ impl CircuitBreaker {
             State::Closed { .. } | State::HalfOpen => true,
             State::Open { since } => {
                 if since.elapsed() >= self.cfg.cooldown {
-                    self.transition(&mut state, State::HalfOpen);
+                    *state = State::HalfOpen;
                     true
                 } else {
                     false
@@ -101,17 +109,9 @@ impl CircuitBreaker {
     /// failure streak.
     pub fn on_success(&self) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        match *state {
-            State::Closed {
-                consecutive_failures: 0,
-            } => {}
-            _ => self.transition(
-                &mut state,
-                State::Closed {
-                    consecutive_failures: 0,
-                },
-            ),
-        }
+        *state = State::Closed {
+            consecutive_failures: 0,
+        };
     }
 
     /// Records a failed job: extends the failure streak, opening the
@@ -126,12 +126,9 @@ impl CircuitBreaker {
                 let streak = consecutive_failures + 1;
                 if streak >= self.cfg.failure_threshold {
                     counters::add(Counter::RtBreakerTrips, 1);
-                    self.transition(
-                        &mut state,
-                        State::Open {
-                            since: Instant::now(),
-                        },
-                    );
+                    *state = State::Open {
+                        since: Instant::now(),
+                    };
                 } else {
                     *state = State::Closed {
                         consecutive_failures: streak,
@@ -140,30 +137,11 @@ impl CircuitBreaker {
             }
             State::HalfOpen => {
                 counters::add(Counter::RtBreakerTrips, 1);
-                self.transition(
-                    &mut state,
-                    State::Open {
-                        since: Instant::now(),
-                    },
-                );
+                *state = State::Open {
+                    since: Instant::now(),
+                };
             }
             State::Open { .. } => {}
-        }
-    }
-
-    /// Applies a state change and exports it on the event stream. The
-    /// `Closed(n) → Closed(0)` reset is internal bookkeeping, not a phase
-    /// change, so it bypasses this.
-    fn transition(&self, state: &mut State, to: State) {
-        let from_phase = state.phase();
-        let to_phase = to.phase();
-        *state = to;
-        if from_phase != to_phase {
-            events::emit(Event::Breaker {
-                workload: self.workload.clone(),
-                from: from_phase,
-                to: to_phase,
-            });
         }
     }
 }
@@ -181,7 +159,7 @@ mod tests {
 
     #[test]
     fn opens_after_consecutive_failures_and_probes_after_cooldown() {
-        let b = CircuitBreaker::new("w", cfg(3, 0));
+        let b = CircuitBreaker::new(cfg(3, 0));
         assert_eq!(b.phase(), BreakerPhase::Closed);
         b.on_failure();
         b.on_failure();
@@ -198,7 +176,7 @@ mod tests {
 
     #[test]
     fn open_breaker_rejects_until_cooldown() {
-        let b = CircuitBreaker::new("w", cfg(1, 10_000));
+        let b = CircuitBreaker::new(cfg(1, 10_000));
         b.on_failure();
         assert_eq!(b.phase(), BreakerPhase::Open);
         assert!(!b.admit(), "cooldown has not elapsed");
@@ -207,7 +185,7 @@ mod tests {
 
     #[test]
     fn failed_probe_reopens() {
-        let b = CircuitBreaker::new("w", cfg(1, 0));
+        let b = CircuitBreaker::new(cfg(1, 0));
         b.on_failure();
         assert!(b.admit());
         assert_eq!(b.phase(), BreakerPhase::HalfOpen);
@@ -217,7 +195,7 @@ mod tests {
 
     #[test]
     fn success_resets_failure_streak() {
-        let b = CircuitBreaker::new("w", cfg(2, 0));
+        let b = CircuitBreaker::new(cfg(2, 0));
         b.on_failure();
         b.on_success();
         b.on_failure();

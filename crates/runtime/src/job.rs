@@ -15,13 +15,12 @@
 //! * a per-workload **circuit breaker** that fail-fasts workloads that
 //!   keep failing (see [`crate::breaker`]).
 
-use crate::breaker::{BreakerConfig, CircuitBreaker};
+use crate::breaker::{BreakerConfig, BreakerPhase, CircuitBreaker};
 use crate::checkpoint::fnv1a64;
 use crate::error::RuntimeError;
 use bp_ckks::{CancelReason, CancelToken};
 use bp_ir::Program;
 use bp_telemetry::counters::{self, Counter};
-use bp_telemetry::events::BreakerPhase;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
@@ -177,7 +176,7 @@ impl Runtime {
         let mut breakers = self.breakers.lock().unwrap_or_else(|e| e.into_inner());
         breakers
             .entry(workload.to_string())
-            .or_insert_with(|| Arc::new(CircuitBreaker::new(workload, self.breaker_cfg)))
+            .or_insert_with(|| Arc::new(CircuitBreaker::new(self.breaker_cfg)))
             .clone()
     }
 

@@ -14,8 +14,8 @@
 //!   into the evaluator), **panic isolation** (`catch_unwind` at the job
 //!   boundary → [`RuntimeError::JobPanicked`]), **retry** of transient
 //!   failures with exponential backoff and deterministic jitter, and a
-//!   per-workload **circuit breaker** ([`CircuitBreaker`]) exported
-//!   through `bp-telemetry`.
+//!   per-workload **circuit breaker** ([`CircuitBreaker`]) whose trips
+//!   the `bp-telemetry` counter `rt_breaker_trips` counts.
 //! * [`Checkpoint`] — versioned, checksummed snapshots of the live
 //!   ciphertexts at an exact op position ([`Checkpoint::pos`]) of one
 //!   program ([`Checkpoint::fingerprint`]), with exact scales and chain
@@ -73,7 +73,7 @@ mod job;
 mod program;
 
 pub use bp_ckks::{CancelReason, CancelToken};
-pub use breaker::{BreakerConfig, CircuitBreaker};
+pub use breaker::{BreakerConfig, BreakerPhase, CircuitBreaker};
 pub use checkpoint::{Checkpoint, CheckpointError, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 pub use error::RuntimeError;
 pub use job::{JobSpec, RetryPolicy, Runtime};

@@ -3,18 +3,16 @@
 //!
 //! The paper defines packing efficiency as `log Q / (R·w)`: the scale
 //! bits actually carried by a ciphertext divided by the datapath bits its
-//! `R` residues of `w`-bit words occupy (Fig. 1). Every evaluator op
-//! feeds one [`PackingSample`] through [`record`]; the global
-//! accumulator folds samples into a per-level table, a wasted-bit
-//! histogram, and running mean/min/max efficiency, drained as an
-//! [`EfficiencyReport`]. Because BitPacker and classic RNS-CKKS chains
-//! run through the same evaluator, the same accounting measures both —
-//! the efficiency gap between them becomes a number instead of a figure.
-//!
-//! The report type compiles regardless of the `enabled` feature; only the
-//! global accumulator is feature-gated.
+//! `R` residues of `w`-bit words occupy (Fig. 1). Every trace record
+//! carries the per-op value ([`OpRecord::efficiency`]);
+//! [`EfficiencyReport::of`] folds a run's records into a per-level
+//! table, a wasted-bit histogram, and mean/min/max efficiency. Because
+//! BitPacker and classic RNS-CKKS chains run through the same evaluator,
+//! the same accounting measures both — the efficiency gap between them
+//! becomes a number instead of a figure.
 
 use crate::json::Obj;
+use crate::trace::{OpRecord, TraceEntry};
 
 /// Number of buckets in the wasted-bit histogram.
 pub const NUM_WASTE_BUCKETS: usize = 8;
@@ -23,44 +21,6 @@ pub const NUM_WASTE_BUCKETS: usize = 8;
 /// histogram buckets; the final bucket is unbounded (`+Inf`).
 pub const WASTE_BUCKET_BOUNDS: [f64; NUM_WASTE_BUCKETS - 1] =
     [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
-
-/// One per-op utilization observation: how many modulus bits a result
-/// ciphertext carries versus the datapath bits its residues occupy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PackingSample {
-    /// Result ciphertext level.
-    pub level: usize,
-    /// Result basis size (residue count) — the paper's `R`.
-    pub residues: usize,
-    /// Residue word width in bits — the paper's `w`.
-    pub word_bits: u32,
-    /// `log2 Q` at the result level: modulus (scale-capacity) bits in
-    /// use.
-    pub info_bits: f64,
-}
-
-impl PackingSample {
-    /// Datapath bits occupied: `R·w`.
-    pub fn capacity_bits(&self) -> f64 {
-        self.residues as f64 * f64::from(self.word_bits)
-    }
-
-    /// Packing efficiency `log Q / (R·w)` in `[0, 1]` (0 when the
-    /// sample has no residues).
-    pub fn efficiency(&self) -> f64 {
-        let cap = self.capacity_bits();
-        if cap > 0.0 {
-            (self.info_bits / cap).clamp(0.0, 1.0)
-        } else {
-            0.0
-        }
-    }
-
-    /// Datapath bits carrying no modulus information: `R·w − log Q`.
-    pub fn wasted_bits(&self) -> f64 {
-        (self.capacity_bits() - self.info_bits).max(0.0)
-    }
-}
 
 /// Histogram bucket index for a wasted-bit count.
 fn waste_bucket(wasted: f64) -> usize {
@@ -137,10 +97,18 @@ impl EfficiencyReport {
         }
     }
 
-    /// Folds one sample into the report.
-    pub fn observe(&mut self, s: &PackingSample) {
-        let eff = s.efficiency();
-        let wasted = s.wasted_bits();
+    /// The report over `entries`, in order.
+    pub fn of(entries: &[TraceEntry]) -> Self {
+        let mut report = Self::default();
+        for e in entries {
+            report.observe(&e.op);
+        }
+        report
+    }
+
+    fn observe(&mut self, op: &OpRecord) {
+        let eff = op.efficiency();
+        let wasted = op.wasted_bits();
         if self.samples == 0 {
             self.min_efficiency = eff;
             self.max_efficiency = eff;
@@ -152,13 +120,13 @@ impl EfficiencyReport {
         self.sum_efficiency += eff;
         self.wasted_bits += wasted;
         self.histogram[waste_bucket(wasted)] += 1;
-        let row = match self.levels.binary_search_by_key(&s.level, |r| r.level) {
+        let row = match self.levels.binary_search_by_key(&op.level, |r| r.level) {
             Ok(i) => &mut self.levels[i],
             Err(i) => {
                 self.levels.insert(
                     i,
                     LevelEfficiency {
-                        level: s.level,
+                        level: op.level,
                         ..LevelEfficiency::default()
                     },
                 );
@@ -233,112 +201,51 @@ impl EfficiencyReport {
     }
 }
 
-#[cfg(feature = "enabled")]
-mod store {
-    use super::{EfficiencyReport, PackingSample};
-    use std::sync::Mutex;
-
-    static REPORT: Mutex<Option<EfficiencyReport>> = Mutex::new(None);
-
-    pub fn record(sample: &PackingSample) {
-        let mut guard = REPORT.lock().unwrap_or_else(|e| e.into_inner());
-        guard
-            .get_or_insert_with(EfficiencyReport::default)
-            .observe(sample);
-    }
-
-    pub fn snapshot() -> EfficiencyReport {
-        let guard = REPORT.lock().unwrap_or_else(|e| e.into_inner());
-        guard.clone().unwrap_or_default()
-    }
-
-    pub fn take() -> EfficiencyReport {
-        let mut guard = REPORT.lock().unwrap_or_else(|e| e.into_inner());
-        guard.take().unwrap_or_default()
-    }
-
-    pub fn reset() {
-        let mut guard = REPORT.lock().unwrap_or_else(|e| e.into_inner());
-        *guard = None;
-    }
-}
-
-/// Folds one per-op utilization sample into the global accumulator
-/// (feature off: inlined no-op).
-#[inline]
-pub fn record(sample: PackingSample) {
-    #[cfg(feature = "enabled")]
-    {
-        if crate::enabled() {
-            store::record(&sample);
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    let _ = sample;
-}
-
-/// A copy of the accumulated report, leaving the accumulator in place
-/// (feature off: an empty default report).
-pub fn snapshot() -> EfficiencyReport {
-    #[cfg(feature = "enabled")]
-    {
-        store::snapshot()
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        EfficiencyReport::default()
-    }
-}
-
-/// Drains the accumulator, returning the report accumulated since the
-/// last [`take`] (feature off: an empty default report).
-pub fn take() -> EfficiencyReport {
-    #[cfg(feature = "enabled")]
-    {
-        store::take()
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        EfficiencyReport::default()
-    }
-}
-
-/// Clears the accumulator.
-pub fn reset() {
-    #[cfg(feature = "enabled")]
-    store::reset();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::OpKind;
 
-    fn sample(level: usize, residues: usize, word_bits: u32, info_bits: f64) -> PackingSample {
-        PackingSample {
-            level,
-            residues,
-            word_bits,
-            info_bits,
+    fn entry(level: usize, residues: usize, word_bits: u32, log_q: f64) -> TraceEntry {
+        TraceEntry {
+            seq: 0,
+            op: OpRecord {
+                kind: OpKind::Mul,
+                level,
+                residues,
+                shed: 0,
+                added: 0,
+                word_bits,
+                batched: false,
+                repair: false,
+                duration_ns: 0,
+                noise_bits: 0.0,
+                clear_bits: 0.0,
+                scale_log2: 0.0,
+                log_q,
+                ir_op: None,
+            },
         }
     }
 
     #[test]
-    fn sample_math_matches_the_paper_definition() {
+    fn record_math_matches_the_paper_definition() {
         // 5 residues of 28-bit words carrying 127.5 modulus bits:
         // efficiency = 127.5 / 140, waste = 12.5.
-        let s = sample(3, 5, 28, 127.5);
-        assert!((s.capacity_bits() - 140.0).abs() < 1e-12);
-        assert!((s.efficiency() - 127.5 / 140.0).abs() < 1e-12);
-        assert!((s.wasted_bits() - 12.5).abs() < 1e-12);
-        assert_eq!(sample(0, 0, 28, 0.0).efficiency(), 0.0);
+        let op = entry(3, 5, 28, 127.5).op;
+        assert!((op.capacity_bits() - 140.0).abs() < 1e-12);
+        assert!((op.efficiency() - 127.5 / 140.0).abs() < 1e-12);
+        assert!((op.wasted_bits() - 12.5).abs() < 1e-12);
+        assert_eq!(entry(0, 0, 28, 0.0).op.efficiency(), 0.0);
     }
 
     #[test]
     fn report_aggregates_mean_min_max_and_levels() {
-        let mut r = EfficiencyReport::default();
-        r.observe(&sample(2, 4, 28, 112.0)); // eff 1.0, waste 0
-        r.observe(&sample(2, 4, 28, 84.0)); // eff 0.75, waste 28
-        r.observe(&sample(1, 2, 28, 42.0)); // eff 0.75, waste 14
+        let r = EfficiencyReport::of(&[
+            entry(2, 4, 28, 112.0), // eff 1.0, waste 0
+            entry(2, 4, 28, 84.0),  // eff 0.75, waste 28
+            entry(1, 2, 28, 42.0),  // eff 0.75, waste 14
+        ]);
         assert_eq!(r.samples, 3);
         assert!((r.mean_efficiency() - (1.0 + 0.75 + 0.75) / 3.0).abs() < 1e-12);
         assert_eq!(r.min_efficiency, 0.75);
@@ -352,12 +259,12 @@ mod tests {
         assert_eq!(r.histogram[0], 1);
         assert_eq!(r.histogram[4], 1);
         assert_eq!(r.histogram[5], 1);
+        assert_eq!(EfficiencyReport::of(&[]), EfficiencyReport::default());
     }
 
     #[test]
     fn json_rendering_contains_the_headline_numbers() {
-        let mut r = EfficiencyReport::default();
-        r.observe(&sample(0, 2, 32, 48.0));
+        let r = EfficiencyReport::of(&[entry(0, 2, 32, 48.0)]);
         let doc = r.to_json();
         assert!(doc.contains("\"schema\":\"bitpacker-efficiency/v1\""));
         assert!(doc.contains("\"samples\":1"));

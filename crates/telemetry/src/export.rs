@@ -1,6 +1,6 @@
 //! Metrics exposition: Prometheus text-format 0.0.4 rendering of every
 //! counter, span aggregate, efficiency statistic and registered gauge,
-//! plus a bounded JSONL structured-event ring buffer.
+//! plus a JSON-lines tail of the trace records.
 //!
 //! [`prometheus`] renders a deterministic snapshot of the whole
 //! telemetry surface — counters as `bitpacker_<name>_total`, span
@@ -11,30 +11,29 @@
 //! order for built-ins, lexicographic for gauges) so repeated renders of
 //! the same state are byte-identical.
 //!
-//! Structured events tee'd off the [`crate::events`] stream land in a
-//! ring buffer of [`JSONL_RING_CAP`] entries, rendered to JSON lines at
-//! drain time — unlike the event stream (which drops *new* events at
-//! capacity), the ring overwrites the *oldest* entry so a post-mortem
-//! always holds the tail.
+//! The span rows, the efficiency statistics and the JSONL tail are
+//! computed at render time from the trace recorder and the profiler
+//! tree ([`crate::trace`], [`crate::profile`]); only the gauges have a
+//! store here. [`jsonl`] renders the newest [`JSONL_TAIL`] trace records
+//! as one [`op_json`] line each, so a post-mortem always holds the tail.
 //!
 //! [`flush_to_env`] writes both sinks to the destination named by the
 //! `BITPACKER_METRICS` environment variable: a path (exposition at
-//! `<path>`, events at `<path>.jsonl`) or `-` for stdout.
+//! `<path>`, JSONL tail at `<path>.jsonl`) or `-` for stdout.
 
 use crate::counters::{self, Counter};
-use crate::efficiency::{self, WASTE_BUCKET_BOUNDS};
-use crate::events::Event;
+use crate::efficiency::{EfficiencyReport, WASTE_BUCKET_BOUNDS};
 use crate::json::Obj;
 use crate::spans;
+use crate::trace::{self, TraceEntry};
 
 /// Environment variable selecting the metrics sink destination:
 /// a file path, or `-` for stdout. Unset: [`flush_to_env`] is a no-op.
 pub const METRICS_ENV_VAR: &str = "BITPACKER_METRICS";
 
-/// Maximum JSON lines retained by the structured-event ring buffer;
-/// beyond this the oldest line is overwritten (counted by
-/// [`jsonl_overwritten`]).
-pub const JSONL_RING_CAP: usize = 4096;
+/// Trace records rendered by [`jsonl`]: the newest this many. Older
+/// records are counted by `bitpacker_events_jsonl_overwritten_total`.
+pub const JSONL_TAIL: usize = 4096;
 
 /// Escapes a Prometheus label value: `\` → `\\`, `"` → `\"`, newline →
 /// `\n`.
@@ -65,10 +64,7 @@ fn format_value(v: f64) -> String {
 
 #[cfg(feature = "enabled")]
 mod store {
-    use super::Event;
     use std::collections::BTreeMap;
-    use std::collections::VecDeque;
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
 
     // name → (rendered label set → value). BTreeMaps keep rendering
@@ -76,11 +72,6 @@ mod store {
     type Gauges = BTreeMap<String, BTreeMap<String, f64>>;
 
     static GAUGES: Mutex<Option<Gauges>> = Mutex::new(None);
-    // The ring holds Event values, not rendered lines: cloning an event
-    // is ~10x cheaper than JSON-rendering it, and emit() sits on the
-    // evaluator hot path while drain is a once-per-run flush.
-    static RING: Mutex<VecDeque<Event>> = Mutex::new(VecDeque::new());
-    static OVERWRITTEN: AtomicU64 = AtomicU64::new(0);
 
     fn label_key(labels: &[(&str, &str)]) -> String {
         let mut parts: Vec<String> = labels
@@ -127,34 +118,9 @@ mod store {
             .unwrap_or_default()
     }
 
-    pub fn ring_push(ev: Event) {
-        let mut guard = RING.lock().unwrap_or_else(|e| e.into_inner());
-        if guard.len() >= super::JSONL_RING_CAP {
-            guard.pop_front();
-            OVERWRITTEN.fetch_add(1, Ordering::Relaxed);
-        }
-        guard.push_back(ev);
-    }
-
-    pub fn ring_drain() -> Vec<Event> {
-        let mut guard = RING.lock().unwrap_or_else(|e| e.into_inner());
-        guard.drain(..).collect()
-    }
-
-    pub fn ring_overwritten() -> u64 {
-        OVERWRITTEN.load(Ordering::Relaxed)
-    }
-
     pub fn reset() {
         let mut gauges = GAUGES.lock().unwrap_or_else(|e| e.into_inner());
         *gauges = None;
-        let mut ring = RING.lock().unwrap_or_else(|e| e.into_inner());
-        ring.clear();
-        OVERWRITTEN.store(0, Ordering::Relaxed);
-    }
-
-    pub fn record_event(ev: &Event) {
-        ring_push(ev.clone());
     }
 }
 
@@ -191,81 +157,37 @@ pub fn gauge_add(name: &str, labels: &[(&str, &str)], delta: f64) {
     }
 }
 
-/// Encodes one telemetry event as a single JSON line (compiles
-/// regardless of the `enabled` feature).
-pub fn event_json(ev: &Event) -> String {
-    match ev {
-        Event::Op(entry) => Obj::new()
-            .str("type", "op")
-            .u64("seq", entry.seq)
-            .str("op", entry.op.kind.name())
-            .u64("level", entry.op.level as u64)
-            .u64("residues", entry.op.residues as u64)
-            .u64("shed", entry.op.shed as u64)
-            .u64("added", entry.op.added as u64)
-            .bool("repair", entry.op.repair)
-            .u64("duration_ns", entry.op.duration_ns)
-            .f64("noise_bits", entry.op.noise_bits)
-            .f64("scale_log2", entry.op.scale_log2)
-            .f64("log_q", entry.op.log_q)
-            .build(),
-        Event::Repair { kind, op, level } => Obj::new()
-            .str("type", "repair")
-            .str("kind", kind.name())
-            .str("op", op.name())
-            .u64("level", *level as u64)
-            .build(),
-        Event::Breaker { workload, from, to } => Obj::new()
-            .str("type", "breaker")
-            .str("workload", workload)
-            .str("from", from.name())
-            .str("to", to.name())
-            .build(),
-    }
+/// Encodes one trace record as a single JSON line (compiles regardless
+/// of the `enabled` feature).
+pub fn op_json(entry: &TraceEntry) -> String {
+    Obj::new()
+        .str("type", "op")
+        .u64("seq", entry.seq)
+        .str("op", entry.op.kind.name())
+        .u64("level", entry.op.level as u64)
+        .u64("residues", entry.op.residues as u64)
+        .u64("shed", entry.op.shed as u64)
+        .u64("added", entry.op.added as u64)
+        .bool("repair", entry.op.repair)
+        .u64("duration_ns", entry.op.duration_ns)
+        .f64("noise_bits", entry.op.noise_bits)
+        .f64("scale_log2", entry.op.scale_log2)
+        .f64("log_q", entry.op.log_q)
+        .build()
 }
 
-/// Tees an event into the JSONL ring buffer (feature off: no-op).
-/// Called by [`crate::events::emit`]; external emitters need not call
-/// this themselves.
-#[inline]
-pub fn record_event(ev: &Event) {
-    #[cfg(feature = "enabled")]
-    {
-        if crate::enabled() {
-            store::record_event(ev);
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    let _ = ev;
+/// The newest [`JSONL_TAIL`] trace records as JSON lines, oldest first
+/// (feature off: empty). Reading leaves the recorder in place.
+pub fn jsonl() -> Vec<String> {
+    trace::read(|t| {
+        t.entries[t.entries.len().saturating_sub(JSONL_TAIL)..]
+            .iter()
+            .map(op_json)
+            .collect()
+    })
 }
 
-/// Drains the JSONL ring buffer, returning the retained events as JSON
-/// lines, oldest first (feature off: empty). Rendering happens here
-/// rather than at emit time so the hot path only pays for a clone.
-pub fn drain_jsonl() -> Vec<String> {
-    #[cfg(feature = "enabled")]
-    {
-        store::ring_drain().iter().map(event_json).collect()
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        Vec::new()
-    }
-}
-
-/// Lines overwritten because the ring was full (feature off: 0).
-pub fn jsonl_overwritten() -> u64 {
-    #[cfg(feature = "enabled")]
-    {
-        store::ring_overwritten()
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        0
-    }
-}
-
-/// Clears the gauge registry and the JSONL ring.
+/// Clears the gauge registry.
 pub fn reset() {
     #[cfg(feature = "enabled")]
     store::reset();
@@ -302,13 +224,14 @@ pub fn prometheus() -> String {
     }
 
     // Span aggregates, labeled by hot-path kind.
+    let span_rows = spans::stats();
     push_metric(
         &mut out,
         "bitpacker_span_completed_total",
         "Completed RAII timing spans per hot-path kind.",
         "counter",
     );
-    for s in spans::stats() {
+    for s in &span_rows {
         out.push_str(&format!(
             "bitpacker_span_completed_total{{kind=\"{}\"}} {}\n",
             s.kind.name(),
@@ -321,7 +244,7 @@ pub fn prometheus() -> String {
         "Summed wall-clock seconds per hot-path kind.",
         "counter",
     );
-    for s in spans::stats() {
+    for s in &span_rows {
         out.push_str(&format!(
             "bitpacker_span_seconds_total{{kind=\"{}\"}} {}\n",
             s.kind.name(),
@@ -329,17 +252,22 @@ pub fn prometheus() -> String {
         ));
     }
 
-    // Event-stream health.
+    // Trace-recorder health: records dropped at the recorder's cap, and
+    // records older than the JSONL tail.
+    let (eff, dropped, overwritten) = trace::read(|t| {
+        (
+            EfficiencyReport::of(&t.entries),
+            t.dropped,
+            t.entries.len().saturating_sub(JSONL_TAIL),
+        )
+    });
     push_metric(
         &mut out,
         "bitpacker_events_dropped_total",
         "Events discarded because the bounded stream was full.",
         "counter",
     );
-    out.push_str(&format!(
-        "bitpacker_events_dropped_total {}\n",
-        crate::events::dropped()
-    ));
+    out.push_str(&format!("bitpacker_events_dropped_total {dropped}\n"));
     push_metric(
         &mut out,
         "bitpacker_events_jsonl_overwritten_total",
@@ -347,12 +275,10 @@ pub fn prometheus() -> String {
         "counter",
     );
     out.push_str(&format!(
-        "bitpacker_events_jsonl_overwritten_total {}\n",
-        jsonl_overwritten()
+        "bitpacker_events_jsonl_overwritten_total {overwritten}\n"
     ));
 
     // Bit-utilization accounting.
-    let eff = efficiency::snapshot();
     push_metric(
         &mut out,
         "bitpacker_packing_samples_total",
@@ -457,32 +383,32 @@ pub fn prometheus() -> String {
     out
 }
 
-/// Writes the Prometheus exposition and the drained JSONL events to the
+/// Writes the Prometheus exposition and the [`jsonl`] tail to the
 /// destination named by [`METRICS_ENV_VAR`]: `-` appends both to
 /// stdout; any other value is treated as a path (exposition at
-/// `<path>`, events at `<path>.jsonl`). Returns the destination used,
-/// or `Ok(None)` when the variable is unset or empty.
+/// `<path>`, JSONL tail at `<path>.jsonl`). Returns the destination
+/// used, or `Ok(None)` when the variable is unset or empty.
 pub fn flush_to_env() -> std::io::Result<Option<String>> {
     let dest = match std::env::var(METRICS_ENV_VAR) {
         Ok(v) if !v.trim().is_empty() => v,
         _ => return Ok(None),
     };
     let exposition = prometheus();
-    let events = drain_jsonl();
+    let lines = jsonl();
     if dest.trim() == "-" {
         print!("{exposition}");
-        for line in &events {
+        for line in &lines {
             println!("{line}");
         }
         return Ok(Some("-".to_string()));
     }
     std::fs::write(&dest, &exposition)?;
-    let mut jsonl = String::new();
-    for line in &events {
-        jsonl.push_str(line);
-        jsonl.push('\n');
+    let mut tail = String::new();
+    for line in &lines {
+        tail.push_str(line);
+        tail.push('\n');
     }
-    std::fs::write(format!("{dest}.jsonl"), jsonl)?;
+    std::fs::write(format!("{dest}.jsonl"), tail)?;
     Ok(Some(dest))
 }
 
@@ -512,25 +438,5 @@ mod tests {
         assert!(doc.contains("# TYPE bitpacker_span_seconds_total counter"));
         assert!(doc.contains("# TYPE bitpacker_packing_wasted_bits histogram"));
         assert!(doc.contains("bitpacker_packing_wasted_bits_bucket{le=\"+Inf\"}"));
-    }
-
-    #[test]
-    fn event_json_is_one_line_per_variant() {
-        use crate::events::{BreakerPhase, RepairKind};
-        use crate::trace::OpKind;
-        let repair = Event::Repair {
-            kind: RepairKind::Rescale,
-            op: OpKind::Mul,
-            level: 3,
-        };
-        let line = event_json(&repair);
-        assert!(line.contains("\"type\":\"repair\""));
-        assert!(!line.contains('\n'));
-        let breaker = Event::Breaker {
-            workload: "w".into(),
-            from: BreakerPhase::Closed,
-            to: BreakerPhase::Open,
-        };
-        assert!(event_json(&breaker).contains("\"to\":\"open\""));
     }
 }

@@ -3,31 +3,34 @@
 //! The paper's evaluation (Sec. 5–6) is built on kernel-level accounting:
 //! per-benchmark op mixes, keyswitch/NTT counts, and noise/scale
 //! trajectories. This crate gives the Rust reproduction the same
-//! visibility, organised as four small modules that read as one system:
+//! visibility. It keeps three stores — the atomic [`counters`], one
+//! record per evaluator op in the [`trace`] recorder, and one timing
+//! tree in the [`profile`] module — plus the exposition's gauge
+//! registry, and computes every other report from them:
 //!
 //! * [`counters`] — lock-free global counters for the arithmetic kernels
 //!   (NTT/INTT invocations, elementwise residue ops, basis conversions,
 //!   keyswitches, rescales, residue moves, serialized bytes) and for the
 //!   thread pool (dispatches, chunks, busy time, imbalance),
-//! * [`spans`] — RAII timing spans aggregated per hot-path kind,
-//! * [`events`] — a bounded in-process event stream carrying per-op
-//!   noise/scale snapshots and evaluator repair events,
 //! * [`trace`] — the [`trace::EvalTrace`] op-trace recorder, keyed by IR
 //!   node and serialized to JSON,
-//! * [`json`] — the dependency-free JSON reader/writer (re-exported from
-//!   `bp-ir`, which owns it) used by the trace codec and the bench
-//!   metadata headers,
-//! * [`efficiency`] — bit-utilization accounting: per-op packing
-//!   efficiency `log Q / (R·w)` folded into a per-program
-//!   [`efficiency::EfficiencyReport`] (mean/min/max, wasted-bit
-//!   histogram, per-level breakdown),
 //! * [`profile`] — a hierarchical profiler nesting RAII frames into a
 //!   span tree with inclusive/exclusive times and flamegraph-compatible
 //!   folded-stack output,
+//! * [`spans`] — timing spans over the hot paths: each is a profiler
+//!   frame named after its kind, and the per-kind rows are sums over the
+//!   tree,
+//! * [`efficiency`] — bit-utilization accounting: the trace records'
+//!   packing efficiency `log Q / (R·w)` folded into a per-program
+//!   [`efficiency::EfficiencyReport`] (mean/min/max, wasted-bit
+//!   histogram, per-level breakdown),
 //! * [`export`] — metrics exposition: Prometheus text-format 0.0.4
-//!   rendering of every counter/span/gauge plus a bounded JSONL
-//!   structured-event ring, flushed to the destination named by the
-//!   `BITPACKER_METRICS` environment variable.
+//!   rendering of every counter/span/gauge plus a JSON-lines tail of the
+//!   trace records, flushed to the destination named by the
+//!   `BITPACKER_METRICS` environment variable,
+//! * [`json`] — the dependency-free JSON reader/writer (re-exported from
+//!   `bp-ir`, which owns it) used by the trace codec and the bench
+//!   metadata headers.
 //!
 //! # Feature gating and overhead
 //!
@@ -35,24 +38,24 @@
 //! feature (downstream crates forward it as `telemetry`):
 //!
 //! * **feature off** (default): every recording entry point —
-//!   [`counters::add`], [`spans::span`], [`events::emit`],
-//!   [`trace::record_op`] — is an `#[inline(always)]` empty function and
-//!   [`enabled`] is a `const false`, so guarded blocks are eliminated at
-//!   compile time. All counter reads return zero. The data model types
-//!   ([`trace::EvalTrace`], [`events::Event`], …) and the [`json`] module
-//!   remain available so reporting tools build without the feature.
+//!   [`counters::add`], [`spans::span`], [`profile::frame`],
+//!   [`trace::record_op`] — compiles to nothing and [`enabled`] is a
+//!   `const false`, so guarded blocks are eliminated at compile time. All
+//!   reads return zero or empty. The data model types
+//!   ([`trace::EvalTrace`], [`efficiency::EfficiencyReport`], …) and the
+//!   [`json`] module remain available so reporting tools build without
+//!   the feature.
 //! * **feature on**: recording is live, gated at runtime by the
 //!   `BITPACKER_TELEMETRY` environment variable (read once; set it to
 //!   `0`, `false`, or `off` to disable) or programmatically via
-//!   [`set_enabled`]. Counters are relaxed atomics; the event stream and
-//!   trace recorder are bounded, mutex-guarded vectors.
+//!   [`set_enabled`]. Counters are relaxed atomics; the trace recorder
+//!   and the profiler tree are bounded, mutex-guarded stores.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod counters;
 pub mod efficiency;
-pub mod events;
 pub mod export;
 pub mod profile;
 pub mod spans;
@@ -124,16 +127,12 @@ pub fn set_enabled(on: bool) {
 #[inline(always)]
 pub fn set_enabled(_on: bool) {}
 
-/// Resets every telemetry store — counters, span aggregates, the event
-/// stream, the trace recorder, the efficiency accumulator, the profiler
-/// tree, and the exposition gauges/ring — to the pristine state.
+/// Resets every telemetry store — counters, the trace recorder, the
+/// profiler tree, and the exposition gauges — to the pristine state.
 /// Intended for test isolation and windowed reporting.
 pub fn reset() {
     counters::reset_all();
-    spans::reset_all();
-    events::reset();
     trace::reset();
-    efficiency::reset();
     profile::reset();
     export::reset();
 }

@@ -7,10 +7,11 @@
 //! path of every frame open above it (`mul;keyswitch;ntt_forward`) and
 //! its own time minus its children's is the path's *exclusive* time —
 //! exactly the folded-stack model used by flamegraph tooling, which
-//! [`SpanTree::folded`] emits directly. The existing [`crate::spans`]
-//! RAII spans open a frame automatically, so keyswitch, basis-convert
-//! and NTT work nests under whichever evaluator op is running; pool
-//! worker threads accumulate their own root paths.
+//! [`SpanTree::folded`] emits directly. A [`crate::spans::span`] is a
+//! frame named after its kind, so keyswitch, basis-convert and NTT work
+//! nests under whichever evaluator op is running; pool worker threads
+//! accumulate their own root paths. The tree is the crate's only timing
+//! store: [`crate::spans::stats`] is computed from it.
 //!
 //! With the `enabled` feature off, [`Frame`] is a zero-sized inert type
 //! and every entry point compiles to nothing. The [`SpanTree`] data
@@ -52,13 +53,6 @@ impl SpanTree {
             .binary_search_by(|p| p.path.as_str().cmp(path))
             .ok()
             .map(|i| &self.paths[i])
-    }
-
-    /// Summed exclusive nanoseconds over every path whose outermost
-    /// frame is `root` (i.e. the path is `root` or starts with
-    /// `root;`).
-    pub fn inclusive_ns_of_root(&self, root: &str) -> u64 {
-        self.get(root).map(|p| p.inclusive_ns).unwrap_or(0)
     }
 
     /// Flamegraph-compatible folded-stack output: one line per path,

@@ -1,13 +1,15 @@
-//! RAII timing spans aggregated per hot-path kind.
+//! Timing spans over the hot paths, aggregated per kind.
 //!
-//! A span is opened with [`span`] and records `(count += 1,
-//! total_ns += elapsed)` into a static per-kind aggregate when dropped.
-//! Aggregates are relaxed atomics, so spans may be open concurrently on
-//! any number of threads. With the `enabled` feature off, [`Span`] is a
-//! zero-sized type and open/drop compile to nothing.
+//! A span is a [`crate::profile`] frame named after its [`SpanKind`], so
+//! span sites nest into the profiler's span tree and the tree is the only
+//! timing store. [`stats`] derives each kind's row from it: the count
+//! and inclusive time of every call path ending in the kind's name, on
+//! any thread. The `eval_op` row is the exception: evaluator ops frame
+//! themselves under their op names, so that row sums the trace records
+//! instead ([`crate::trace::record_op`]). With the `enabled` feature off,
+//! [`span`] returns an inert zero-sized frame.
 
 /// Hot paths covered by timing spans.
-#[repr(usize)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpanKind {
     /// Forward NTT of one residue polynomial (`NttTable::forward`).
@@ -19,6 +21,7 @@ pub enum SpanKind {
     /// One hybrid key-switch inner product (`Evaluator::apply_ksk`).
     KeySwitch,
     /// One evaluator public op (add/mul/rotate/rescale/…), end to end.
+    /// Its row sums the trace records, not frames of this name.
     EvalOp,
     /// Key generation (secret/public/evaluation keys).
     KeyGen,
@@ -81,126 +84,38 @@ impl SpanStat {
     }
 }
 
-#[cfg(feature = "enabled")]
-mod store {
-    use super::{SpanKind, NUM_SPAN_KINDS};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static COUNTS: [AtomicU64; NUM_SPAN_KINDS] = [const { AtomicU64::new(0) }; NUM_SPAN_KINDS];
-    static TOTALS: [AtomicU64; NUM_SPAN_KINDS] = [const { AtomicU64::new(0) }; NUM_SPAN_KINDS];
-
-    #[inline]
-    pub fn record(kind: SpanKind, ns: u64) {
-        COUNTS[kind as usize].fetch_add(1, Ordering::Relaxed);
-        TOTALS[kind as usize].fetch_add(ns, Ordering::Relaxed);
-    }
-
-    pub fn read(kind: SpanKind) -> (u64, u64) {
-        (
-            COUNTS[kind as usize].load(Ordering::Relaxed),
-            TOTALS[kind as usize].load(Ordering::Relaxed),
-        )
-    }
-
-    pub fn reset_all() {
-        for i in 0..NUM_SPAN_KINDS {
-            COUNTS[i].store(0, Ordering::Relaxed);
-            TOTALS[i].store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// An open RAII timing span; records into the per-kind aggregate on drop.
-/// Also holds a [`crate::profile`] frame named after the kind, so span
-/// sites nest into the hierarchical profiler's span tree automatically.
-/// Zero-sized and inert with the `enabled` feature off.
-#[derive(Debug)]
-pub struct Span {
-    #[cfg(feature = "enabled")]
-    live: Option<(SpanKind, std::time::Instant)>,
-    #[cfg(feature = "enabled")]
-    _frame: crate::profile::Frame,
-}
-
-/// Opens a span over hot path `kind`. The span measures from this call
-/// until it is dropped. If telemetry is not live at open time, the span
-/// is inert (no clock read at either end).
+/// Opens a span over hot path `kind`: a profiler frame named after it,
+/// measuring from this call until the frame drops. If telemetry is not
+/// live at open time, the frame is inert (no clock read at either end).
 #[inline]
-pub fn span(kind: SpanKind) -> Span {
-    #[cfg(feature = "enabled")]
-    {
-        Span {
-            live: if crate::enabled() {
-                Some((kind, std::time::Instant::now()))
-            } else {
-                None
-            },
-            _frame: crate::profile::frame(kind.name()),
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = kind;
-        Span {}
-    }
-}
-
-#[cfg(feature = "enabled")]
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some((kind, start)) = self.live.take() {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            store::record(kind, ns);
-        }
-    }
-}
-
-/// Records a completed span of `ns` nanoseconds directly, without the
-/// RAII wrapper (used when the duration was measured by a
-/// [`crate::Stopwatch`]). Feature off: no-op.
-#[cfg(feature = "enabled")]
-#[inline]
-pub fn record(kind: SpanKind, ns: u64) {
-    if crate::enabled() {
-        store::record(kind, ns);
-    }
-}
-
-/// Records a completed span directly (feature off: no-op).
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn record(_kind: SpanKind, _ns: u64) {}
-
-/// Aggregate stats for one span kind (feature off: zeros).
-pub fn stat(kind: SpanKind) -> SpanStat {
-    #[cfg(feature = "enabled")]
-    {
-        let (count, total_ns) = store::read(kind);
-        SpanStat {
-            kind,
-            count,
-            total_ns,
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        SpanStat {
-            kind,
-            count: 0,
-            total_ns: 0,
-        }
-    }
+pub fn span(kind: SpanKind) -> crate::profile::Frame {
+    crate::profile::frame(kind.name())
 }
 
 /// Aggregate stats for every span kind, in [`SpanKind::ALL`] order.
+/// Rows are exact while the profiler holds fewer than
+/// [`crate::profile::PROFILE_PATH_CAP`] paths and, for `eval_op`, while
+/// the trace recorder has dropped nothing (feature off: zeros).
 pub fn stats() -> Vec<SpanStat> {
-    SpanKind::ALL.iter().map(|&k| stat(k)).collect()
-}
-
-/// Zeroes every span aggregate.
-pub fn reset_all() {
-    #[cfg(feature = "enabled")]
-    store::reset_all();
+    let tree = crate::profile::snapshot();
+    SpanKind::ALL
+        .iter()
+        .map(|&kind| {
+            let (count, total_ns) = if kind == SpanKind::EvalOp {
+                crate::trace::read(|t| (t.entries.len() as u64, t.total_ns()))
+            } else {
+                tree.paths
+                    .iter()
+                    .filter(|p| p.path.rsplit(';').next() == Some(kind.name()))
+                    .fold((0, 0), |(n, ns), p| (n + p.count, ns + p.inclusive_ns))
+            };
+            SpanStat {
+                kind,
+                count,
+                total_ns,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,12 +1,15 @@
 //! The op-trace recorder: an append-only record of every evaluator op
-//! (kind, level, basis size, timing, noise/scale snapshot, and the IR
-//! node it computed) that serializes to JSON.
+//! (kind, level, basis size, word size, timing, noise/scale snapshot,
+//! and the IR node it computed) that serializes to JSON.
 //!
-//! Recording goes through a single entry point, [`record_op`], which
-//! bumps the `eval_ops` counter, folds the duration into the `eval_op`
-//! span aggregate, emits an [`crate::events::Event::Op`] on the event
-//! stream, and appends a [`TraceEntry`] to the global recorder. The
-//! recorder is drained with [`take`], yielding an [`EvalTrace`].
+//! This is the crate's only per-op store. Recording goes through a
+//! single entry point, [`record_op`], which bumps the `eval_ops` counter
+//! and appends a [`TraceEntry`] to the global recorder. The recorder is
+//! read with [`snapshot`] or drained with [`take`], yielding an
+//! [`EvalTrace`]; the packing-efficiency report
+//! ([`crate::efficiency::EfficiencyReport::of`]), the `eval_op` span row
+//! and the JSONL tail ([`crate::export::jsonl`]) are computed from the
+//! records it holds.
 //!
 //! The data model ([`OpKind`], [`TraceEntry`], [`TraceMeta`],
 //! [`EvalTrace`]) and the JSON writer compile regardless of the `enabled`
@@ -15,8 +18,6 @@
 #[cfg(feature = "enabled")]
 use crate::counters::{self, Counter};
 use crate::json::Obj;
-#[cfg(feature = "enabled")]
-use crate::spans::{self, SpanKind};
 
 /// Schema identifier written into serialized traces. `v3` adds the
 /// optional per-entry `ir_op` field (the [`bp_ir::Program`] node the op
@@ -46,6 +47,8 @@ pub struct OpRecord {
     pub shed: usize,
     /// Residues added by this op (BitPacker adjust; 0 otherwise).
     pub added: usize,
+    /// Residue word width in bits — the paper's `w`.
+    pub word_bits: u32,
     /// Whether shed/added limbs move through the batched (packed)
     /// BitPacker path rather than the RNS-CKKS baseline path.
     pub batched: bool,
@@ -67,6 +70,29 @@ pub struct OpRecord {
     /// was executing an IR program via `step_op`. `None` for ad-hoc
     /// evaluator calls.
     pub ir_op: Option<u64>,
+}
+
+impl OpRecord {
+    /// Datapath bits the result's residues occupy: `R·w`.
+    pub fn capacity_bits(&self) -> f64 {
+        self.residues as f64 * f64::from(self.word_bits)
+    }
+
+    /// Packing efficiency `log Q / (R·w)` in `[0, 1]` (paper Fig. 1; 0
+    /// when the result has no residues).
+    pub fn efficiency(&self) -> f64 {
+        let cap = self.capacity_bits();
+        if cap > 0.0 {
+            (self.log_q / cap).clamp(0.0, 1.0)
+        } else {
+            0.0
+        }
+    }
+
+    /// Datapath bits carrying no modulus information: `R·w − log Q`.
+    pub fn wasted_bits(&self) -> f64 {
+        (self.capacity_bits() - self.log_q).max(0.0)
+    }
 }
 
 /// A sequenced [`OpRecord`] inside a trace.
@@ -123,7 +149,8 @@ impl EvalTrace {
     }
 
     /// Serializes the trace as a compact JSON document with the
-    /// [`TRACE_SCHEMA`] header.
+    /// [`TRACE_SCHEMA`] header. The word size is written once, in
+    /// `meta`; entries do not repeat their [`OpRecord::word_bits`].
     pub fn to_json(&self) -> String {
         self.write_into(Obj::new().str("schema", TRACE_SCHEMA))
     }
@@ -172,67 +199,40 @@ impl EvalTrace {
 
 #[cfg(feature = "enabled")]
 mod store {
-    use super::{EvalTrace, TraceEntry, TraceMeta, TRACE_CAP};
+    use super::{EvalTrace, TraceEntry, TRACE_CAP};
     use std::sync::Mutex;
 
-    struct Recorder {
-        meta: TraceMeta,
-        entries: Vec<TraceEntry>,
-        next_seq: u64,
-        dropped: u64,
-    }
+    // Entry `i` of the recorded trace has `seq == i`.
+    static RECORDER: Mutex<Option<EvalTrace>> = Mutex::new(None);
 
-    static RECORDER: Mutex<Option<Recorder>> = Mutex::new(None);
-
-    fn with<R>(f: impl FnOnce(&mut Recorder) -> R) -> R {
+    pub fn with<R>(f: impl FnOnce(&mut EvalTrace) -> R) -> R {
         let mut guard = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
-        let rec = guard.get_or_insert_with(|| Recorder {
-            meta: TraceMeta::default(),
-            entries: Vec::new(),
-            next_seq: 0,
-            dropped: 0,
-        });
-        f(rec)
+        f(guard.get_or_insert_with(EvalTrace::default))
     }
 
-    pub fn set_meta(meta: TraceMeta) {
-        with(|rec| rec.meta = meta);
-    }
-
-    /// Appends `op`, returning the sequenced entry for the event stream
-    /// (`None` when the recorder is full and the op was counted as
-    /// dropped).
-    pub fn push(op: super::OpRecord) -> Option<TraceEntry> {
-        with(|rec| {
-            if rec.entries.len() < TRACE_CAP {
-                let seq = rec.next_seq;
-                rec.next_seq += 1;
-                let entry = TraceEntry { seq, op };
-                rec.entries.push(entry.clone());
-                Some(entry)
+    /// Appends `op`, or counts it as dropped when the recorder is full.
+    pub fn push(op: super::OpRecord) {
+        with(|t| {
+            if t.entries.len() < TRACE_CAP {
+                let seq = t.entries.len() as u64;
+                t.entries.push(TraceEntry { seq, op });
             } else {
-                rec.dropped += 1;
-                None
+                t.dropped += 1;
             }
         })
     }
 
     pub fn take() -> EvalTrace {
-        with(|rec| {
-            let trace = EvalTrace {
-                meta: rec.meta.clone(),
-                entries: std::mem::take(&mut rec.entries),
-                dropped: rec.dropped,
-            };
-            rec.next_seq = 0;
-            rec.dropped = 0;
-            trace
+        with(|t| {
+            let meta = t.meta.clone();
+            std::mem::replace(
+                t,
+                EvalTrace {
+                    meta,
+                    ..EvalTrace::default()
+                },
+            )
         })
-    }
-
-    pub fn reset() {
-        let mut guard = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
-        *guard = None;
     }
 }
 
@@ -240,29 +240,43 @@ mod store {
 /// off: no-op).
 pub fn set_meta(meta: TraceMeta) {
     #[cfg(feature = "enabled")]
-    store::set_meta(meta);
+    store::with(|t| t.meta = meta);
     #[cfg(not(feature = "enabled"))]
     let _ = meta;
 }
 
-/// Records one completed evaluator op: bumps the `eval_ops` counter,
-/// folds the duration into the `eval_op` span aggregate, emits an
-/// [`crate::events::Event::Op`], and appends to the trace recorder.
-/// Feature off: inlined no-op.
+/// Records one completed evaluator op: bumps the `eval_ops` counter and
+/// appends to the trace recorder. Feature off: inlined no-op.
 #[inline]
 pub fn record_op(op: OpRecord) {
     #[cfg(feature = "enabled")]
     {
         if crate::enabled() {
             counters::add(Counter::EvalOps, 1);
-            spans::record(SpanKind::EvalOp, op.duration_ns);
-            if let Some(entry) = store::push(op) {
-                crate::events::emit(crate::events::Event::Op(entry));
-            }
+            store::push(op);
         }
     }
     #[cfg(not(feature = "enabled"))]
     let _ = op;
+}
+
+/// Runs `f` over the recorded trace without copying it (feature off: an
+/// empty default trace).
+pub(crate) fn read<R>(f: impl FnOnce(&EvalTrace) -> R) -> R {
+    #[cfg(feature = "enabled")]
+    {
+        store::with(|t| f(t))
+    }
+    #[cfg(not(feature = "enabled"))]
+    {
+        f(&EvalTrace::default())
+    }
+}
+
+/// A copy of the trace accumulated since the last [`take`], leaving the
+/// recorder in place (feature off: an empty default trace).
+pub fn snapshot() -> EvalTrace {
+    read(EvalTrace::clone)
 }
 
 /// Drains the recorder, returning the trace accumulated since the last
@@ -281,7 +295,7 @@ pub fn take() -> EvalTrace {
 /// Clears the recorder, including its metadata.
 pub fn reset() {
     #[cfg(feature = "enabled")]
-    store::reset();
+    store::with(|t| *t = EvalTrace::default());
 }
 
 #[cfg(test)]
@@ -307,6 +321,7 @@ mod tests {
                         residues: 5,
                         shed: 0,
                         added: 0,
+                        word_bits: 28,
                         batched: false,
                         repair: false,
                         duration_ns: 12_345,
@@ -325,6 +340,7 @@ mod tests {
                         residues: 4,
                         shed: 1,
                         added: 2,
+                        word_bits: 28,
                         batched: true,
                         repair: true,
                         duration_ns: 2_000,

@@ -5,9 +5,9 @@
 #![cfg(feature = "enabled")]
 
 use bp_telemetry::counters::{self, Counter};
-use bp_telemetry::events::{self, Event, RepairKind};
 use bp_telemetry::json::Json;
-use bp_telemetry::spans::{self, SpanKind};
+use bp_telemetry::profile;
+use bp_telemetry::spans::{self, SpanKind, SpanStat};
 use bp_telemetry::trace::{self, OpKind, OpRecord, TraceMeta};
 
 fn record(kind: OpKind, ns: u64, ir_op: Option<u64>) {
@@ -17,6 +17,7 @@ fn record(kind: OpKind, ns: u64, ir_op: Option<u64>) {
         residues: 3,
         shed: 0,
         added: 0,
+        word_bits: 28,
         batched: false,
         repair: false,
         duration_ns: ns,
@@ -28,8 +29,15 @@ fn record(kind: OpKind, ns: u64, ir_op: Option<u64>) {
     });
 }
 
+fn row(kind: SpanKind) -> SpanStat {
+    spans::stats()
+        .into_iter()
+        .find(|s| s.kind == kind)
+        .expect("every kind has a row")
+}
+
 #[test]
-fn counters_spans_events_and_trace_flow_together() {
+fn counters_spans_and_trace_flow_together() {
     bp_telemetry::set_enabled(true);
     bp_telemetry::reset();
 
@@ -42,18 +50,36 @@ fn counters_spans_events_and_trace_flow_together() {
     assert!(det.iter().any(|&(c, v)| c == Counter::NttForward && v == 5));
     assert!(det.iter().all(|&(c, _)| c.deterministic()));
 
-    // Spans aggregate count + total.
+    // A span is a profiler frame named after its kind, and the kind's
+    // row sums every path that ends in that name: at the root, nested
+    // under another frame, and on another thread. A frame whose name
+    // merely ends in the same letters is not counted.
     {
         let _sp = spans::span(SpanKind::BasisConvert);
         std::hint::black_box(42u64);
     }
-    spans::record(SpanKind::BasisConvert, 1_000);
-    let stat = spans::stat(SpanKind::BasisConvert);
-    assert_eq!(stat.count, 2);
-    assert!(stat.total_ns >= 1_000);
+    {
+        let _outer = profile::frame("flow_outer");
+        let _sp = spans::span(SpanKind::BasisConvert);
+    }
+    std::thread::spawn(|| {
+        let _sp = spans::span(SpanKind::BasisConvert);
+    })
+    .join()
+    .expect("span thread");
+    {
+        let _f = profile::frame("not_basis_convert");
+    }
+    let tree = profile::snapshot();
+    let root = tree.get("basis_convert").expect("root path");
+    let nested = tree.get("flow_outer;basis_convert").expect("nested path");
+    assert_eq!((root.count, nested.count), (2, 1));
+    let stat = row(SpanKind::BasisConvert);
+    assert_eq!(stat.count, 3);
+    assert_eq!(stat.total_ns, root.inclusive_ns + nested.inclusive_ns);
 
-    // Ops and repairs interleave on one event stream, and the trace
-    // recorder sequences the same ops.
+    // The trace recorder sequences ops; the eval_op row sums the records
+    // it holds, and a snapshot leaves them in place.
     trace::set_meta(TraceMeta {
         workload: "flow".into(),
         n: 1 << 13,
@@ -62,30 +88,16 @@ fn counters_spans_events_and_trace_flow_together() {
         word_bits: 28,
     });
     record(OpKind::Mul, 500, Some(9));
-    events::emit(Event::Repair {
-        kind: RepairKind::Rescale,
-        op: OpKind::Add,
-        level: 1,
-    });
     record(OpKind::Add, 200, None);
 
     assert_eq!(counters::get(Counter::EvalOps), 2);
-    assert_eq!(spans::stat(SpanKind::EvalOp).count, 2);
+    let ops = row(SpanKind::EvalOp);
+    assert_eq!((ops.count, ops.total_ns), (2, 700));
 
-    let stream = events::drain();
-    assert_eq!(stream.len(), 3);
-    assert!(matches!(&stream[0], Event::Op(e) if e.op.kind == OpKind::Mul));
-    assert!(matches!(
-        &stream[1],
-        Event::Repair {
-            kind: RepairKind::Rescale,
-            ..
-        }
-    ));
-    assert!(matches!(&stream[2], Event::Op(e) if e.op.kind == OpKind::Add));
-    assert!(events::drain().is_empty(), "drain empties the stream");
-
+    let snap = trace::snapshot();
     let t = trace::take();
+    assert_eq!(snap, t, "a snapshot reads what take drains");
+    assert_eq!(row(SpanKind::EvalOp).count, 0, "take drains the records");
     assert_eq!(t.meta.workload, "flow");
     assert_eq!(t.entries.len(), 2);
     assert_eq!(t.entries[0].seq, 0);
@@ -123,18 +135,23 @@ fn counters_spans_events_and_trace_flow_together() {
     bp_telemetry::set_enabled(false);
     record(OpKind::Sub, 100, None);
     counters::add(Counter::NttForward, 7);
+    {
+        let _sp = spans::span(SpanKind::BasisConvert);
+    }
     assert_eq!(
         counters::get(Counter::NttForward),
         5,
         "gated add is a no-op"
     );
+    assert_eq!(row(SpanKind::BasisConvert).count, 3, "gated span is inert");
     assert!(trace::take().entries.is_empty());
     bp_telemetry::set_enabled(true);
 
     // Full reset clears every store.
+    record(OpKind::Sub, 100, None);
     bp_telemetry::reset();
     assert_eq!(counters::get(Counter::NttForward), 0);
-    assert_eq!(spans::stat(SpanKind::BasisConvert).count, 0);
-    assert!(events::drain().is_empty());
+    assert_eq!(row(SpanKind::BasisConvert).count, 0);
+    assert_eq!(row(SpanKind::EvalOp).count, 0);
     assert!(trace::take().entries.is_empty());
 }

@@ -1,17 +1,35 @@
 //! Prometheus text-format exposition contract with the `enabled`
 //! feature compiled in: escaping, counter monotonicity, deterministic
-//! ordering, the JSONL ring, and the hierarchical profiler feeding the
+//! ordering, the efficiency statistics and the JSONL tail computed from
+//! the trace records, and the hierarchical profiler feeding the
 //! folded-stack output. Global state means each concern lives in one
 //! serialized test function.
 
 #![cfg(feature = "enabled")]
 
 use bp_telemetry::counters::{self, Counter};
-use bp_telemetry::efficiency::{self, PackingSample};
-use bp_telemetry::events::{self, Event, RepairKind};
 use bp_telemetry::export;
 use bp_telemetry::profile;
-use bp_telemetry::trace::OpKind;
+use bp_telemetry::trace::{self, OpKind, OpRecord};
+
+fn record(level: usize, residues: usize, log_q: f64) {
+    trace::record_op(OpRecord {
+        kind: OpKind::Mul,
+        level,
+        residues,
+        shed: 0,
+        added: 0,
+        word_bits: 28,
+        batched: false,
+        repair: false,
+        duration_ns: 1,
+        noise_bits: 1.0,
+        clear_bits: 1.0,
+        scale_log2: 1.0,
+        log_q,
+        ir_op: None,
+    });
+}
 
 fn parse_metric(doc: &str, line_prefix: &str) -> f64 {
     doc.lines()
@@ -25,7 +43,7 @@ fn parse_metric(doc: &str, line_prefix: &str) -> f64 {
 }
 
 #[test]
-fn exposition_escaping_monotonicity_ordering_and_ring() {
+fn exposition_escaping_monotonicity_ordering_and_tail() {
     bp_telemetry::set_enabled(true);
     bp_telemetry::reset();
 
@@ -73,20 +91,10 @@ fn exposition_escaping_monotonicity_ordering_and_ring() {
     let zz = a.find("bitpacker_zz_last").expect("zz_last");
     assert!(aa < zz, "gauges must render in sorted order");
 
-    // --- Efficiency surface: histogram buckets are cumulative and end
-    // at +Inf. ---
-    efficiency::record(PackingSample {
-        level: 2,
-        residues: 4,
-        word_bits: 28,
-        info_bits: 84.0, // 28 wasted bits → le="32" bucket
-    });
-    efficiency::record(PackingSample {
-        level: 2,
-        residues: 4,
-        word_bits: 28,
-        info_bits: 112.0, // 0 wasted bits → le="1" bucket
-    });
+    // --- Efficiency surface, from the trace records: histogram buckets
+    // are cumulative and end at +Inf. ---
+    record(2, 4, 84.0); // 28 wasted bits → le="32" bucket
+    record(2, 4, 112.0); // 0 wasted bits → le="1" bucket
     let doc = export::prometheus();
     let b1 = parse_metric(&doc, "bitpacker_packing_wasted_bits_bucket{le=\"1\"}");
     let b32 = parse_metric(&doc, "bitpacker_packing_wasted_bits_bucket{le=\"32\"}");
@@ -102,27 +110,43 @@ fn exposition_escaping_monotonicity_ordering_and_ring() {
     );
     let mean = parse_metric(&doc, "bitpacker_packing_efficiency_mean");
     assert!((mean - 0.875).abs() < 1e-9);
-
-    // --- JSONL ring: events tee in, oldest lines overwritten at cap. ---
-    bp_telemetry::reset();
-    bp_telemetry::set_enabled(true);
-    for level in 0..export::JSONL_RING_CAP + 10 {
-        events::emit(Event::Repair {
-            kind: RepairKind::Adjust,
-            op: OpKind::Mul,
-            level,
-        });
-    }
-    assert_eq!(export::jsonl_overwritten(), 10);
-    let lines = export::drain_jsonl();
-    assert_eq!(lines.len(), export::JSONL_RING_CAP);
-    assert!(
-        lines[0].contains("\"level\":10"),
-        "oldest retained line must be the 11th emitted: {}",
-        lines[0]
+    assert_eq!(
+        parse_metric(&doc, "bitpacker_span_completed_total{kind=\"eval_op\"}"),
+        2.0
     );
-    assert!(lines.last().expect("tail").contains("\"type\":\"repair\""));
-    assert!(export::drain_jsonl().is_empty(), "drain empties the ring");
+
+    // --- JSONL tail: the newest JSONL_TAIL records, one op line each;
+    // older records are counted as overwritten. Reading drains nothing. ---
+    bp_telemetry::reset();
+    for level in 0..export::JSONL_TAIL + 10 {
+        record(level, 4, 84.0);
+    }
+    let doc = export::prometheus();
+    assert_eq!(
+        parse_metric(&doc, "bitpacker_events_jsonl_overwritten_total"),
+        10.0
+    );
+    assert_eq!(parse_metric(&doc, "bitpacker_events_dropped_total"), 0.0);
+    let lines = export::jsonl();
+    assert_eq!(lines.len(), export::JSONL_TAIL);
+    let entries = trace::snapshot().entries;
+    for (line, entry) in lines.iter().zip(&entries[10..]) {
+        assert_eq!(*line, export::op_json(entry));
+    }
+    // The oldest line is the 11th record, and the line format is pinned.
+    assert_eq!(
+        lines[0],
+        concat!(
+            r#"{"type":"op","seq":10,"op":"mul","level":10,"residues":4,"shed":0,"#,
+            r#""added":0,"repair":false,"duration_ns":1,"noise_bits":1,"#,
+            r#""scale_log2":1,"log_q":84}"#
+        )
+    );
+    assert_eq!(
+        export::jsonl(),
+        lines,
+        "reading leaves the records in place"
+    );
 
     // --- Profiler paths render in folded output. ---
     {
@@ -145,6 +169,7 @@ fn exposition_escaping_monotonicity_ordering_and_ring() {
     assert_eq!(dest.as_deref(), path.to_str());
     let prom = std::fs::read_to_string(&path).expect("exposition file");
     assert!(prom.contains("# TYPE bitpacker_eval_ops_total counter"));
-    assert!(std::fs::metadata(format!("{}.jsonl", path.display())).is_ok());
+    let tail = std::fs::read_to_string(format!("{}.jsonl", path.display())).expect("JSONL file");
+    assert_eq!(tail.lines().collect::<Vec<_>>(), lines);
     std::fs::remove_dir_all(&dir).ok();
 }

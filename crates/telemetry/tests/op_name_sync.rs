@@ -1,11 +1,10 @@
 //! The single-source-of-truth contract for op names: the telemetry trace
-//! schema, the event-stream JSON, and the IR wire format must all
-//! serialize the identical `bp_ir::OpKind::name` strings. Before the IR
-//! unification these were three hand-maintained string tables; this test
-//! pins the surfaces to the one that remains.
+//! schema, the JSONL tail, and the IR wire format must all serialize the
+//! identical `bp_ir::OpKind::name` strings. Before the IR unification
+//! these were three hand-maintained string tables; this test pins the
+//! surfaces to the one that remains.
 
-use bp_telemetry::events::Event;
-use bp_telemetry::export::event_json;
+use bp_telemetry::export::op_json;
 use bp_telemetry::trace::{EvalTrace, OpKind, OpRecord, TraceEntry, TraceMeta, NUM_OP_KINDS};
 
 /// The canonical twelve names, in `OpKind::ALL` order. Changing any of
@@ -35,6 +34,7 @@ fn entry(kind: OpKind) -> TraceEntry {
             residues: 2,
             shed: 0,
             added: 0,
+            word_bits: 28,
             batched: false,
             repair: false,
             duration_ns: 1,
@@ -57,7 +57,7 @@ fn op_names_match_the_golden_list() {
 }
 
 #[test]
-fn telemetry_trace_event_and_ir_wire_serialize_the_same_names() {
+fn telemetry_trace_jsonl_and_ir_wire_serialize_the_same_names() {
     for (kind, golden) in OpKind::ALL.iter().zip(GOLDEN) {
         let needle = format!("\"op\":\"{golden}\"");
 
@@ -72,12 +72,11 @@ fn telemetry_trace_event_and_ir_wire_serialize_the_same_names() {
             "trace codec does not write {golden:?}"
         );
 
-        // Surface 2: the structured event stream (the Prometheus/JSONL
-        // exposition path).
-        let line = event_json(&Event::Op(entry(*kind)));
+        // Surface 2: the JSONL tail of the metrics exposition.
+        let line = op_json(&entry(*kind));
         assert!(
             line.contains(&needle),
-            "event exposition does not write {golden:?}"
+            "JSONL tail does not write {golden:?}"
         );
 
         // Surface 3: the IR wire format (also the oracle trace format).

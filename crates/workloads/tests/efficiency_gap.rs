@@ -4,11 +4,12 @@
 //! show BitPacker's mean packing efficiency strictly above RNS-CKKS's.
 //!
 //! Requires `--features telemetry`; the whole comparison lives in one
-//! test function because the efficiency store is process-global.
+//! test function because the trace recorder is process-global.
 
 #![cfg(feature = "telemetry")]
 
-use bp_ckks::telemetry::{self, efficiency, export, profile};
+use bp_ckks::telemetry::efficiency::EfficiencyReport;
+use bp_ckks::telemetry::{self, export, profile, trace};
 use bp_ckks::Representation;
 use bp_workloads::functional::{proxy_context_with_word_bits, run_proxy_in};
 use bp_workloads::App;
@@ -19,13 +20,13 @@ const WORD_BITS: u32 = 28;
 const LOG_N: u32 = 8;
 const LEVELS: usize = 6;
 
-fn logreg_efficiency(repr: Representation) -> efficiency::EfficiencyReport {
-    efficiency::reset();
+fn logreg_efficiency(repr: Representation) -> EfficiencyReport {
+    trace::reset();
     let ctx = proxy_context_with_word_bits(App::LogReg, repr, WORD_BITS, LOG_N, LEVELS);
     let mut rng = ChaCha20Rng::seed_from_u64(42);
     let report = run_proxy_in(&ctx, App::LogReg, &mut rng);
     assert!(report.mean_bits > 4.0, "proxy must still compute something");
-    efficiency::take()
+    EfficiencyReport::of(&trace::snapshot().entries)
 }
 
 #[test]
@@ -52,7 +53,14 @@ fn bitpacker_packs_strictly_tighter_than_rns_ckks_at_equal_parameters() {
     // Prometheus document carries the (RNS-CKKS, last-reset) efficiency
     // gauges and the span tree has op-rooted folded stacks.
     let prom = export::prometheus();
-    assert!(prom.contains("bitpacker_packing_efficiency_mean"));
+    assert!(prom.contains(&format!(
+        "\nbitpacker_packing_samples_total {}\n",
+        rc.samples
+    )));
+    assert!(prom.contains(&format!(
+        "\nbitpacker_packing_efficiency_mean {}\n",
+        rc.mean_efficiency()
+    )));
     assert!(prom.contains("bitpacker_packing_wasted_bits_bucket"));
     let folded = profile::snapshot().folded();
     assert!(
