@@ -35,13 +35,8 @@ pub mod area;
 mod compile;
 mod config;
 mod energy;
-#[cfg(feature = "fault-injection")]
-pub mod fault;
 mod lower;
 mod simulate;
-
-#[cfg(feature = "fault-injection")]
-pub use fault::{simulate_with_faults, FaultSchedule, FuStall, SimFaultError};
 
 pub use compile::{compile, FheOp, OpCategory, TraceContext, Work};
 pub use config::{AcceleratorConfig, FuKind, FU_KINDS};

@@ -76,29 +76,27 @@ fn spill_factor(working_set_mb: f64, regfile_mb: f64) -> f64 {
     }
 }
 
-/// The simulation loop, parameterised over a per-op hook so the
-/// fault-injection build can perturb execution without duplicating the
-/// roofline model. The hook sees each trace entry's index, the entry, and
-/// the per-FU busy cycles (mutable — stalls add cycles before the roofline
-/// max is taken); returning `Err` aborts the run, modeling an uncorrectable
-/// fault detected at that op.
-pub(crate) fn simulate_core<E>(
+/// Simulates a trace on a machine.
+///
+/// `working_set_mb` is the program's live-data footprint (ciphertexts +
+/// keyswitch hints at the largest level), used for the register-file spill
+/// model; pass 0.0 to disable spilling.
+pub fn simulate(
     trace: &[TraceOp],
     cfg: &AcceleratorConfig,
     ctx: &TraceContext,
     working_set_mb: f64,
-    mut hook: impl FnMut(usize, &TraceOp, &mut [f64; 6]) -> Result<(), E>,
-) -> Result<SimReport, E> {
+) -> SimReport {
     let model = EnergyModel::default();
     let spill = spill_factor(working_set_mb, cfg.regfile_mb);
     let mut report = SimReport::default();
 
-    for (i, t) in trace.iter().enumerate() {
+    for t in trace {
         let mut work = compile(&t.op, ctx, cfg.word_bits, cfg.kshgen);
         work.dram_bytes *= spill;
         let work = work.scaled(t.count);
 
-        let mut fu_cycles = [
+        let fu_cycles = [
             work.mul_elems / cfg.throughput(FuKind::Mul),
             work.add_elems / cfg.throughput(FuKind::Add),
             work.ntt_count * ctx.n as f64 / cfg.throughput(FuKind::Ntt),
@@ -106,7 +104,6 @@ pub(crate) fn simulate_core<E>(
             work.crb_macs / cfg.throughput(FuKind::Crb),
             work.kshgen_elems / cfg.throughput(FuKind::KshGen),
         ];
-        hook(i, t, &mut fu_cycles)?;
         let mem_cycles = work.dram_bytes / cfg.mem_bytes_per_cycle();
         let op_cycles = fu_cycles.iter().copied().fold(mem_cycles, f64::max);
 
@@ -126,27 +123,6 @@ pub(crate) fn simulate_core<E>(
         }
     }
     report.ms = report.cycles / (cfg.freq_ghz * 1e9) * 1e3;
-    Ok(report)
-}
-
-/// Simulates a trace on a machine.
-///
-/// `working_set_mb` is the program's live-data footprint (ciphertexts +
-/// keyswitch hints at the largest level), used for the register-file spill
-/// model; pass 0.0 to disable spilling.
-pub fn simulate(
-    trace: &[TraceOp],
-    cfg: &AcceleratorConfig,
-    ctx: &TraceContext,
-    working_set_mb: f64,
-) -> SimReport {
-    let fault_free = simulate_core(trace, cfg, ctx, working_set_mb, |_, _, _| {
-        Ok::<(), std::convert::Infallible>(())
-    });
-    let report = match fault_free {
-        Ok(report) => report,
-        Err(never) => match never {},
-    };
     record_occupancy(&report);
     report
 }

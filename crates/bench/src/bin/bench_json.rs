@@ -1,15 +1,17 @@
-//! Machine-readable CPU benchmark emitter.
+//! Thread-scaling check for the persistent worker pool.
 //!
 //! Times the hot evaluator operations (`ntt`, ciphertext
 //! `mul + relinearize + rescale`, `rotate`, `adjust`) at N ∈ {4096, 8192}
-//! and thread counts {1, 4}, and writes the medians to `BENCH_cpu.json` so
-//! successive PRs have a perf trajectory to compare against. Run with
-//! `--release`:
+//! and thread counts {1, 4}, and writes the medians and the t4/t1
+//! speedups as a `bitpacker-cpu-bench/v2` document. CI's `thread-scaling`
+//! job runs it with `--enforce-scaling`; end-to-end performance is
+//! measured by `bench_e2e` (`e2e-bench/`). Run with `--release`:
 //!
 //! ```text
 //! cargo run --release -p bp-bench --bin bench_json [-- output.json] [--fast] [--enforce-scaling]
 //! ```
 //!
+//! * The document goes to `thread_scaling.json` unless a path is given.
 //! * `--fast` cuts the sample count (3 instead of 7) for smoke jobs where
 //!   wall-clock matters more than noise floor.
 //! * `--enforce-scaling` exits nonzero when any n=8192 op has
@@ -77,7 +79,7 @@ fn setup(log_n: u32, threads: usize) -> (CkksContext, KeySet) {
 }
 
 fn main() {
-    let mut out_path = "BENCH_cpu.json".to_string();
+    let mut out_path = "thread_scaling.json".to_string();
     let mut fast = false;
     let mut enforce_scaling = false;
     for arg in std::env::args().skip(1) {
@@ -195,7 +197,7 @@ fn main() {
         .raw("speedups", speedups.build())
         .build();
 
-    std::fs::write(&out_path, &json).expect("write BENCH_cpu.json");
+    std::fs::write(&out_path, &json).expect("write the bench document");
     println!("{json}");
     println!("[bench_json] wrote {out_path}");
 

@@ -16,10 +16,11 @@ use std::io::Write;
 use std::path::PathBuf;
 
 /// Stable run-environment metadata stamped as the header of every JSON
-/// document the harness emits (`BENCH_cpu.json`, `TRACE_*.json`): schema
-/// version, git commit, machine shape, and the harness-supplied
-/// timestamp. Keeping the header shape fixed lets successive PRs diff
-/// emitted documents mechanically.
+/// document the benchmarks emit — `bench_e2e`'s run documents,
+/// `trace_report`'s `TRACE_*.json` and `bench_json`'s thread-scaling
+/// document: schema version, git commit, machine shape, and the
+/// harness-supplied timestamp. Keeping the header shape fixed lets
+/// successive changes diff emitted documents mechanically.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunMeta {
     /// Document schema identifier (e.g. `bitpacker-cpu-bench/v2`).

@@ -481,16 +481,7 @@ fn build_bitpacker_levels(params: &CkksParams) -> Result<Vec<LevelInfo>, ChainEr
     let mut scale = FactoredScale::from_pow2(targets[lmax] as i64);
     for l in (0..=lmax).rev() {
         let moduli = choose_packed_moduli(target_log_q, &nt_pool, &nt_cum, &term_cands)
-            .ok_or_else(|| {
-                if std::env::var_os("BP_CHAIN_DEBUG").is_some() {
-                    eprintln!(
-                        "bitpacker chain: level {l} target {target_log_q:.2} bits unmatched \
-                         (w = {w}, {} terminal candidates)",
-                        term_cands.len()
-                    );
-                }
-                ChainError::TargetUnmatched { level: l }
-            })?;
+            .ok_or(ChainError::TargetUnmatched { level: l })?;
         if l < lmax {
             // S_l = S_{l+1}^2 * Q_l / Q_{l+1}, exactly.
             let prev = levels[l + 1].as_ref().expect("filled");

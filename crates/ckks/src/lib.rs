@@ -63,7 +63,6 @@ mod keys;
 pub mod levels;
 pub mod noise;
 mod params;
-pub mod poly_eval;
 pub mod program;
 mod sampling;
 mod security;

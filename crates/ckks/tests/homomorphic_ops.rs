@@ -332,20 +332,109 @@ fn conjugation_preserves_real_values() {
 }
 
 #[test]
-fn polynomial_evaluation_via_public_api() {
-    use bp_ckks::poly_eval::{chebyshev_coeffs, eval_bsgs};
-    let ctx = ctx(Representation::BitPacker, 8, 6, 30);
-    let mut rng = ChaCha20Rng::seed_from_u64(23);
-    let keys = ctx.keygen(&mut rng);
+fn polynomial_evaluation_runs_as_a_program() {
+    use bp_ckks::ir::{chebyshev_coeffs, reference, ProgramBuilder};
+    use bp_ckks::level_budget;
+
+    const DEGREE_7: [f64; 8] = [0.1, -0.3, 0.05, 0.2, -0.15, 0.08, 0.02, -0.01];
+    struct Case {
+        name: &'static str,
+        levels: usize,
+        seed: u64,
+        xs: Vec<f64>,
+        coeffs: Vec<f64>,
+        bsgs: bool,
+        closed_form: fn(f64) -> f64,
+        tolerance: f64,
+    }
+    let sigmoid = |x: f64| 1.0 / (1.0 + (-4.0 * x).exp());
     // AESPA-like smooth activation.
-    let act = |x: f64| 0.5 * x * x + 0.3 * x;
-    let coeffs = chebyshev_coeffs(act, 4);
-    let xs = [0.2f64, -0.9, 0.55];
-    let ct = ctx.encrypt(&ctx.encode(&xs, ctx.max_level()), &keys.public, &mut rng);
-    let out = eval_bsgs(&ctx, &keys.evaluation, &ct, &coeffs).unwrap();
-    let got = ctx.decrypt_to_values(&out, &keys.secret, 3).unwrap();
-    for (g, &x) in got.iter().zip(&xs) {
-        assert!((g - act(x)).abs() < 1e-2, "act({x}): {g}");
+    let aespa = |x: f64| 0.5 * x * x + 0.3 * x;
+    let cases = [
+        Case {
+            name: "Horner cubic",
+            levels: 4,
+            seed: 31,
+            xs: vec![0.3, -0.5, 0.8, -0.1],
+            coeffs: vec![0.25, -1.0, 0.5, 2.0],
+            bsgs: false,
+            closed_form: |x| 0.25 - x + 0.5 * x * x + 2.0 * x * x * x,
+            tolerance: 5e-3,
+        },
+        Case {
+            name: "BSGS degree 7",
+            levels: 7,
+            seed: 32,
+            xs: vec![0.4, -0.6, 0.9],
+            coeffs: DEGREE_7.to_vec(),
+            bsgs: true,
+            closed_form: |x| (0..8).map(|i| DEGREE_7[i] * x.powi(i as i32)).sum(),
+            tolerance: 1e-2,
+        },
+        Case {
+            name: "Chebyshev sigmoid",
+            levels: 5,
+            seed: 33,
+            xs: vec![0.0, 0.5, -0.5, 0.9],
+            coeffs: chebyshev_coeffs(sigmoid, 5),
+            bsgs: true,
+            closed_form: sigmoid,
+            tolerance: 0.05,
+        },
+        Case {
+            name: "AESPA activation",
+            levels: 6,
+            seed: 23,
+            xs: vec![0.2, -0.9, 0.55],
+            coeffs: chebyshev_coeffs(aespa, 4),
+            bsgs: true,
+            closed_form: aespa,
+            tolerance: 1e-2,
+        },
+    ];
+    for repr in REPRS {
+        for case in &cases {
+            let label = format!("{repr} {}", case.name);
+            let ctx = ctx(repr, 8, case.levels, 30);
+            let mut b = ProgramBuilder::new(ctx.params().word_bits());
+            let x = b.input();
+            let y = if case.bsgs {
+                b.bsgs(x, ctx.max_level(), &case.coeffs, 0)
+            } else {
+                b.horner(x, ctx.max_level(), &case.coeffs, 0)
+            };
+            b.output("y", y);
+            let program = b.finish();
+            program
+                .validate(&level_budget(ctx.chain()))
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            // Coefficient i is plaintext i.
+            let mut coeff = |pseed: u64, slots: usize| vec![case.coeffs[pseed as usize]; slots];
+
+            let mut rng = ChaCha20Rng::seed_from_u64(case.seed);
+            let keys = ctx.keygen(&mut rng);
+            let pt = ctx.encode(&case.xs, ctx.max_level());
+            let ct = ctx.encrypt(&pt, &keys.public, &mut rng);
+            let run = ctx
+                .evaluator()
+                .run_program(&program, vec![ct], &keys.evaluation, &mut coeff)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            let got = ctx
+                .decrypt_to_values(run.result(), &keys.secret, case.xs.len())
+                .unwrap();
+            let exact = &reference::run(&program, std::slice::from_ref(&case.xs), &mut coeff)[y];
+            for ((g, r), &x) in got.iter().zip(exact).zip(&case.xs) {
+                let want = (case.closed_form)(x);
+                assert!(
+                    (g - r).abs() < case.tolerance,
+                    "{label}, x = {x}: {g} vs reference {r}"
+                );
+                assert!(
+                    (g - want).abs() < case.tolerance,
+                    "{label}, x = {x}: {g} vs closed form {want}"
+                );
+            }
+        }
     }
 }
 

@@ -15,7 +15,8 @@
 //! - the op vocabulary and stable snake_case op names ([`OpKind`]),
 //! - the program DAG with symbolic `(level, pow)` scale inference and
 //!   validation against a [`LevelBudget`] ([`Program`], [`NodeState`]),
-//! - a builder API ([`ProgramBuilder`]),
+//! - a builder API ([`ProgramBuilder`]), with Horner and baby-step/giant-step
+//!   polynomial evaluation and Chebyshev interpolation ([`poly`]),
 //! - the versioned `bitpacker-ir/v1` JSON wire format ([`IrDoc`]),
 //! - an exact `f64` reference interpreter ([`reference`]), and
 //! - the dependency-free JSON codec ([`json`]) the wire format (and the
@@ -27,11 +28,13 @@
 pub mod builder;
 pub mod json;
 pub mod op;
+pub mod poly;
 pub mod program;
 pub mod reference;
 pub mod wire;
 
 pub use builder::ProgramBuilder;
 pub use op::{Op, OpKind, NUM_OP_KINDS};
+pub use poly::chebyshev_coeffs;
 pub use program::{LevelBudget, NodeState, Output, Program};
 pub use wire::{canonical_json, IrDoc, IrError, IR_SCHEMA};

@@ -23,7 +23,7 @@
 //!    loop. An **adaptive cutoff** extends this to small parallel pools:
 //!    when the caller supplies a per-item work estimate (the `*_with_work`
 //!    variants) and the estimated work per chunk falls below a calibrated
-//!    threshold ([`MIN_WORK_ENV_VAR`]), the fan-out runs inline too,
+//!    threshold ([`DEFAULT_MIN_WORK`]), the fan-out runs inline too,
 //!    because waking workers would cost more than it saves.
 //! 3. **Panics propagate, the pool survives.** A panic in any chunk is
 //!    caught at the chunk boundary, the remaining chunks still run, and
@@ -187,15 +187,9 @@ const AUTO_WORKER_CAP: usize = 64;
 /// Environment variable overriding the default worker count.
 pub const THREADS_ENV_VAR: &str = "BITPACKER_THREADS";
 
-/// Environment variable overriding the adaptive sequential cutoff:
-/// the minimum estimated work **per chunk**, in element-operation units
-/// (≈ one 64-bit modular multiply each), below which a `*_with_work`
-/// fan-out runs inline instead of waking the pool. `0` disables the
-/// cutoff (every eligible fan-out dispatches). Read when a pool is
-/// constructed.
-pub const MIN_WORK_ENV_VAR: &str = "BITPACKER_PAR_MIN_WORK";
-
-/// Default adaptive cutoff (element-operation units per chunk).
+/// Default adaptive cutoff: the minimum estimated work **per chunk**, in
+/// element-operation units (≈ one 64-bit modular multiply each), below
+/// which a `*_with_work` fan-out runs inline instead of waking the pool.
 ///
 /// Calibration: a parked-pool dispatch costs single-digit microseconds
 /// (see the `pool_dispatch` bench); an elementwise modular pass runs at
@@ -491,16 +485,15 @@ impl BpThreadPool {
     /// `workers == 0` is clamped to 1; `workers == 1` is the pure
     /// sequential executor (parallel calls never spawn). Worker threads
     /// are not created until the first parallel dispatch. The adaptive
-    /// cutoff threshold is read from [`MIN_WORK_ENV_VAR`] at construction
-    /// time.
+    /// cutoff threshold is [`DEFAULT_MIN_WORK`].
     pub fn new(workers: usize) -> Self {
-        Self::with_min_work(workers, min_work_from_env())
+        Self::with_min_work(workers, DEFAULT_MIN_WORK)
     }
 
     /// Like [`BpThreadPool::new`] with an explicit adaptive-cutoff
     /// threshold (element-operation units per chunk; `0` disables the
-    /// cutoff), ignoring [`MIN_WORK_ENV_VAR`]. Intended for benchmarks
-    /// and tests that need both sides of the cutoff deterministically.
+    /// cutoff). Intended for benchmarks and tests that need both sides of
+    /// the cutoff deterministically.
     pub fn with_min_work(workers: usize, min_work: u64) -> Self {
         Self {
             workers: workers.max(1),
@@ -541,13 +534,12 @@ impl BpThreadPool {
     /// The process-wide default pool, shared by every context that does
     /// not supply its own handle.
     ///
-    /// **Snapshot semantics:** the environment (`BITPACKER_THREADS`,
-    /// `BITPACKER_PAR_MIN_WORK`) is read **once**, on the first call, and
-    /// the resulting pool is cached for the life of the process — later
-    /// changes to the environment are ignored by design, because contexts
-    /// and NTT tables capture the returned `Arc` and a mid-run worker
-    /// count change would silently split state across two pools. To pick
-    /// up a changed environment, construct a fresh pool with
+    /// **Snapshot semantics:** `BITPACKER_THREADS` is read **once**, on the
+    /// first call, and the resulting pool is cached for the life of the
+    /// process — later changes to the environment are ignored by design,
+    /// because contexts and NTT tables capture the returned `Arc` and a
+    /// mid-run worker count change would silently split state across two
+    /// pools. To pick up a changed environment, construct a fresh pool with
     /// [`BpThreadPool::from_env`] and pass it explicitly (e.g. via
     /// `CkksContext::with_threads`).
     pub fn global() -> Arc<BpThreadPool> {
@@ -560,13 +552,6 @@ impl BpThreadPool {
     #[inline]
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The adaptive-cutoff threshold in effect (element-op units per
-    /// chunk; `0` = cutoff disabled).
-    #[inline]
-    pub fn min_work(&self) -> u64 {
-        self.min_work
     }
 
     /// Lazily spawns the parked workers. Spawn failure is tolerated:
@@ -805,17 +790,6 @@ impl Drop for BpThreadPool {
     }
 }
 
-/// Parses [`MIN_WORK_ENV_VAR`]; unset or unparsable falls back to
-/// [`DEFAULT_MIN_WORK`].
-fn min_work_from_env() -> u64 {
-    parse_min_work(std::env::var(MIN_WORK_ENV_VAR).ok().as_deref())
-}
-
-fn parse_min_work(v: Option<&str>) -> u64 {
-    v.and_then(|s| s.trim().parse::<u64>().ok())
-        .unwrap_or(DEFAULT_MIN_WORK)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -885,14 +859,6 @@ mod tests {
             let b = parallel.par_map_with_work(len, 8, |i| (i as u64).wrapping_mul(0x2545F491));
             assert_eq!(a, b, "len={len}");
         }
-    }
-
-    #[test]
-    fn min_work_env_parsing() {
-        assert_eq!(parse_min_work(None), DEFAULT_MIN_WORK);
-        assert_eq!(parse_min_work(Some("0")), 0);
-        assert_eq!(parse_min_work(Some(" 4096 ")), 4096);
-        assert_eq!(parse_min_work(Some("banana")), DEFAULT_MIN_WORK);
     }
 
     #[test]

@@ -243,26 +243,35 @@ mod tests {
     fn proxy_programs_are_strict_valid_for_their_chains() {
         // Every app's unrolled circuit must validate against the level
         // budget of the chain it was built for — the interpreter runs it
-        // under EvalPolicy::Strict with no alignment repairs.
-        for app in App::ALL {
-            let ctx = proxy_context(app, Representation::BitPacker, 8, 6);
-            let mut rng = ChaCha20Rng::seed_from_u64(7);
-            let (program, plains) = proxy_program(
-                app,
-                ctx.params().word_bits(),
-                ctx.max_level(),
-                ctx.params().slots(),
-                &mut rng,
-            );
-            program
-                .validate(&bp_ckks::level_budget(ctx.chain()))
-                .unwrap_or_else(|e| panic!("{}: {e}", app.name()));
-            assert!(
-                program.num_nodes() > program.inputs,
-                "{}: circuit unrolled no layers",
-                app.name()
-            );
-            assert!(plains.len() > 1, "{}: no weight layers", app.name());
+        // under EvalPolicy::Strict with no alignment repairs. The cases
+        // are the small test chain and fig13_cpu's configuration (61-bit
+        // words, N = 2^13, 12 levels) under both representations.
+        let configs = [
+            (Representation::BitPacker, 28, 8, 6),
+            (Representation::BitPacker, 61, 13, 12),
+            (Representation::RnsCkks, 61, 13, 12),
+        ];
+        for (repr, word_bits, log_n, levels) in configs {
+            for app in App::ALL {
+                let ctx = proxy_context_with_word_bits(app, repr, word_bits, log_n, levels);
+                let label = format!("{} {repr} w{word_bits} N=2^{log_n}", app.name());
+                let mut rng = ChaCha20Rng::seed_from_u64(7);
+                let (program, plains) = proxy_program(
+                    app,
+                    word_bits,
+                    ctx.max_level(),
+                    ctx.params().slots(),
+                    &mut rng,
+                );
+                program
+                    .validate(&bp_ckks::level_budget(ctx.chain()))
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                assert!(
+                    program.num_nodes() > program.inputs,
+                    "{label}: circuit unrolled no layers"
+                );
+                assert!(plains.len() > 1, "{label}: no weight layers");
+            }
         }
     }
 
