@@ -129,8 +129,7 @@ pub fn simulate(
 
 /// Surfaces per-FU utilization through the telemetry exposition path:
 /// cumulative busy/total cycle counters plus the occupancy of the most
-/// recent run (live only when `bp-telemetry` is compiled with its
-/// `enabled` feature and the runtime gate is on).
+/// recent run (only while telemetry recording is on).
 fn record_occupancy(report: &SimReport) {
     if !bp_telemetry::enabled() {
         return;

@@ -3,12 +3,11 @@
 //! and lowers the same program through the accelerator model for a cycle
 //! estimate.
 //!
-//! Requires the `telemetry` feature (the binary exits with an error
-//! otherwise):
+//! The binary switches recording on itself:
 //!
 //! ```text
-//! cargo run --release -p bp-bench --features telemetry --bin trace_report
-//! cargo run --release -p bp-bench --features telemetry --bin trace_report -- --small
+//! cargo run --release -p bp-bench --bin trace_report
+//! cargo run --release -p bp-bench --bin trace_report -- --small
 //! ```
 //!
 //! `--small` drops the ring degree to N=1024 for CI smoke runs; the
@@ -135,13 +134,6 @@ fn main() {
     let out_path = out_path.unwrap_or_else(|| format!("TRACE_{WORKLOAD}.json"));
 
     telemetry::set_enabled(true);
-    if !telemetry::enabled() {
-        eprintln!(
-            "error: telemetry is compiled out — rebuild with \
-             `--features telemetry`"
-        );
-        std::process::exit(2);
-    }
 
     let log_n = if small { 10 } else { 13 };
     let params = CkksParams::builder()

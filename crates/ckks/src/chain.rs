@@ -632,60 +632,6 @@ fn terminal_candidates(w: u32, two_n: u64, min_bits: u32) -> Vec<u64> {
     out
 }
 
-/// Memoized [`BasisConverter`]s keyed by `(source basis, destination
-/// basis)`.
-///
-/// Keyswitching builds the same handful of conversions (digit basis →
-/// extension basis, special primes → level basis) on *every* multiply and
-/// rotate; each build costs `O(k·m)` BigUint divisions plus inversions.
-/// Caching them per context removes that setup cost from the hot path
-/// entirely — the bases in play are fixed once the chain is built.
-#[derive(Debug, Default)]
-pub struct ConverterCache {
-    cache: std::sync::RwLock<HashMap<ConverterKey, std::sync::Arc<bp_rns::basis::BasisConverter>>>,
-}
-
-/// Cache key: `(source basis, destination basis)`.
-type ConverterKey = (Vec<u64>, Vec<u64>);
-
-impl ConverterCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the converter for `src → dst`, building and memoizing it on
-    /// first use.
-    ///
-    /// # Errors
-    /// Propagates [`bp_rns::RnsError`] from converter construction
-    /// (empty/overlapping bases).
-    pub fn get(
-        &self,
-        pool: &bp_rns::PrimePool,
-        src: &[u64],
-        dst: &[u64],
-    ) -> Result<std::sync::Arc<bp_rns::basis::BasisConverter>, bp_rns::RnsError> {
-        let key = (src.to_vec(), dst.to_vec());
-        if let Some(c) = self.cache.read().expect("converter cache lock").get(&key) {
-            return Ok(std::sync::Arc::clone(c));
-        }
-        let src_tables: Vec<_> = src.iter().map(|&q| pool.table(q)).collect();
-        let dst_tables: Vec<_> = dst.iter().map(|&q| pool.table(q)).collect();
-        let built = std::sync::Arc::new(bp_rns::basis::BasisConverter::new(
-            &src_tables,
-            &dst_tables,
-        )?);
-        let mut w = self.cache.write().expect("converter cache lock");
-        Ok(std::sync::Arc::clone(w.entry(key).or_insert(built)))
-    }
-
-    /// Number of converters currently memoized.
-    pub fn cached(&self) -> usize {
-        self.cache.read().expect("converter cache lock").len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,6 +1,6 @@
 //! The CKKS context: parameters, chain, encoder, pool, and key management.
 
-use crate::chain::{ChainError, ConverterCache, ModulusChain};
+use crate::chain::{ChainError, ModulusChain};
 use crate::ciphertext::Ciphertext;
 use crate::encoding::{Encoder, Plaintext};
 use crate::error::EvalError;
@@ -72,7 +72,6 @@ pub struct CkksContext {
     pool: Arc<PrimePool>,
     chain: ModulusChain,
     encoder: Encoder,
-    converters: ConverterCache,
 }
 
 impl CkksContext {
@@ -113,7 +112,6 @@ impl CkksContext {
             pool: Arc::new(PrimePool::with_threads(params.n(), threads)),
             chain,
             encoder: Encoder::new(params.n()),
-            converters: ConverterCache::new(),
         })
     }
 
@@ -127,7 +125,7 @@ impl CkksContext {
         &self.chain
     }
 
-    /// The shared NTT-table pool.
+    /// The shared pool of NTT tables and basis converters.
     pub fn pool(&self) -> &PrimePool {
         &self.pool
     }
@@ -135,11 +133,6 @@ impl CkksContext {
     /// The parallel executor residue loops fan out on.
     pub fn threads(&self) -> &Arc<BpThreadPool> {
         self.pool.threads()
-    }
-
-    /// The context-wide basis-converter cache (keyswitch hot path).
-    pub(crate) fn converters(&self) -> &ConverterCache {
-        &self.converters
     }
 
     /// The encoder.

@@ -22,7 +22,7 @@ use crate::levels;
 use crate::noise::NoiseEstimate;
 use crate::params::Representation;
 use bp_math::FactoredScale;
-use bp_rns::rescale::scale_down_with_converter;
+use bp_rns::rescale::scale_down;
 use bp_rns::{CancelToken, Domain, ResiduePoly, RnsError, RnsPoly};
 use bp_telemetry::trace::{self, OpKind, OpRecord};
 use bp_telemetry::Stopwatch;
@@ -181,8 +181,7 @@ impl<'a> Evaluator<'a> {
 
     /// Records one completed op into the telemetry trace, with its
     /// level-management detail: residues shed and added, and whether it
-    /// was an auto-align repair. A no-op unless telemetry is compiled in
-    /// and live.
+    /// was an auto-align repair. A no-op unless telemetry is live.
     fn observe(
         &self,
         kind: OpKind,
@@ -756,7 +755,7 @@ impl<'a> Evaluator<'a> {
             let ext = if rest.is_empty() {
                 src
             } else {
-                let conv = self.ctx.converters().get(pool, &c_j, &rest)?;
+                let conv = pool.converter(&c_j, &rest)?;
                 let converted = conv.convert_from(src.residues(), Domain::Ntt, Domain::Ntt)?;
                 // Assemble in f_l order: originals where present, converted
                 // otherwise. Option slots let every residue move exactly
@@ -791,12 +790,11 @@ impl<'a> Evaluator<'a> {
             ext.into_scratch();
         }
 
-        // Mod-down by the special primes, reusing the cached P → Q_ℓ
-        // converter (extracting `special` from `f_l` leaves exactly
-        // `active`, in order).
-        let conv = self.ctx.converters().get(pool, special, active)?;
-        scale_down_with_converter(&mut acc_b, special, &conv)?;
-        scale_down_with_converter(&mut acc_a, special, &conv)?;
+        // Mod-down by the special primes through the pool's memoized
+        // P → Q_ℓ converter (extracting `special` from `f_l` leaves
+        // exactly `active`, in order).
+        scale_down(&mut acc_b, special, pool)?;
+        scale_down(&mut acc_a, special, pool)?;
         Ok((acc_b, acc_a))
     }
 }

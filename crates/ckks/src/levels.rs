@@ -59,7 +59,7 @@ pub fn rescale(
 ///
 /// # Errors
 /// [`EvalError::LevelExhausted`] if the ciphertext is at level 0.
-pub fn adjust_one(
+pub fn adjust(
     ct: &mut Ciphertext,
     chain: &ModulusChain,
     pool: &PrimePool,
@@ -103,39 +103,6 @@ pub fn adjust_one(
     Ok(())
 }
 
-/// The original (approximate) RNS-CKKS adjust — "mod-down" — which simply
-/// discards residues without fixing up the scale (paper Sec. 2.3). Kept as
-/// an ablation: its error is negligible for ~50-bit moduli but harmful for
-/// ~30-bit ones, which is why Kim et al.'s adjust (implemented in
-/// [`adjust_one`]) is the baseline the paper evaluates.
-///
-/// Only meaningful for RNS-CKKS chains (BitPacker levels are not subsets).
-///
-/// # Errors
-/// [`EvalError::Unsupported`] for BitPacker chains;
-/// [`EvalError::LevelExhausted`] at level 0.
-pub fn mod_down_adjust(ct: &mut Ciphertext, chain: &ModulusChain) -> Result<(), EvalError> {
-    if chain.representation() != Representation::RnsCkks {
-        return Err(EvalError::Unsupported(
-            "mod-down requires nested (RNS-CKKS) levels — BitPacker level bases \
-             are not subsets of each other"
-                .into(),
-        ));
-    }
-    let l = ct.level;
-    if l == 0 {
-        return Err(EvalError::LevelExhausted { op: "mod-down" });
-    }
-    let shed = chain.shed_between(l);
-    let _ = ct.c0.extract_residues(&shed)?;
-    let _ = ct.c1.extract_residues(&shed)?;
-    // The underlying values and the *claimed* scale are unchanged; the
-    // mismatch against the true scale at L-1 is mod-down's error.
-    ct.level = l - 1;
-    ct.scale = chain.scale_at(l - 1).clone();
-    Ok(())
-}
-
 fn rns_rescale_ct(ct: &mut Ciphertext, chain: &ModulusChain) -> Result<(), EvalError> {
     let l = ct.level;
     if l == 0 {
@@ -176,7 +143,7 @@ fn bp_rescale_ct(
         if !added_tables.is_empty() {
             scale_up(poly, &added_tables)?;
         }
-        scale_down(poly, &shed)?;
+        scale_down(poly, &shed, pool)?;
     }
     for &q in &added {
         ct.scale = ct.scale.mul_prime(q);
@@ -219,10 +186,6 @@ pub fn reference_bootstrap<R: rand::Rng + ?Sized>(
     let fresh = ctx.encode(&vals, ctx.max_level());
     Ok(ctx.encrypt_symmetric(&fresh, sk, rng))
 }
-
-// Tests for this module live in `tests/` at the crate root (they need the
-// full context machinery) and in the integration suite.
-pub use adjust_one as adjust;
 
 #[cfg(test)]
 mod tests {
@@ -279,7 +242,7 @@ mod tests {
         for repr in [Representation::RnsCkks, Representation::BitPacker] {
             let (chain, pool) = small_chain(repr);
             let mut ct = dummy_ct(&chain, &pool, chain.max_level());
-            adjust_one(&mut ct, &chain, &pool).unwrap();
+            adjust(&mut ct, &chain, &pool).unwrap();
             assert_eq!(ct.level, chain.max_level() - 1);
             // Exact bookkeeping: adjusted scale equals the chain scale.
             assert_eq!(
@@ -293,26 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn mod_down_discards_residues() {
-        let (chain, pool) = small_chain(Representation::RnsCkks);
-        let mut ct = dummy_ct(&chain, &pool, chain.max_level());
-        let before = ct.num_residues();
-        mod_down_adjust(&mut ct, &chain).unwrap();
-        assert!(ct.num_residues() < before);
-        assert_eq!(ct.level, chain.max_level() - 1);
-    }
-
-    #[test]
-    fn mod_down_rejected_for_bitpacker() {
-        let (chain, pool) = small_chain(Representation::BitPacker);
-        let mut ct = dummy_ct(&chain, &pool, chain.max_level());
-        assert!(matches!(
-            mod_down_adjust(&mut ct, &chain),
-            Err(EvalError::Unsupported(_))
-        ));
-    }
-
-    #[test]
     fn rescale_at_level_zero_is_an_error() {
         for repr in [Representation::RnsCkks, Representation::BitPacker] {
             let (chain, pool) = small_chain(repr);
@@ -322,7 +265,7 @@ mod tests {
                 Err(EvalError::LevelExhausted { op: "rescale" })
             ));
             assert!(matches!(
-                adjust_one(&mut ct, &chain, &pool),
+                adjust(&mut ct, &chain, &pool),
                 Err(EvalError::LevelExhausted { op: "adjust" })
             ));
         }

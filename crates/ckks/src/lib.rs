@@ -75,7 +75,7 @@ pub use bp_ir as ir;
 // Re-exported so downstream crates (bench binaries, tests) drive the
 // instrumentation layer without naming bp-telemetry as a dependency.
 pub use bp_telemetry as telemetry;
-pub use chain::{ChainError, ConverterCache, LevelInfo, ModulusChain};
+pub use chain::{ChainError, LevelInfo, ModulusChain};
 pub use ciphertext::Ciphertext;
 pub use context::{CkksContext, ContextError, KeySet};
 pub use encoding::{Encoder, Plaintext};

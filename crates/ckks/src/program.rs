@@ -141,16 +141,16 @@ const MUL_HEADROOM_BITS: f64 = 3.0;
 
 /// Derives the [`LevelBudget`] a chain supports: its top level, and the
 /// lowest level at which a `mul`/`square` result (scale `S_l²`) still fits
-/// the level's modulus with [`MUL_HEADROOM_BITS`] to spare. Programs
-/// validated against this budget execute on the chain without capacity
-/// exhaustion.
+/// the level's modulus with [`MUL_HEADROOM_BITS`] to spare, or
+/// `max_level + 1` when no level does. Programs validated against this
+/// budget execute on the chain without capacity exhaustion.
 pub fn level_budget(chain: &ModulusChain) -> LevelBudget {
     let max_level = chain.max_level();
     // Capacity grows monotonically with the level, so a threshold
     // suffices; combining chains is `max` over their budgets.
     let fits =
         |l: usize| chain.log_q_at(l) - 1.0 >= 2.0 * chain.scale_at(l).log2() + MUL_HEADROOM_BITS;
-    let min_mul_level = (0..=max_level).find(|&l| fits(l)).unwrap_or(max_level);
+    let min_mul_level = (0..=max_level).find(|&l| fits(l)).unwrap_or(max_level + 1);
     LevelBudget {
         max_level,
         min_mul_level,
@@ -254,5 +254,55 @@ impl Evaluator<'_> {
             nodes,
             outputs: program.outputs.clone(),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::params::{CkksParams, Representation};
+    use crate::security::SecurityLevel;
+    use bp_ir::{IrError, ProgramBuilder};
+
+    fn chain(repr: Representation, levels: usize) -> ModulusChain {
+        let params = CkksParams::builder()
+            .log_n(6)
+            .word_bits(28)
+            .representation(repr)
+            .security(SecurityLevel::Insecure)
+            .levels(levels, 40)
+            .base_modulus_bits(20)
+            .build()
+            .expect("params");
+        ModulusChain::new(&params).expect("chain")
+    }
+
+    fn square_then_rescale() -> Program {
+        let mut b = ProgramBuilder::new(28);
+        let x = b.input();
+        let sq = b.square(x);
+        let y = b.rescale(sq);
+        b.output("y", y);
+        b.finish()
+    }
+
+    #[test]
+    fn no_multiply_validates_on_a_chain_without_room_for_one() {
+        for repr in [Representation::BitPacker, Representation::RnsCkks] {
+            // log2 Q at the top level is about 60 bits against a 40-bit
+            // scale: a squared scale wraps at every level.
+            let budget = level_budget(&chain(repr, 1));
+            assert_eq!(budget.min_mul_level, budget.max_level + 1, "{repr:?}");
+            match square_then_rescale().validate(&budget) {
+                Err(IrError::Invalid { node, .. }) => assert_eq!(node, 1, "{repr:?}"),
+                other => panic!("{repr:?}: square must be rejected, got {other:?}"),
+            }
+            // One more level gives the top level room for the product.
+            let budget = level_budget(&chain(repr, 2));
+            assert!(budget.min_mul_level <= budget.max_level, "{repr:?}");
+            square_then_rescale()
+                .validate(&budget)
+                .unwrap_or_else(|e| panic!("{repr:?}: {e}"));
+        }
     }
 }

@@ -7,8 +7,6 @@
 //! Telemetry counters are process-global, so this file holds exactly one
 //! test.
 
-#![cfg(feature = "telemetry")]
-
 use bp_ckks::telemetry::counters::{self, Counter};
 use bp_ckks::{BpThreadPool, CkksContext, CkksParams, Representation, SecurityLevel};
 use rand::SeedableRng;

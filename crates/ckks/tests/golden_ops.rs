@@ -7,7 +7,7 @@
 //! bytes. Any change to an op's arithmetic, noise update, or capacity
 //! clamp moves a digest.
 //!
-//! When telemetry is live the test also pins the per-op trace record
+//! The test switches recording on and also pins the per-op trace record
 //! sequence `(kind, level, residues, shed, added, batched, repair)`, the
 //! set of profiler call paths, and digests of the Prometheus exposition
 //! and the trace JSON, so refactors of the evaluator's or the telemetry
@@ -412,7 +412,6 @@ const PATHS: &[&str] = &[
 #[test]
 fn evaluator_outputs_records_and_profile_paths_are_pinned() {
     telemetry::set_enabled(true);
-    let live = telemetry::enabled();
     let mut paths = std::collections::BTreeSet::new();
     for g in GOLDEN {
         let seen = run(g.repr, g.policy, &(g.program)());
@@ -421,30 +420,24 @@ fn evaluator_outputs_records_and_profile_paths_are_pinned() {
             "{}: node wire-byte digest moved (got {:#018x})",
             g.label, seen.digest
         );
-        if live {
+        assert_eq!(
+            seen.records, g.records,
+            "{}: trace record sequence moved",
+            g.label
+        );
+        paths.extend(seen.paths);
+        for (what, doc, pinned) in [
+            ("exposition", &seen.exposition, g.exposition),
+            ("trace JSON", &seen.trace_json, g.trace_json),
+        ] {
+            let got = fnv64([doc.as_bytes()]);
             assert_eq!(
-                seen.records, g.records,
-                "{}: trace record sequence moved",
+                got, pinned,
+                "{}: masked {what} digest moved (got {got:#018x}):\n{doc}",
                 g.label
             );
-            paths.extend(seen.paths);
-            for (what, doc, pinned) in [
-                ("exposition", &seen.exposition, g.exposition),
-                ("trace JSON", &seen.trace_json, g.trace_json),
-            ] {
-                let got = fnv64([doc.as_bytes()]);
-                assert_eq!(
-                    got, pinned,
-                    "{}: masked {what} digest moved (got {got:#018x}):\n{doc}",
-                    g.label
-                );
-            }
-        } else {
-            assert!(seen.records.is_empty() && seen.paths.is_empty());
         }
     }
-    if live {
-        let paths: Vec<&str> = paths.iter().map(String::as_str).collect();
-        assert_eq!(paths, PATHS, "profiler call-path set moved");
-    }
+    let paths: Vec<&str> = paths.iter().map(String::as_str).collect();
+    assert_eq!(paths, PATHS, "profiler call-path set moved");
 }

@@ -11,8 +11,6 @@
 //! (integration tests get their own process; `#[test]` fns within one
 //! file would race).
 
-#![cfg(feature = "telemetry")]
-
 use bp_ckks::telemetry::counters::{self, Counter};
 use bp_ckks::telemetry::spans::{self, SpanKind};
 use bp_ckks::telemetry::{self, trace};
@@ -91,6 +89,7 @@ fn run_program(threads: usize) -> (Vec<(Counter, u64)>, Vec<String>) {
 
 #[test]
 fn deterministic_counters_and_op_sequence_are_worker_count_invariant() {
+    telemetry::set_enabled(true);
     let (seq1, ops1) = run_program(1);
     let (seq4, ops4) = run_program(4);
 

@@ -1,19 +1,16 @@
-//! Disabled-path guard: with the `telemetry` feature off, running a full
-//! op program must record nothing — every counter zero, no spans, no
-//! trace entries — even after explicitly asking for recording.
-
-#![cfg(not(feature = "telemetry"))]
+//! Disabled-path guard: with recording switched off, running a full op
+//! program must record nothing — every counter zero, no spans, no
+//! profiler paths, no trace entries, and a stopwatch reading 0.
 
 use bp_ckks::telemetry::counters::{self, Counter};
-use bp_ckks::telemetry::{self, spans, trace};
+use bp_ckks::telemetry::{self, export, profile, spans, trace};
 use bp_ckks::{CkksContext, CkksParams, Representation, SecurityLevel};
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
 
 #[test]
-fn full_op_program_records_nothing_when_compiled_out() {
-    // Explicitly requesting recording must not resurrect it.
-    telemetry::set_enabled(true);
+fn full_op_program_records_nothing_while_recording_is_off() {
+    telemetry::set_enabled(false);
     assert!(!telemetry::enabled());
 
     let params = CkksParams::builder()
@@ -52,4 +49,7 @@ fn full_op_program_records_nothing_when_compiled_out() {
     let tr = trace::take();
     assert!(tr.entries.is_empty());
     assert_eq!(tr.dropped, 0);
+    assert!(profile::snapshot().paths.is_empty());
+    assert!(export::jsonl().is_empty());
+    assert_eq!(telemetry::Stopwatch::start().elapsed_ns(), 0);
 }

@@ -8,8 +8,8 @@
 //! numbers via shortest-roundtrip `{}` formatting); the parser rejects
 //! trailing garbage and enforces a recursion-depth limit.
 //!
-//! This module is compiled regardless of the `enabled` feature: program
-//! documents and schema validation must work in every build.
+//! Program documents and schema validation must work in every build, so
+//! this module has no dependencies and no feature gates.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -34,7 +34,8 @@ pub struct LevelBudget {
     /// still fits the level's modulus: `Q_l` must hold the `S_l²`-scale
     /// product with headroom, or the coefficients wrap and the result is
     /// undefined for *every* representation. Derived from the actual
-    /// chains (see `bp_ckks::level_budget`).
+    /// chains (see `bp_ckks::level_budget`). A chain with no such level
+    /// has `max_level + 1` here, so no multiply validates on it.
     pub min_mul_level: usize,
 }
 

@@ -48,11 +48,11 @@
 //! therefore cannot change the bytes produced by kernels that already
 //! started.
 //!
-//! With the `telemetry` feature, every parallel fan-out additionally
+//! While telemetry recording is on, every parallel fan-out additionally
 //! records pool-utilization statistics (dispatches, chunks, per-worker
 //! busy nanoseconds, max−min chunk imbalance, and fan-outs elided by the
-//! adaptive cutoff) into the `bp-telemetry` counters; without it the
-//! hooks compile to nothing.
+//! adaptive cutoff) into the `bp-telemetry` counters; while it is off the
+//! hooks cost one flag load.
 //!
 //! # Why there is one `unsafe` block in this crate
 //!

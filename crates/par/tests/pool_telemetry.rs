@@ -2,8 +2,6 @@
 //! time, and imbalance; sequential execution records nothing. Own
 //! process (integration test) because the counters are global.
 
-#![cfg(feature = "telemetry")]
-
 use bp_par::BpThreadPool;
 use bp_telemetry::counters::{self, Counter};
 

@@ -95,24 +95,6 @@ impl BasisConverter {
         &self.p
     }
 
-    /// Whether this converter was built for exactly the given source and
-    /// destination bases (in order). Lets callers reuse memoized
-    /// converters safely.
-    pub fn matches(&self, src: &[u64], dst: &[u64]) -> bool {
-        self.src_tables.len() == src.len()
-            && self.dst_tables.len() == dst.len()
-            && self
-                .src_tables
-                .iter()
-                .zip(src)
-                .all(|(t, &q)| t.modulus().value() == q)
-            && self
-                .dst_tables
-                .iter()
-                .zip(dst)
-                .all(|(t, &q)| t.modulus().value() == q)
-    }
-
     /// Converts source residues (coefficient domain) into the destination
     /// basis (coefficient domain).
     ///

@@ -8,6 +8,7 @@
 //! * [`NttTable`] — per-prime negacyclic NTT with precomputed Shoup
 //!   twiddles,
 //! * [`PrimePool`] — a lazy, shared cache of NTT tables keyed by prime,
+//!   and of the basis converters between ordered sets of them,
 //! * [`RnsPoly`] — the residue-polynomial vector with elementwise and
 //!   structural operations (add/sub/mul, automorphisms, residue
 //!   shedding/appending),

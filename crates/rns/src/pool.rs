@@ -1,16 +1,46 @@
-//! Shared, lazily-built cache of per-prime NTT tables.
+//! Shared, lazily-built cache of per-prime NTT tables and the basis
+//! converters built from them.
 //!
 //! BitPacker ciphertexts introduce *new* residue moduli as they move down
 //! levels (paper Fig. 5), so the set of primes in play is not fixed up
 //! front. [`PrimePool`] hands out `Arc<NttTable>`s on demand and memoizes
-//! them, so every polynomial touching prime `q` shares one table.
+//! them, so every polynomial touching prime `q` shares one table. It
+//! memoizes [`BasisConverter`]s the same way: keyswitching and level
+//! management convert between the same handful of bases on every op, and
+//! each build costs `O(k·m)` BigUint divisions plus inversions.
 
-use crate::NttTable;
+use crate::basis::BasisConverter;
+use crate::{NttTable, RnsError};
 use bp_par::BpThreadPool;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::{Arc, OnceLock, RwLock};
 
-/// A cache of [`NttTable`]s for one ring degree `N`.
+/// Per-key `OnceLock` slots: the outer map lock is held only long enough
+/// to find/insert a slot, never across construction, and `OnceLock`
+/// guarantees each value is built exactly once even when many threads
+/// race on the same previously-unseen key.
+type Memo<K, V> = RwLock<HashMap<K, Arc<OnceLock<V>>>>;
+
+/// The value memoized in `memo` under `key`, built by `build` on first
+/// use.
+fn memoized<K: Eq + Hash, V: Clone>(memo: &Memo<K, V>, key: K, build: impl FnOnce() -> V) -> V {
+    // The read guard must drop before the write lock is taken (an
+    // `if let` on the guard temporary would hold it through the else
+    // branch and self-deadlock).
+    let cached = memo.read().expect("pool lock").get(&key).cloned();
+    let slot = match cached {
+        Some(slot) => slot,
+        None => Arc::clone(memo.write().expect("pool lock").entry(key).or_default()),
+    };
+    slot.get_or_init(build).clone()
+}
+
+/// A converter's source and destination moduli, in order.
+type ConverterKey = (Vec<u64>, Vec<u64>);
+
+/// A cache of [`NttTable`]s, and of the [`BasisConverter`]s built from
+/// them, for one ring degree `N`.
 ///
 /// Cloning handles is cheap (`Arc`); the pool itself is usually wrapped in
 /// an `Arc` and shared by every object in a CKKS context.
@@ -22,11 +52,8 @@ use std::sync::{Arc, OnceLock, RwLock};
 pub struct PrimePool {
     n: usize,
     threads: Arc<BpThreadPool>,
-    /// Per-prime `OnceLock` slots: the outer map lock is held only long
-    /// enough to find/insert a slot, never across table construction, and
-    /// `OnceLock` guarantees each table is built exactly once even when
-    /// many threads race on the same previously-unseen prime.
-    tables: RwLock<HashMap<u64, Arc<OnceLock<Arc<NttTable>>>>>,
+    tables: Memo<u64, Arc<NttTable>>,
+    converters: Memo<ConverterKey, Result<Arc<BasisConverter>, RnsError>>,
 }
 
 impl PrimePool {
@@ -49,6 +76,7 @@ impl PrimePool {
             n,
             threads,
             tables: RwLock::new(HashMap::new()),
+            converters: RwLock::new(HashMap::new()),
         }
     }
 
@@ -73,22 +101,28 @@ impl PrimePool {
     /// # Panics
     /// Panics if `q` is not an NTT-friendly prime for this pool's `N`.
     pub fn table(&self, q: u64) -> Arc<NttTable> {
-        // The read guard must drop before the write lock is taken (an
-        // `if let` on the guard temporary would hold it through the else
-        // branch and self-deadlock).
-        let cached = self.tables.read().expect("pool lock").get(&q).cloned();
-        let slot = match cached {
-            Some(slot) => slot,
-            None => {
-                let mut w = self.tables.write().expect("pool lock");
-                Arc::clone(w.entry(q).or_default())
-            }
-        };
-        Arc::clone(
-            slot.get_or_init(|| {
-                Arc::new(NttTable::with_threads(q, self.n, Arc::clone(&self.threads)))
-            }),
-        )
+        memoized(&self.tables, q, || {
+            Arc::new(NttTable::with_threads(q, self.n, Arc::clone(&self.threads)))
+        })
+    }
+
+    /// Returns the converter from basis `src` to basis `dst` (moduli in
+    /// order), building it from this pool's tables on first use. Like
+    /// [`PrimePool::table`], racing callers build it exactly once.
+    ///
+    /// # Errors
+    /// The errors of [`BasisConverter::new`]: an empty `src`, or a
+    /// modulus in both bases.
+    ///
+    /// # Panics
+    /// Panics if a modulus is not an NTT-friendly prime for this pool's
+    /// `N`, or if `src` repeats a modulus.
+    pub fn converter(&self, src: &[u64], dst: &[u64]) -> Result<Arc<BasisConverter>, RnsError> {
+        memoized(&self.converters, (src.to_vec(), dst.to_vec()), || {
+            let tables =
+                |moduli: &[u64]| -> Vec<_> { moduli.iter().map(|&q| self.table(q)).collect() };
+            BasisConverter::new(&tables(src), &tables(dst)).map(Arc::new)
+        })
     }
 
     /// Convenience: the largest `count` NTT-friendly primes below `2^bits`
@@ -135,6 +169,28 @@ mod tests {
         assert!(Arc::ptr_eq(&t1, &t2));
         let _ = pool.table(qs[1]);
         assert_eq!(pool.cached(), 2);
+    }
+
+    #[test]
+    fn converters_are_memoized() {
+        let pool = PrimePool::new(1 << 5);
+        let qs = pool.first_primes_below(30, 3);
+        let c1 = pool.converter(&qs[..2], &qs[2..]).unwrap();
+        let c2 = pool.converter(&qs[..2], &qs[2..]).unwrap();
+        assert!(Arc::ptr_eq(&c1, &c2));
+        // The key is the ordered bases: a reordered source is its own
+        // converter, and an invalid pair stays an error.
+        let swapped = pool.converter(&[qs[1], qs[0]], &qs[2..]).unwrap();
+        assert!(!Arc::ptr_eq(&c1, &swapped));
+        assert!(matches!(
+            pool.converter(&qs[..2], &qs[1..]),
+            Err(RnsError::DuplicateModulus { .. })
+        ));
+        assert!(matches!(
+            pool.converter(&[], &qs),
+            Err(RnsError::EmptyBasis)
+        ));
+        assert_eq!(pool.cached(), 3, "converters share the pool's tables");
     }
 
     #[test]

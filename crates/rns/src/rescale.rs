@@ -11,9 +11,8 @@
 //! All three operate on a single [`RnsPoly`]; ciphertext-level wrappers live
 //! in `bp-ckks`.
 
-use crate::basis::BasisConverter;
 use crate::poly::{elemwise_work, ntt_work};
-use crate::{scratch, Domain, NttTable, RnsError, RnsPoly};
+use crate::{scratch, Domain, NttTable, PrimePool, RnsError, RnsPoly};
 use bp_math::BigUint;
 use std::sync::Arc;
 
@@ -132,58 +131,20 @@ pub fn scale_up(poly: &mut RnsPoly, new_tables: &[Arc<NttTable>]) -> Result<(), 
 /// those residues in one pass.
 ///
 /// The shed set may be *any* subset of the basis; residues are internally
-/// moved to the end, mirroring `moveResiduesToEnd` in the paper.
+/// moved to the end, mirroring `moveResiduesToEnd` in the paper. The
+/// conversion from the shed moduli to the kept ones (both in order) is
+/// memoized in `pool`, which must be the pool the polynomial's tables
+/// came from.
 ///
 /// # Errors
 /// [`RnsError::EmptyBasis`] if `shed_moduli` is empty;
 /// [`RnsError::MissingModulus`] if a shed modulus is absent;
 /// [`RnsError::NotEnoughResidues`] if shedding would leave zero residues.
-pub fn scale_down(poly: &mut RnsPoly, shed_moduli: &[u64]) -> Result<(), RnsError> {
-    check_scale_down(poly, shed_moduli)?;
-    let shed = poly.extract_residues(shed_moduli)?;
-    let shed_tables: Vec<Arc<NttTable>> = shed.iter().map(|r| Arc::clone(r.table())).collect();
-    let kept_tables: Vec<Arc<NttTable>> = poly
-        .residues()
-        .iter()
-        .map(|r| Arc::clone(r.table()))
-        .collect();
-
-    let conv = BasisConverter::new(&shed_tables, &kept_tables)?;
-    apply_scale_down(poly, &shed, &conv)
-}
-
-/// [`scale_down`] with a caller-supplied (typically memoized) converter,
-/// skipping the per-call table construction — the converter build is
-/// `O(k·m)` BigUint divisions, which dominates small-basis scale-downs on
-/// the keyswitch path.
-///
-/// # Errors
-/// [`RnsError::BasisMismatch`] if the converter was not built for exactly
-/// `shed_moduli` → remaining basis; otherwise the same errors as
-/// [`scale_down`].
-pub fn scale_down_with_converter(
+pub fn scale_down(
     poly: &mut RnsPoly,
     shed_moduli: &[u64],
-    conv: &BasisConverter,
+    pool: &PrimePool,
 ) -> Result<(), RnsError> {
-    check_scale_down(poly, shed_moduli)?;
-    let kept: Vec<u64> = poly
-        .moduli()
-        .iter()
-        .copied()
-        .filter(|q| !shed_moduli.contains(q))
-        .collect();
-    if !conv.matches(shed_moduli, &kept) {
-        return Err(RnsError::BasisMismatch {
-            left: shed_moduli.to_vec(),
-            right: kept,
-        });
-    }
-    let shed = poly.extract_residues(shed_moduli)?;
-    apply_scale_down(poly, &shed, conv)
-}
-
-fn check_scale_down(poly: &RnsPoly, shed_moduli: &[u64]) -> Result<(), RnsError> {
     if shed_moduli.is_empty() {
         return Err(RnsError::EmptyBasis);
     }
@@ -194,18 +155,12 @@ fn check_scale_down(poly: &RnsPoly, shed_moduli: &[u64]) -> Result<(), RnsError>
             need: shed_moduli.len() + 1,
         });
     }
-    Ok(())
-}
-
-fn apply_scale_down(
-    poly: &mut RnsPoly,
-    shed: &[crate::ResiduePoly],
-    conv: &BasisConverter,
-) -> Result<(), RnsError> {
+    let shed = poly.extract_residues(shed_moduli)?;
+    let conv = pool.converter(shed_moduli, poly.moduli())?;
     bp_telemetry::counters::add(bp_telemetry::counters::Counter::Rescales, 1);
     let domain = poly.domain();
     // subMe ≈ (x mod P) represented in the kept basis.
-    let corrections = conv.convert_from(shed, domain, domain)?;
+    let corrections = conv.convert_from(&shed, domain, domain)?;
     let p = conv.p();
 
     let ex = poly
@@ -235,7 +190,6 @@ fn apply_scale_down(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PrimePool;
     use bp_math::crt::{crt_decompose, crt_reconstruct};
 
     fn poly_from_big(pool: &PrimePool, moduli: &[u64], x: &BigUint) -> RnsPoly {
@@ -342,7 +296,7 @@ mod tests {
         let mut p = poly_from_big(&pool, qs, &x);
         let new_tables: Vec<_> = new.iter().map(|&q| pool.table(q)).collect();
         scale_up(&mut p, &new_tables).unwrap();
-        scale_down(&mut p, new).unwrap();
+        scale_down(&mut p, new, &pool).unwrap();
         assert_eq!(p.moduli(), qs);
         let got = read_big(&p, 0);
         // scale_down(scale_up(x)) = floor(Kx/K) + small error <= k
@@ -363,7 +317,7 @@ mod tests {
         let mut p = poly_from_big(&pool, &qs, &x);
         // Shed the *first* and *third* moduli (out of order).
         let shed = [qs[2], qs[0]];
-        scale_down(&mut p, &shed).unwrap();
+        scale_down(&mut p, &shed, &pool).unwrap();
         assert_eq!(p.moduli(), &[qs[1], qs[3]][..]);
         let got = read_big(&p, 0);
         let pprod = BigUint::product_of(&shed);
@@ -387,45 +341,14 @@ mod tests {
         scale_up(&mut a, &new_tables).unwrap();
 
         let mut b = a.clone();
-        scale_down(&mut a, new).unwrap();
+        scale_down(&mut a, new, &pool).unwrap();
 
         b.to_ntt();
-        scale_down(&mut b, new).unwrap();
+        scale_down(&mut b, new, &pool).unwrap();
         b.to_coeff();
         for i in 0..a.num_residues() {
             assert_eq!(a.residue(i).coeffs(), b.residue(i).coeffs());
         }
-    }
-
-    #[test]
-    fn scale_down_with_cached_converter_matches_plain() {
-        let pool = PrimePool::new(1 << 4);
-        let all = pool.first_primes_below(29, 4);
-        let (qs, new) = all.split_at(2);
-        let coeffs: Vec<i64> = (0..16).map(|i| i * 31337 + 11).collect();
-        let mut a = RnsPoly::from_i64_coeffs(&pool, qs, &coeffs);
-        let new_tables: Vec<_> = new.iter().map(|&q| pool.table(q)).collect();
-        scale_up(&mut a, &new_tables).unwrap();
-        let mut b = a.clone();
-
-        scale_down(&mut a, new).unwrap();
-
-        let kept_tables: Vec<_> = qs.iter().map(|&q| pool.table(q)).collect();
-        let conv = BasisConverter::new(&new_tables, &kept_tables).unwrap();
-        scale_down_with_converter(&mut b, new, &conv).unwrap();
-
-        for i in 0..a.num_residues() {
-            assert_eq!(a.residue(i).coeffs(), b.residue(i).coeffs());
-        }
-
-        // A converter for the wrong basis is rejected before any mutation.
-        let mut c = RnsPoly::from_i64_coeffs(&pool, &all, &coeffs);
-        let wrong = BasisConverter::new(&kept_tables, &new_tables).unwrap();
-        assert!(matches!(
-            scale_down_with_converter(&mut c, new, &wrong),
-            Err(RnsError::BasisMismatch { .. })
-        ));
-        assert_eq!(c.num_residues(), 4, "rejected call must not mutate");
     }
 
     #[test]
@@ -434,7 +357,7 @@ mod tests {
         let qs = pool.first_primes_below(30, 2);
         let mut p = RnsPoly::zero(&pool, &qs, Domain::Coeff);
         assert!(matches!(
-            scale_down(&mut p, &qs),
+            scale_down(&mut p, &qs, &pool),
             Err(RnsError::NotEnoughResidues { .. })
         ));
     }

@@ -16,9 +16,6 @@ use std::sync::Arc;
 #[test]
 fn checkpointed_run_stamps_every_record_with_its_node() {
     telemetry::set_enabled(true);
-    if !telemetry::enabled() {
-        return;
-    }
     let params = CkksParams::builder()
         .log_n(6)
         .word_bits(28)

@@ -13,9 +13,10 @@
 //!   nanoseconds, imbalance nanoseconds). These depend on the worker
 //!   count and wall-clock timing and are reported for pool tuning only.
 //!
-//! All updates are relaxed atomic adds; reads are relaxed loads. With the
-//! `enabled` feature off, [`add`] is an inlined empty function and every
-//! read returns zero.
+//! All updates are relaxed atomic adds; reads are relaxed loads. While
+//! recording is off, [`add`] is a single relaxed flag load.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The global counter set. `repr(usize)` indices into a static array.
 #[repr(usize)]
@@ -155,63 +156,28 @@ impl Counter {
     }
 }
 
-#[cfg(feature = "enabled")]
-mod store {
-    use super::{Counter, NUM_COUNTERS};
-    use std::sync::atomic::{AtomicU64, Ordering};
+static COUNTERS: [AtomicU64; NUM_COUNTERS] = [const { AtomicU64::new(0) }; NUM_COUNTERS];
 
-    static COUNTERS: [AtomicU64; NUM_COUNTERS] = [const { AtomicU64::new(0) }; NUM_COUNTERS];
-
-    #[inline]
-    pub fn add(c: Counter, delta: u64) {
-        if crate::enabled() {
-            COUNTERS[c as usize].fetch_add(delta, Ordering::Relaxed);
-        }
-    }
-
-    #[inline]
-    pub fn get(c: Counter) -> u64 {
-        COUNTERS[c as usize].load(Ordering::Relaxed)
-    }
-
-    pub fn reset_all() {
-        for c in &COUNTERS {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Adds `delta` to counter `c`. Feature off: inlined no-op. Feature on
-/// but runtime-disabled: a single relaxed flag load.
-#[cfg(feature = "enabled")]
+/// Adds `delta` to counter `c` while recording is on; otherwise a single
+/// relaxed flag load.
 #[inline]
 pub fn add(c: Counter, delta: u64) {
-    store::add(c, delta);
+    if crate::enabled() {
+        COUNTERS[c as usize].fetch_add(delta, Ordering::Relaxed);
+    }
 }
 
-/// Adds `delta` to counter `c` (feature off: no-op).
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn add(_c: Counter, _delta: u64) {}
-
-/// Current value of counter `c` (feature off: always 0).
-#[cfg(feature = "enabled")]
+/// Current value of counter `c`.
 #[inline]
 pub fn get(c: Counter) -> u64 {
-    store::get(c)
-}
-
-/// Current value of counter `c` (feature off: always 0).
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn get(_c: Counter) -> u64 {
-    0
+    COUNTERS[c as usize].load(Ordering::Relaxed)
 }
 
 /// Zeroes every counter.
 pub fn reset_all() {
-    #[cfg(feature = "enabled")]
-    store::reset_all();
+    for c in &COUNTERS {
+        c.store(0, Ordering::Relaxed);
+    }
 }
 
 /// A point-in-time copy of every counter, in [`Counter::ALL`] order.

@@ -26,6 +26,8 @@ use crate::efficiency::{EfficiencyReport, WASTE_BUCKET_BOUNDS};
 use crate::json::Obj;
 use crate::spans;
 use crate::trace::{self, TraceEntry};
+use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 /// Environment variable selecting the metrics sink destination:
 /// a file path, or `-` for stdout. Unset: [`flush_to_env`] is a no-op.
@@ -62,103 +64,53 @@ fn format_value(v: f64) -> String {
     }
 }
 
-#[cfg(feature = "enabled")]
-mod store {
-    use std::collections::BTreeMap;
-    use std::sync::Mutex;
+// name → (rendered label set → value). BTreeMaps keep rendering
+// deterministic.
+type Gauges = BTreeMap<String, BTreeMap<String, f64>>;
 
-    // name → (rendered label set → value). BTreeMaps keep rendering
-    // deterministic.
-    type Gauges = BTreeMap<String, BTreeMap<String, f64>>;
+static GAUGES: Mutex<Option<Gauges>> = Mutex::new(None);
 
-    static GAUGES: Mutex<Option<Gauges>> = Mutex::new(None);
-
-    fn label_key(labels: &[(&str, &str)]) -> String {
-        let mut parts: Vec<String> = labels
-            .iter()
-            .map(|(k, v)| format!("{k}=\"{}\"", super::escape_label(v)))
-            .collect();
-        parts.sort();
-        parts.join(",")
-    }
-
-    fn with_gauge(name: &str, labels: &[(&str, &str)], f: impl FnOnce(&mut f64)) {
-        let mut guard = GAUGES.lock().unwrap_or_else(|e| e.into_inner());
-        let gauges = guard.get_or_insert_with(BTreeMap::new);
-        let slot = gauges
-            .entry(name.to_string())
-            .or_default()
-            .entry(label_key(labels))
-            .or_insert(0.0);
-        f(slot);
-    }
-
-    pub fn gauge_set(name: &str, labels: &[(&str, &str)], value: f64) {
-        with_gauge(name, labels, |slot| *slot = value);
-    }
-
-    pub fn gauge_add(name: &str, labels: &[(&str, &str)], delta: f64) {
-        with_gauge(name, labels, |slot| *slot += delta);
-    }
-
-    pub fn gauges_snapshot() -> Vec<(String, Vec<(String, f64)>)> {
-        let guard = GAUGES.lock().unwrap_or_else(|e| e.into_inner());
-        guard
-            .as_ref()
-            .map(|g| {
-                g.iter()
-                    .map(|(name, series)| {
-                        (
-                            name.clone(),
-                            series.iter().map(|(k, &v)| (k.clone(), v)).collect(),
-                        )
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    pub fn reset() {
-        let mut gauges = GAUGES.lock().unwrap_or_else(|e| e.into_inner());
-        *gauges = None;
-    }
+fn label_key(labels: &[(&str, &str)]) -> String {
+    let mut parts: Vec<String> = labels
+        .iter()
+        .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
+        .collect();
+    parts.sort();
+    parts.join(",")
 }
 
-/// Sets a labeled gauge to `value` (feature off: no-op). Labels are
+/// Applies `f` to a labeled gauge's value, creating it at zero, while
+/// recording is on.
+fn with_gauge(name: &str, labels: &[(&str, &str)], f: impl FnOnce(&mut f64)) {
+    if !crate::enabled() {
+        return;
+    }
+    let mut guard = GAUGES.lock().unwrap_or_else(|e| e.into_inner());
+    let gauges = guard.get_or_insert_with(BTreeMap::new);
+    let slot = gauges
+        .entry(name.to_string())
+        .or_default()
+        .entry(label_key(labels))
+        .or_insert(0.0);
+    f(slot);
+}
+
+/// Sets a labeled gauge to `value` while recording is on. Labels are
 /// rendered and sorted at registration so exposition stays
 /// deterministic.
 #[inline]
 pub fn gauge_set(name: &str, labels: &[(&str, &str)], value: f64) {
-    #[cfg(feature = "enabled")]
-    {
-        if crate::enabled() {
-            store::gauge_set(name, labels, value);
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = (name, labels, value);
-    }
+    with_gauge(name, labels, |slot| *slot = value);
 }
 
-/// Adds `delta` to a labeled gauge, creating it at zero (feature off:
-/// no-op).
+/// Adds `delta` to a labeled gauge, creating it at zero, while recording
+/// is on.
 #[inline]
 pub fn gauge_add(name: &str, labels: &[(&str, &str)], delta: f64) {
-    #[cfg(feature = "enabled")]
-    {
-        if crate::enabled() {
-            store::gauge_add(name, labels, delta);
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = (name, labels, delta);
-    }
+    with_gauge(name, labels, |slot| *slot += delta);
 }
 
-/// Encodes one trace record as a single JSON line (compiles regardless
-/// of the `enabled` feature).
+/// Encodes one trace record as a single JSON line.
 pub fn op_json(entry: &TraceEntry) -> String {
     Obj::new()
         .str("type", "op")
@@ -176,8 +128,8 @@ pub fn op_json(entry: &TraceEntry) -> String {
         .build()
 }
 
-/// The newest [`JSONL_TAIL`] trace records as JSON lines, oldest first
-/// (feature off: empty). Reading leaves the recorder in place.
+/// The newest [`JSONL_TAIL`] trace records as JSON lines, oldest first.
+/// Reading leaves the recorder in place.
 pub fn jsonl() -> Vec<String> {
     trace::read(|t| {
         t.entries[t.entries.len().saturating_sub(JSONL_TAIL)..]
@@ -189,8 +141,7 @@ pub fn jsonl() -> Vec<String> {
 
 /// Clears the gauge registry.
 pub fn reset() {
-    #[cfg(feature = "enabled")]
-    store::reset();
+    *GAUGES.lock().unwrap_or_else(|e| e.into_inner()) = None;
 }
 
 fn push_metric(out: &mut String, name: &str, help: &str, kind: &str) {
@@ -207,7 +158,7 @@ fn push_metric(out: &mut String, name: &str, help: &str, kind: &str) {
 
 /// Renders the full telemetry surface in Prometheus text format 0.0.4.
 /// Deterministic: the same telemetry state always renders byte-identical
-/// output. With the `enabled` feature off every value reads zero.
+/// output.
 pub fn prometheus() -> String {
     let mut out = String::with_capacity(4096);
 
@@ -362,8 +313,8 @@ pub fn prometheus() -> String {
     }
 
     // Registered gauges (e.g. bp-accel per-FU occupancy), lexicographic.
-    #[cfg(feature = "enabled")]
-    for (name, series) in store::gauges_snapshot() {
+    let gauges = GAUGES.lock().unwrap_or_else(|e| e.into_inner());
+    for (name, series) in gauges.iter().flatten() {
         let full = format!("bitpacker_{name}");
         push_metric(
             &mut out,
@@ -373,9 +324,9 @@ pub fn prometheus() -> String {
         );
         for (labels, value) in series {
             if labels.is_empty() {
-                out.push_str(&format!("{full} {}\n", format_value(value)));
+                out.push_str(&format!("{full} {}\n", format_value(*value)));
             } else {
-                out.push_str(&format!("{full}{{{labels}}} {}\n", format_value(value)));
+                out.push_str(&format!("{full}{{{labels}}} {}\n", format_value(*value)));
             }
         }
     }

@@ -32,24 +32,16 @@
 //!   `bp-ir`, which owns it) used by the trace codec and the bench
 //!   metadata headers.
 //!
-//! # Feature gating and overhead
+//! # Runtime gating and overhead
 //!
-//! The crate compiles in two modes controlled by the `enabled` cargo
-//! feature (downstream crates forward it as `telemetry`):
-//!
-//! * **feature off** (default): every recording entry point —
-//!   [`counters::add`], [`spans::span`], [`profile::frame`],
-//!   [`trace::record_op`] — compiles to nothing and [`enabled`] is a
-//!   `const false`, so guarded blocks are eliminated at compile time. All
-//!   reads return zero or empty. The data model types
-//!   ([`trace::EvalTrace`], [`efficiency::EfficiencyReport`], …) and the
-//!   [`json`] module remain available so reporting tools build without
-//!   the feature.
-//! * **feature on**: recording is live, gated at runtime by the
-//!   `BITPACKER_TELEMETRY` environment variable (read once; set it to
-//!   `0`, `false`, or `off` to disable) or programmatically via
-//!   [`set_enabled`]. Counters are relaxed atomics; the trace recorder
-//!   and the profiler tree are bounded, mutex-guarded stores.
+//! Recording is a runtime switch: it is off unless the
+//! `BITPACKER_TELEMETRY` environment variable (read once) or
+//! [`set_enabled`] turns it on. While it is off, every recording entry
+//! point — [`counters::add`], [`spans::span`], [`profile::frame`],
+//! [`trace::record_op`], the gauge writers — costs one relaxed flag load
+//! and records nothing, and every read returns zero or empty. Counters
+//! are relaxed atomics; the trace recorder and the profiler tree are
+//! bounded, mutex-guarded stores.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -63,69 +55,45 @@ pub mod trace;
 
 pub use bp_ir::json;
 
-/// Environment variable gating recording at runtime when the `enabled`
-/// feature is compiled in. Unset or any value other than `0` / `false` /
-/// `off` (case-insensitive) means recording is on.
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
+use std::time::Instant;
+
+/// Environment variable gating recording at runtime. Unset, `0`,
+/// `false` or `off` (trimmed, any case) means recording is off; any other
+/// value means on. [`set_enabled`] overrides it.
 pub const TELEMETRY_ENV_VAR: &str = "BITPACKER_TELEMETRY";
 
-#[cfg(feature = "enabled")]
-mod gate {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::OnceLock;
+/// Whether a [`TELEMETRY_ENV_VAR`] value (`None` when unset) turns
+/// recording on.
+fn env_value_enables(value: Option<&str>) -> bool {
+    value.is_some_and(|v| {
+        !matches!(
+            v.trim().to_ascii_lowercase().as_str(),
+            "0" | "false" | "off"
+        )
+    })
+}
 
-    static OVERRIDE: OnceLock<AtomicBool> = OnceLock::new();
-
-    fn cell() -> &'static AtomicBool {
-        OVERRIDE.get_or_init(|| {
-            let on = match std::env::var(super::TELEMETRY_ENV_VAR) {
-                Ok(v) => !matches!(
-                    v.trim().to_ascii_lowercase().as_str(),
-                    "0" | "false" | "off"
-                ),
-                Err(_) => true,
-            };
-            AtomicBool::new(on)
-        })
-    }
-
-    #[inline]
-    pub fn enabled() -> bool {
-        cell().load(Ordering::Relaxed)
-    }
-
-    pub fn set_enabled(on: bool) {
-        cell().store(on, Ordering::Relaxed);
-    }
+fn gate() -> &'static AtomicBool {
+    static GATE: OnceLock<AtomicBool> = OnceLock::new();
+    GATE.get_or_init(|| {
+        let value = std::env::var(TELEMETRY_ENV_VAR).ok();
+        AtomicBool::new(env_value_enables(value.as_deref()))
+    })
 }
 
 /// Whether telemetry recording is live.
-///
-/// With the `enabled` feature off this is a constant `false`, so
-/// `if telemetry::enabled() { … }` blocks compile away entirely.
-#[cfg(feature = "enabled")]
 #[inline]
 pub fn enabled() -> bool {
-    gate::enabled()
+    gate().load(Ordering::Relaxed)
 }
 
-/// Whether telemetry recording is live (feature off: always `false`).
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn enabled() -> bool {
-    false
-}
-
-/// Overrides the runtime gate (tests, embedding harnesses). A no-op when
-/// the `enabled` feature is off.
-#[cfg(feature = "enabled")]
+/// Turns recording on or off, overriding [`TELEMETRY_ENV_VAR`] (tests,
+/// embedding harnesses, reporting tools).
 pub fn set_enabled(on: bool) {
-    gate::set_enabled(on);
+    gate().store(on, Ordering::Relaxed);
 }
-
-/// Overrides the runtime gate (feature off: no-op).
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn set_enabled(_on: bool) {}
 
 /// Resets every telemetry store — counters, the trace recorder, the
 /// profiler tree, and the exposition gauges — to the pristine state.
@@ -138,11 +106,11 @@ pub fn reset() {
 }
 
 /// A monotonic stopwatch that only pays for `Instant::now()` when
-/// telemetry is live. The disabled reading is 0 ns.
+/// telemetry is live. It is inert while recording is off: its reading is
+/// 0 ns.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
-    #[cfg(feature = "enabled")]
-    start: Option<std::time::Instant>,
+    start: Option<Instant>,
 }
 
 impl Stopwatch {
@@ -150,12 +118,7 @@ impl Stopwatch {
     #[inline]
     pub fn start() -> Self {
         Self {
-            #[cfg(feature = "enabled")]
-            start: if enabled() {
-                Some(std::time::Instant::now())
-            } else {
-                None
-            },
+            start: enabled().then(Instant::now),
         }
     }
 
@@ -163,15 +126,23 @@ impl Stopwatch {
     /// when the stopwatch was started.
     #[inline]
     pub fn elapsed_ns(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.start
-                .map(|t| u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX))
-                .unwrap_or(0)
+        self.start
+            .map(|t| u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX))
+            .unwrap_or(0)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::env_value_enables;
+
+    #[test]
+    fn env_value_parsing() {
+        for off in [None, Some("0"), Some("false"), Some("OFF"), Some(" off ")] {
+            assert!(!env_value_enables(off), "{off:?} must mean off");
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
+        for on in ["1", "true", "yes"] {
+            assert!(env_value_enables(Some(on)), "{on:?} must mean on");
         }
     }
 }

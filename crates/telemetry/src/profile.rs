@@ -13,10 +13,14 @@
 //! accumulate their own root paths. The tree is the crate's only timing
 //! store: [`crate::spans::stats`] is computed from it.
 //!
-//! With the `enabled` feature off, [`Frame`] is a zero-sized inert type
-//! and every entry point compiles to nothing. The [`SpanTree`] data
-//! model compiles regardless so reporting tools build without the
-//! feature.
+//! While recording is off, [`frame`] returns an inert frame that reads
+//! no clock and records nothing.
+
+use std::cell::RefCell;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+use std::time::Instant;
 
 /// Maximum distinct call paths retained; further new paths are counted
 /// in [`SpanTree::dropped`] rather than recorded.
@@ -89,114 +93,79 @@ impl SpanTree {
     }
 }
 
-#[cfg(feature = "enabled")]
-mod store {
-    use super::{PathStat, SpanTree, PROFILE_PATH_CAP};
-    use std::cell::RefCell;
-    use std::collections::HashMap;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Mutex;
-    use std::time::Instant;
+struct StackEntry {
+    name: &'static str,
+    child_ns: u64,
+}
 
-    pub struct StackEntry {
-        pub name: &'static str,
-        pub child_ns: u64,
-    }
+thread_local! {
+    static STACK: RefCell<Vec<StackEntry>> = const { RefCell::new(Vec::new()) };
+}
 
-    thread_local! {
-        static STACK: RefCell<Vec<StackEntry>> = const { RefCell::new(Vec::new()) };
-    }
+/// Per-path accumulator: (count, inclusive ns, exclusive ns).
+type PathTotals = HashMap<String, (u64, u64, u64)>;
 
-    /// Per-path accumulator: (count, inclusive ns, exclusive ns).
-    type PathTotals = HashMap<String, (u64, u64, u64)>;
+static TREE: Mutex<Option<PathTotals>> = Mutex::new(None);
+static DROPPED: AtomicU64 = AtomicU64::new(0);
 
-    static TREE: Mutex<Option<PathTotals>> = Mutex::new(None);
-    static DROPPED: AtomicU64 = AtomicU64::new(0);
-
-    pub fn open(name: &'static str) -> Instant {
-        STACK.with(|s| s.borrow_mut().push(StackEntry { name, child_ns: 0 }));
-        Instant::now()
-    }
-
-    pub fn close(start: Instant) {
-        let inclusive = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let (path, child_ns) = STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            let entry = match stack.pop() {
-                Some(e) => e,
-                // Unbalanced close (frame forgotten across threads);
-                // drop the measurement rather than corrupt the tree.
-                None => return (None, 0),
-            };
-            if let Some(parent) = stack.last_mut() {
-                parent.child_ns = parent.child_ns.saturating_add(inclusive);
-            }
-            let mut path = String::with_capacity(16 * (stack.len() + 1));
-            for e in stack.iter() {
-                path.push_str(e.name);
-                path.push(';');
-            }
-            path.push_str(entry.name);
-            (Some(path), entry.child_ns)
-        });
-        let Some(path) = path else { return };
-        let exclusive = inclusive.saturating_sub(child_ns);
-        let mut guard = TREE.lock().unwrap_or_else(|e| e.into_inner());
-        let map = guard.get_or_insert_with(HashMap::new);
-        if let Some(row) = map.get_mut(&path) {
-            row.0 += 1;
-            row.1 = row.1.saturating_add(inclusive);
-            row.2 = row.2.saturating_add(exclusive);
-        } else if map.len() < PROFILE_PATH_CAP {
-            map.insert(path, (1, inclusive, exclusive));
-        } else {
-            DROPPED.fetch_add(1, Ordering::Relaxed);
+fn close(start: Instant) {
+    let inclusive = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    let (path, child_ns) = STACK.with(|s| {
+        let mut stack = s.borrow_mut();
+        let entry = match stack.pop() {
+            Some(e) => e,
+            // Unbalanced close (frame forgotten across threads);
+            // drop the measurement rather than corrupt the tree.
+            None => return (None, 0),
+        };
+        if let Some(parent) = stack.last_mut() {
+            parent.child_ns = parent.child_ns.saturating_add(inclusive);
         }
-    }
-
-    fn to_tree(map: &HashMap<String, (u64, u64, u64)>) -> SpanTree {
-        let mut paths: Vec<PathStat> = map
-            .iter()
-            .map(|(path, &(count, inclusive_ns, exclusive_ns))| PathStat {
-                path: path.clone(),
-                count,
-                inclusive_ns,
-                exclusive_ns,
-            })
-            .collect();
-        paths.sort_by(|a, b| a.path.cmp(&b.path));
-        SpanTree {
-            paths,
-            dropped: DROPPED.load(Ordering::Relaxed),
+        let mut path = String::with_capacity(16 * (stack.len() + 1));
+        for e in stack.iter() {
+            path.push_str(e.name);
+            path.push(';');
         }
-    }
-
-    pub fn snapshot() -> SpanTree {
-        let guard = TREE.lock().unwrap_or_else(|e| e.into_inner());
-        guard.as_ref().map(to_tree).unwrap_or_default()
-    }
-
-    pub fn take() -> SpanTree {
-        let mut guard = TREE.lock().unwrap_or_else(|e| e.into_inner());
-        let tree = guard.as_ref().map(to_tree).unwrap_or_default();
-        *guard = None;
-        DROPPED.store(0, Ordering::Relaxed);
-        tree
-    }
-
-    pub fn reset() {
-        let mut guard = TREE.lock().unwrap_or_else(|e| e.into_inner());
-        *guard = None;
-        DROPPED.store(0, Ordering::Relaxed);
+        path.push_str(entry.name);
+        (Some(path), entry.child_ns)
+    });
+    let Some(path) = path else { return };
+    let exclusive = inclusive.saturating_sub(child_ns);
+    let mut guard = TREE.lock().unwrap_or_else(|e| e.into_inner());
+    let map = guard.get_or_insert_with(HashMap::new);
+    if let Some(row) = map.get_mut(&path) {
+        row.0 += 1;
+        row.1 = row.1.saturating_add(inclusive);
+        row.2 = row.2.saturating_add(exclusive);
+    } else if map.len() < PROFILE_PATH_CAP {
+        map.insert(path, (1, inclusive, exclusive));
+    } else {
+        DROPPED.fetch_add(1, Ordering::Relaxed);
     }
 }
 
-/// An open RAII profiler frame; charges its path on drop. Zero-sized and
-/// inert with the `enabled` feature off.
+fn to_tree(map: &PathTotals) -> SpanTree {
+    let mut paths: Vec<PathStat> = map
+        .iter()
+        .map(|(path, &(count, inclusive_ns, exclusive_ns))| PathStat {
+            path: path.clone(),
+            count,
+            inclusive_ns,
+            exclusive_ns,
+        })
+        .collect();
+    paths.sort_by(|a, b| a.path.cmp(&b.path));
+    SpanTree {
+        paths,
+        dropped: DROPPED.load(Ordering::Relaxed),
+    }
+}
+
+/// An open RAII profiler frame; charges its path on drop. Inert while
+/// recording is off.
 #[derive(Debug)]
 pub struct Frame {
-    #[cfg(feature = "enabled")]
-    live: Option<std::time::Instant>,
+    live: Option<Instant>,
 }
 
 /// Opens a named frame on the calling thread's profile stack. The name
@@ -204,66 +173,46 @@ pub struct Frame {
 /// not live at open time, the frame is inert.
 #[inline]
 pub fn frame(name: &'static str) -> Frame {
-    #[cfg(feature = "enabled")]
-    {
-        Frame {
-            live: if crate::enabled() {
-                Some(store::open(name))
-            } else {
-                None
-            },
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = name;
-        Frame {}
-    }
+    let live = crate::enabled().then(|| {
+        STACK.with(|s| s.borrow_mut().push(StackEntry { name, child_ns: 0 }));
+        Instant::now()
+    });
+    Frame { live }
 }
 
-#[cfg(feature = "enabled")]
 impl Drop for Frame {
     fn drop(&mut self) {
         if let Some(start) = self.live.take() {
-            store::close(start);
+            close(start);
         }
     }
 }
 
-/// A copy of the aggregated span tree, leaving the aggregator in place
-/// (feature off: an empty tree).
+/// A copy of the aggregated span tree, leaving the aggregator in place.
 pub fn snapshot() -> SpanTree {
-    #[cfg(feature = "enabled")]
-    {
-        store::snapshot()
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        SpanTree::default()
-    }
+    let guard = TREE.lock().unwrap_or_else(|e| e.into_inner());
+    guard.as_ref().map(to_tree).unwrap_or_default()
 }
 
 /// Drains the aggregator, returning the tree accumulated since the last
-/// [`take`] (feature off: an empty tree).
+/// [`take`].
 pub fn take() -> SpanTree {
-    #[cfg(feature = "enabled")]
-    {
-        store::take()
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        SpanTree::default()
-    }
+    let mut guard = TREE.lock().unwrap_or_else(|e| e.into_inner());
+    let tree = guard.as_ref().map(to_tree).unwrap_or_default();
+    *guard = None;
+    DROPPED.store(0, Ordering::Relaxed);
+    tree
 }
 
 /// Clears the aggregator. Open frames on any thread keep their stacks
 /// and will record into the fresh aggregator when they close.
 pub fn reset() {
-    #[cfg(feature = "enabled")]
-    store::reset();
+    let mut guard = TREE.lock().unwrap_or_else(|e| e.into_inner());
+    *guard = None;
+    DROPPED.store(0, Ordering::Relaxed);
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

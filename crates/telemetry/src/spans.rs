@@ -6,8 +6,8 @@
 //! and inclusive time of every call path ending in the kind's name, on
 //! any thread. The `eval_op` row is the exception: evaluator ops frame
 //! themselves under their op names, so that row sums the trace records
-//! instead ([`crate::trace::record_op`]). With the `enabled` feature off,
-//! [`span`] returns an inert zero-sized frame.
+//! instead ([`crate::trace::record_op`]). While recording is off,
+//! [`span`] returns an inert frame.
 
 /// Hot paths covered by timing spans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -95,7 +95,7 @@ pub fn span(kind: SpanKind) -> crate::profile::Frame {
 /// Aggregate stats for every span kind, in [`SpanKind::ALL`] order.
 /// Rows are exact while the profiler holds fewer than
 /// [`crate::profile::PROFILE_PATH_CAP`] paths and, for `eval_op`, while
-/// the trace recorder has dropped nothing (feature off: zeros).
+/// the trace recorder has dropped nothing.
 pub fn stats() -> Vec<SpanStat> {
     let tree = crate::profile::snapshot();
     SpanKind::ALL

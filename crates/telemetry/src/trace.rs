@@ -11,13 +11,11 @@
 //! and the JSONL tail ([`crate::export::jsonl`]) are computed from the
 //! records it holds.
 //!
-//! The data model ([`OpKind`], [`TraceEntry`], [`TraceMeta`],
-//! [`EvalTrace`]) and the JSON writer compile regardless of the `enabled`
-//! feature; only the global recorder is feature-gated.
+//! While recording is off, [`record_op`] records nothing.
 
-#[cfg(feature = "enabled")]
 use crate::counters::{self, Counter};
 use crate::json::Obj;
+use std::sync::Mutex;
 
 /// Schema identifier written into serialized traces. `v3` adds the
 /// optional per-entry `ir_op` field (the [`bp_ir::Program`] node the op
@@ -197,105 +195,68 @@ impl EvalTrace {
     }
 }
 
-#[cfg(feature = "enabled")]
-mod store {
-    use super::{EvalTrace, TraceEntry, TRACE_CAP};
-    use std::sync::Mutex;
+// Entry `i` of the recorded trace has `seq == i`.
+static RECORDER: Mutex<Option<EvalTrace>> = Mutex::new(None);
 
-    // Entry `i` of the recorded trace has `seq == i`.
-    static RECORDER: Mutex<Option<EvalTrace>> = Mutex::new(None);
-
-    pub fn with<R>(f: impl FnOnce(&mut EvalTrace) -> R) -> R {
-        let mut guard = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
-        f(guard.get_or_insert_with(EvalTrace::default))
-    }
-
-    /// Appends `op`, or counts it as dropped when the recorder is full.
-    pub fn push(op: super::OpRecord) {
-        with(|t| {
-            if t.entries.len() < TRACE_CAP {
-                let seq = t.entries.len() as u64;
-                t.entries.push(TraceEntry { seq, op });
-            } else {
-                t.dropped += 1;
-            }
-        })
-    }
-
-    pub fn take() -> EvalTrace {
-        with(|t| {
-            let meta = t.meta.clone();
-            std::mem::replace(
-                t,
-                EvalTrace {
-                    meta,
-                    ..EvalTrace::default()
-                },
-            )
-        })
-    }
+/// Runs `f` over the global recorder, creating it empty on first use.
+fn with<R>(f: impl FnOnce(&mut EvalTrace) -> R) -> R {
+    let mut guard = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
+    f(guard.get_or_insert_with(EvalTrace::default))
 }
 
-/// Sets the static trace context attached to the next [`take`] (feature
-/// off: no-op).
+/// Sets the static trace context attached to the next [`take`].
 pub fn set_meta(meta: TraceMeta) {
-    #[cfg(feature = "enabled")]
-    store::with(|t| t.meta = meta);
-    #[cfg(not(feature = "enabled"))]
-    let _ = meta;
+    with(|t| t.meta = meta);
 }
 
-/// Records one completed evaluator op: bumps the `eval_ops` counter and
-/// appends to the trace recorder. Feature off: inlined no-op.
+/// Records one completed evaluator op while recording is on: bumps the
+/// `eval_ops` counter and appends to the trace recorder, or counts the
+/// op as dropped when the recorder holds [`TRACE_CAP`] entries.
 #[inline]
 pub fn record_op(op: OpRecord) {
-    #[cfg(feature = "enabled")]
-    {
-        if crate::enabled() {
-            counters::add(Counter::EvalOps, 1);
-            store::push(op);
-        }
+    if !crate::enabled() {
+        return;
     }
-    #[cfg(not(feature = "enabled"))]
-    let _ = op;
+    counters::add(Counter::EvalOps, 1);
+    with(|t| {
+        if t.entries.len() < TRACE_CAP {
+            let seq = t.entries.len() as u64;
+            t.entries.push(TraceEntry { seq, op });
+        } else {
+            t.dropped += 1;
+        }
+    })
 }
 
-/// Runs `f` over the recorded trace without copying it (feature off: an
-/// empty default trace).
+/// Runs `f` over the recorded trace without copying it.
 pub(crate) fn read<R>(f: impl FnOnce(&EvalTrace) -> R) -> R {
-    #[cfg(feature = "enabled")]
-    {
-        store::with(|t| f(t))
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        f(&EvalTrace::default())
-    }
+    with(|t| f(t))
 }
 
 /// A copy of the trace accumulated since the last [`take`], leaving the
-/// recorder in place (feature off: an empty default trace).
+/// recorder in place.
 pub fn snapshot() -> EvalTrace {
     read(EvalTrace::clone)
 }
 
 /// Drains the recorder, returning the trace accumulated since the last
-/// [`take`] (feature off: an empty default trace).
+/// [`take`]. The metadata stays in place for the next trace.
 pub fn take() -> EvalTrace {
-    #[cfg(feature = "enabled")]
-    {
-        store::take()
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        EvalTrace::default()
-    }
+    with(|t| {
+        let meta = t.meta.clone();
+        std::mem::replace(
+            t,
+            EvalTrace {
+                meta,
+                ..EvalTrace::default()
+            },
+        )
+    })
 }
 
 /// Clears the recorder, including its metadata.
 pub fn reset() {
-    #[cfg(feature = "enabled")]
-    store::with(|t| *t = EvalTrace::default());
+    with(|t| *t = EvalTrace::default());
 }
 
 #[cfg(test)]

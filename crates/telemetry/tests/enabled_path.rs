@@ -1,8 +1,5 @@
-//! End-to-end behaviour of the telemetry stores with the `enabled`
-//! feature compiled in. Global state means the whole flow lives in one
-//! test function.
-
-#![cfg(feature = "enabled")]
+//! End-to-end behaviour of the telemetry stores with recording switched
+//! on. Global state means the whole flow lives in one test function.
 
 use bp_telemetry::counters::{self, Counter};
 use bp_telemetry::json::Json;

@@ -1,11 +1,9 @@
-//! Prometheus text-format exposition contract with the `enabled`
-//! feature compiled in: escaping, counter monotonicity, deterministic
-//! ordering, the efficiency statistics and the JSONL tail computed from
-//! the trace records, and the hierarchical profiler feeding the
-//! folded-stack output. Global state means each concern lives in one
+//! Prometheus text-format exposition contract with recording switched
+//! on: escaping, counter monotonicity, deterministic ordering, the
+//! efficiency statistics and the JSONL tail computed from the trace
+//! records, and the hierarchical profiler feeding the folded-stack
+//! output. Global state means each concern lives in one
 //! serialized test function.
-
-#![cfg(feature = "enabled")]
 
 use bp_telemetry::counters::{self, Counter};
 use bp_telemetry::export;

@@ -3,10 +3,8 @@
 //! parameters (same word size, ring degree, depth, scale schedule) must
 //! show BitPacker's mean packing efficiency strictly above RNS-CKKS's.
 //!
-//! Requires `--features telemetry`; the whole comparison lives in one
-//! test function because the trace recorder is process-global.
-
-#![cfg(feature = "telemetry")]
+//! The whole comparison lives in one test function because the trace
+//! recorder is process-global.
 
 use bp_ckks::telemetry::efficiency::EfficiencyReport;
 use bp_ckks::telemetry::{self, export, profile, trace};
