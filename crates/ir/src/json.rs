@@ -17,6 +17,10 @@ use std::fmt;
 /// Maximum nesting depth accepted by [`Json::parse`].
 const MAX_DEPTH: usize = 64;
 
+/// Integers below this bound read back exactly; `2^53 + 1` already parses
+/// as the same `f64` as `2^53`.
+pub(crate) const EXACT_INT_LIMIT: u64 = 1 << 53;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -24,8 +28,8 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A finite number (JSON has one number type; integers round-trip
-    /// exactly up to 2^53).
+    /// A finite number (JSON has one number type; integers below 2^53
+    /// round-trip exactly).
     Num(f64),
     /// A string.
     Str(String),
@@ -94,10 +98,13 @@ impl Json {
         }
     }
 
-    /// The numeric value as a u64 if this is a non-negative integer.
+    /// The numeric value as a u64 if this is a non-negative integer below
+    /// 2^53. Larger numbers are refused: the parse may have rounded them.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => Some(*n as u64),
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < EXACT_INT_LIMIT as f64 => {
+                Some(*n as u64)
+            }
             _ => None,
         }
     }

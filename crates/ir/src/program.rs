@@ -5,6 +5,7 @@
 //! inputs, node `inputs + k` is the result of `ops[k]`. Operands always
 //! refer to earlier nodes, so well-formedness doubles as acyclicity.
 
+use crate::json::EXACT_INT_LIMIT;
 use crate::op::Op;
 use crate::wire::IrError;
 
@@ -258,10 +259,11 @@ impl Program {
         Ok(states)
     }
 
-    /// Full validation against a chain budget: structure, alignment, and
+    /// Full validation against a chain budget: structure, alignment,
     /// level feasibility (every multiply at or above
-    /// [`LevelBudget::min_mul_level`]). Returns the inferred node states
-    /// on success.
+    /// [`LevelBudget::min_mul_level`]), and plaintext seeds below 2^53,
+    /// the range a program document carries exactly. Returns the inferred
+    /// node states on success.
     ///
     /// # Errors
     /// [`IrError::Invalid`] naming the first offending node.
@@ -269,6 +271,19 @@ impl Program {
         let states = self.infer_states(budget.max_level)?;
         for (k, op) in self.ops.iter().enumerate() {
             let node = self.inputs + k;
+            if let Op::AddPlain { pseed, .. }
+            | Op::SubPlain { pseed, .. }
+            | Op::MulPlain { pseed, .. } = *op
+            {
+                if pseed >= EXACT_INT_LIMIT {
+                    return Err(IrError::Invalid {
+                        node,
+                        reason: format!(
+                            "pseed {pseed} is not below 2^53, so a program document cannot carry it"
+                        ),
+                    });
+                }
+            }
             if matches!(
                 op.kind(),
                 crate::OpKind::Mul | crate::OpKind::Square | crate::OpKind::MulPlain
@@ -353,6 +368,26 @@ mod tests {
         assert_eq!(states.len(), 5);
         assert_eq!(states[2], NodeState { level: 3, pow: 2 });
         assert_eq!(states[3], NodeState { level: 2, pow: 1 });
+    }
+
+    #[test]
+    fn validate_rejects_a_pseed_a_document_cannot_carry() {
+        let with_pseed = |pseed| {
+            Program::new(
+                7,
+                28,
+                1,
+                vec![Op::MulPlain { a: 0, pseed }, Op::Rescale { a: 1 }],
+            )
+        };
+        assert!(with_pseed((1 << 53) - 1).validate(&BUDGET).is_ok());
+        for pseed in [1 << 53, (1 << 53) + 1, u64::MAX] {
+            let err = with_pseed(pseed).validate(&BUDGET).unwrap_err();
+            assert!(
+                matches!(&err, IrError::Invalid { node: 1, reason } if reason.contains("2^53")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

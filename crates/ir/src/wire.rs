@@ -144,12 +144,20 @@ pub fn canonical_json(text: &str) -> Result<String, IrError> {
     IrDoc::from_json(text).map(|d| d.to_json())
 }
 
+/// The integer field `key` of `v`, which `what` names in errors. A field
+/// that is present but not an integer below 2^53 is reported as such:
+/// a larger JSON number may have been rounded when it was parsed.
+fn int_field(v: &Json, key: &str, what: &str) -> Result<u64, IrError> {
+    let x = v
+        .get(key)
+        .ok_or_else(|| IrError::Schema(format!("{what} missing field {key:?}")))?;
+    x.as_u64().ok_or_else(|| {
+        IrError::Schema(format!("{what} field {key:?} is not an integer below 2^53"))
+    })
+}
+
 fn parse_program_doc(v: &Json) -> Result<IrDoc, IrError> {
-    let field = |k: &str| {
-        v.get(k)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| IrError::Schema(format!("missing or non-integer field {k:?}")))
-    };
+    let field = |k: &str| int_field(v, k, "program");
     let seed = field("seed")?;
     let word_bits = u32::try_from(field("word_bits")?)
         .map_err(|_| IrError::Schema("word_bits out of range".into()))?;
@@ -175,10 +183,7 @@ fn parse_program_doc(v: &Json) -> Result<IrDoc, IrError> {
                 .get("name")
                 .and_then(Json::as_str)
                 .ok_or_else(|| IrError::Schema("output entry missing name".into()))?;
-            let node = o
-                .get("node")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| IrError::Schema("output entry missing node".into()))?;
+            let node = int_field(o, "node", "output entry")?;
             outputs.push(Output {
                 name: name.to_string(),
                 node: node as usize,
@@ -228,17 +233,9 @@ fn op_from_json(v: &Json) -> Result<Op, IrError> {
         .ok_or_else(|| IrError::Schema("op entry missing op name".into()))?;
     let kind = OpKind::from_name(name)
         .ok_or_else(|| IrError::Schema(format!("unknown op name {name:?}")))?;
-    let idx = |k: &str| {
-        v.get(k)
-            .and_then(Json::as_u64)
-            .map(|u| u as usize)
-            .ok_or_else(|| IrError::Schema(format!("op {name:?} missing field {k:?}")))
-    };
-    let seed = |k: &str| {
-        v.get(k)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| IrError::Schema(format!("op {name:?} missing field {k:?}")))
-    };
+    let what = format!("op {name:?}");
+    let idx = |k: &str| int_field(v, k, &what).map(|u| u as usize);
+    let seed = |k: &str| int_field(v, k, &what);
     Ok(match kind {
         OpKind::Add => Op::Add {
             a: idx("a")?,
@@ -344,6 +341,41 @@ mod tests {
         assert_eq!(
             IrDoc::from_json(at_limit).unwrap().program.num_nodes(),
             MAX_NODES
+        );
+    }
+
+    #[test]
+    fn integers_beyond_exact_json_range_are_refused_not_rounded() {
+        // 2^53 + 1 parses to the same f64 as 2^53: reading it back as a
+        // pseed would name a different plaintext operand.
+        let with_pseed = |pseed| {
+            let mut p = sample();
+            p.ops[4] = Op::AddPlain { a: 3, pseed };
+            p
+        };
+        let edge = with_pseed((1 << 53) - 1);
+        assert_eq!(Program::from_json(&edge.to_json(None)).unwrap(), edge);
+        for pseed in [1 << 53, (1 << 53) + 1, (1 << 53) + 2, u64::MAX] {
+            let err = Program::from_json(&with_pseed(pseed).to_json(None)).unwrap_err();
+            assert_eq!(
+                err,
+                IrError::Schema(
+                    r#"op "add_plain" field "pseed" is not an integer below 2^53"#.into()
+                )
+            );
+        }
+        let mut p = sample();
+        p.seed = (1 << 53) + 1;
+        let err = Program::from_json(&p.to_json(None)).unwrap_err();
+        assert_eq!(
+            err,
+            IrError::Schema(r#"program field "seed" is not an integer below 2^53"#.into())
+        );
+        // A field that is absent is still reported as missing.
+        let text = r#"{"schema":"bitpacker-ir/v1","seed":1,"word_bits":28,"inputs":1,"ops":[{"op":"mul_plain","a":0}]}"#;
+        assert_eq!(
+            IrDoc::from_json(text).unwrap_err(),
+            IrError::Schema(r#"op "mul_plain" missing field "pseed""#.into())
         );
     }
 

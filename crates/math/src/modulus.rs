@@ -88,16 +88,21 @@ impl Modulus {
         self.reduce_u128(x as u128)
     }
 
-    /// Reduces a 128-bit value into `[0, q)` using Barrett reduction.
+    /// Reduces any 128-bit value into `[0, q)` using Barrett reduction.
+    ///
+    /// Exact for every `x < 2^128`, including `x ≥ q·2^64`: basis
+    /// conversion feeds it sums of many `q`-sized products.
     #[inline]
     pub fn reduce_u128(&self, x: u128) -> u64 {
         let xlo = x as u64;
         let xhi = (x >> 64) as u64;
         let (r0, r1) = self.ratio;
 
-        // Estimate the quotient ⌊x / q⌋ via ⌊x · ratio / 2^128⌋; only the low
-        // 64 bits of the quotient are needed because x/q < 2^64 wherever we
-        // use this (x < q^2 < 2^124, and also for plain u64 inputs).
+        // Estimate the quotient ⌊x / q⌋ via ⌊x · ratio / 2^128⌋, which is
+        // low by at most 2. Only its low 64 bits are computed, which is
+        // enough even when the quotient itself needs more: the remainder
+        // x − quot·q lies in [0, 3q) ⊂ [0, 2^64) because q < 2^62, so it
+        // is exact when computed mod 2^64.
         let carry = ((xlo as u128 * r0 as u128) >> 64) as u64;
         let tmp2 = xlo as u128 * r1 as u128;
         let (tmp1, c) = (tmp2 as u64).overflowing_add(carry);
@@ -330,6 +335,52 @@ mod tests {
         let m = Modulus::new((1u64 << 61) - 1);
         let x: u128 = (123456789123456789u128) * 987654321987654321u128;
         assert_eq!(m.reduce_u128(x) as u128, x % ((1u128 << 61) - 1));
+    }
+
+    #[test]
+    fn reduce_u128_is_exact_over_the_whole_u128_range() {
+        // The quotient of these inputs overflows 64 bits for small q; the
+        // vendored proptest samples too few cases to reach them reliably.
+        let largest_prime_below_2_62 = (1u64 << 62) - 57;
+        assert!(crate::primes::is_prime(largest_prime_below_2_62));
+        for q in [
+            3,
+            97,
+            65537,
+            (1 << 31) - 1,
+            (1 << 61) - 1,
+            largest_prime_below_2_62,
+            1 << 40,
+        ] {
+            let m = Modulus::new(q);
+            let q128 = u128::from(q);
+            let mut xs = vec![
+                0,
+                1,
+                u128::MAX,
+                u128::MAX - 1,
+                1 << 127,
+                (1 << 127) - 1,
+                (1 << 127) + 1,
+                q128 << 64,
+                (q128 << 64) - 1,
+                (q128 << 64) + 1,
+                u128::from(u64::MAX),
+                u128::from(u64::MAX) + 1,
+                q128 * q128,
+                q128 * q128 - 1,
+                (u128::MAX / q128) * q128,
+                (u128::MAX / q128) * q128 - 1,
+            ];
+            // The largest value a basis-conversion accumulator reduces: as
+            // many products of a 61-bit residue and a residue mod q as fit,
+            // plus a carried remainder.
+            let term = ((1u128 << 61) - 2) * (q128 - 1);
+            xs.push((u128::MAX - q128) / term * term + q128 - 1);
+            for x in xs {
+                assert_eq!(u128::from(m.reduce_u128(x)), x % q128, "q={q}, x={x}");
+            }
+        }
     }
 
     #[test]

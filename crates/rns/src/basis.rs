@@ -17,11 +17,23 @@
 //! ARK/SHARP it is `bConv` (paper Sec. 4.1). Its `O(k·m·N)` multiply-adds
 //! dominate homomorphic-multiply cost, which is why BitPacker's reduction in
 //! residue count pays off superlinearly (paper Sec. 4.2).
+//!
+//! Each multiply-add here is one `u128` product: the sum
+//! `Σᵢ tᵢ·((P/pᵢ) mod q)` is accumulated exactly and reduced once per
+//! output coefficient with [`bp_math::Modulus::reduce_u128`]. A term is
+//! below `pᵢ·q < 2¹²⁴`, so an accumulator holds at least 16 of them; a
+//! longer source basis is reduced in chunks, each carrying the previous
+//! remainder. The result is the same integer in `[0, q)` that a per-term
+//! modular sum gives.
 
 use crate::poly::{elemwise_work, ntt_work};
 use crate::{scratch, Domain, NttTable, ResiduePoly, RnsError};
 use bp_math::BigUint;
 use std::sync::Arc;
+
+/// Output coefficients accumulated together: their `u128` partial sums
+/// (4 KiB) stay on the stack while every source row streams past once.
+const BLOCK: usize = 256;
 
 /// Precomputed tables for converting from a fixed source prime basis to a
 /// fixed destination prime basis.
@@ -31,8 +43,10 @@ pub struct BasisConverter {
     dst_tables: Vec<Arc<NttTable>>,
     /// `(P/pᵢ)⁻¹ mod pᵢ`, with Shoup companions.
     inv_phat: Vec<(u64, u64)>,
-    /// `(P/pᵢ) mod qⱼ`, with Shoup companions; indexed `[j][i]`.
-    phat_mod_dst: Vec<Vec<(u64, u64)>>,
+    /// `(P/pᵢ) mod qⱼ`; indexed `[j][i]`.
+    phat_mod_dst: Vec<Vec<u64>>,
+    /// Source terms a `u128` accumulator may sum before it is reduced.
+    terms_per_reduction: usize,
     /// `P = ∏ pᵢ`.
     p: BigUint,
 }
@@ -57,35 +71,36 @@ impl BasisConverter {
             }
         }
         let p = BigUint::product_of(&src_moduli);
-        let mut inv_phat = Vec::with_capacity(src.len());
-        for t in src {
-            let m = t.modulus();
-            let qi = m.value();
-            let (phat, rem) = p.div_rem_u64(qi);
-            debug_assert_eq!(rem, 0);
-            let inv = m
-                .inv(phat.rem_u64(qi))
-                .expect("source moduli must be pairwise coprime");
-            inv_phat.push((inv, m.shoup(inv)));
-        }
-        let mut phat_mod_dst = Vec::with_capacity(dst.len());
-        for t in dst {
-            let m = t.modulus();
-            let row = src
-                .iter()
-                .map(|s| {
-                    let (phat, _) = p.div_rem_u64(s.modulus().value());
-                    let v = phat.rem_u64(m.value());
-                    (v, m.shoup(v))
-                })
-                .collect();
-            phat_mod_dst.push(row);
-        }
+        let phat: Vec<BigUint> = src_moduli.iter().map(|&pi| p.div_rem_u64(pi).0).collect();
+        let inv_phat = src
+            .iter()
+            .zip(&phat)
+            .map(|(t, ph)| {
+                let m = t.modulus();
+                let inv = m
+                    .inv(ph.rem_u64(m.value()))
+                    .expect("source moduli must be pairwise coprime");
+                (inv, m.shoup(inv))
+            })
+            .collect();
+        let dst_moduli: Vec<u64> = dst.iter().map(|t| t.modulus().value()).collect();
+        let phat_mod_dst = dst_moduli
+            .iter()
+            .map(|&q| phat.iter().map(|ph| ph.rem_u64(q)).collect())
+            .collect();
+        // A term tᵢ·((P/pᵢ) mod qⱼ) is at most (pᵢ−1)(qⱼ−1) < 2¹²⁴, and a
+        // chunk after the first also carries the previous remainder (< qⱼ).
+        let max_p = src_moduli.iter().copied().max().unwrap_or(2);
+        let max_q = dst_moduli.iter().copied().max().unwrap_or(2);
+        let term_max = u128::from(max_p - 1) * u128::from(max_q - 1);
+        let terms_per_reduction =
+            ((u128::MAX - u128::from(max_q)) / term_max).min(src.len() as u128) as usize;
         Ok(Self {
             src_tables: src.to_vec(),
             dst_tables: dst.to_vec(),
             inv_phat,
             phat_mod_dst,
+            terms_per_reduction,
             p,
         })
     }
@@ -143,18 +158,33 @@ impl BasisConverter {
             t
         });
 
-        // Each destination residue accumulates over all tᵢ — independent
-        // per destination residue.
+        // Each destination residue sums tᵢ·((P/pᵢ) mod qⱼ) exactly in u128
+        // and reduces once per chunk of `terms_per_reduction` sources —
+        // independent per destination residue.
         let acc_work = elemwise_work(n).saturating_mul(src.len() as u64);
+        let chunk = self.terms_per_reduction;
         let out = ex.par_map_with_work(self.dst_tables.len(), acc_work, |j| {
             let dt = &self.dst_tables[j];
             let row = &self.phat_mod_dst[j];
             let m = dt.modulus();
             let mut out = ResiduePoly::zero(Arc::clone(dt));
-            for (ti, &(ph, ph_s)) in t_vals.iter().zip(row) {
-                for (acc, &t) in out.coeffs_mut().iter_mut().zip(ti) {
-                    let tr = m.reduce(t);
-                    *acc = m.add(*acc, m.mul_shoup(tr, ph, ph_s));
+            let mut acc = [0u128; BLOCK];
+            for (b, out_block) in out.coeffs_mut().chunks_mut(BLOCK).enumerate() {
+                let acc = &mut acc[..out_block.len()];
+                let cols = b * BLOCK..b * BLOCK + out_block.len();
+                acc.fill(0);
+                for (ts, phats) in t_vals.chunks(chunk).zip(row.chunks(chunk)) {
+                    for (t, &ph) in ts.iter().zip(phats) {
+                        for (a, &x) in acc.iter_mut().zip(&t[cols.clone()]) {
+                            *a += u128::from(x) * u128::from(ph);
+                        }
+                    }
+                    for a in acc.iter_mut() {
+                        *a = u128::from(m.reduce_u128(*a));
+                    }
+                }
+                for (o, &a) in out_block.iter_mut().zip(acc.iter()) {
+                    *o = a as u64;
                 }
             }
             out
@@ -232,21 +262,84 @@ mod tests {
             let q = r.modulus();
             let got = r.coeffs()[0];
             // got = (x + alpha*P) mod q for some 0 <= alpha < 2
-            let mut ok = false;
-            for alpha in 0..3u64 {
-                let expect = (x as u128
-                    + alpha as u128 * (p_mod.rem_u64(u64::MAX) as u128 % q as u128))
-                    % q as u128;
-                // P may exceed u64; compute (x + alpha*P) mod q via BigUint.
+            // P may exceed u64; compute (x + alpha*P) mod q via BigUint.
+            let ok = (0..3u64).any(|alpha| {
                 let big = bp_math::BigUint::from(x).add(&p_mod.mul_u64(alpha));
-                let expect2 = big.rem_u64(q);
-                let _ = expect;
-                if got == expect2 {
-                    ok = true;
-                    break;
+                got == big.rem_u64(q)
+            });
+            assert!(ok, "residue {got} not within alpha*P of {x} mod {q}");
+        }
+    }
+
+    /// `Σᵢ tᵢ·(P/pᵢ) mod qⱼ` with `tᵢ = xᵢ·(P/pᵢ)⁻¹ mod pᵢ`, computed in
+    /// `BigUint` one coefficient at a time.
+    fn reference_convert(src: &[ResiduePoly], dst_q: &[u64]) -> Vec<Vec<u64>> {
+        let src_q: Vec<u64> = src.iter().map(ResiduePoly::modulus).collect();
+        let p = BigUint::product_of(&src_q);
+        let phat: Vec<BigUint> = src_q.iter().map(|&pi| p.div_rem_u64(pi).0).collect();
+        let inv_phat: Vec<u64> = src_q
+            .iter()
+            .zip(&phat)
+            .map(|(&pi, ph)| bp_math::Modulus::new(pi).inv(ph.rem_u64(pi)).unwrap())
+            .collect();
+        let n = src[0].coeffs().len();
+        let mut out = vec![vec![0u64; n]; dst_q.len()];
+        for c in 0..n {
+            let mut sum = BigUint::zero();
+            for (i, r) in src.iter().enumerate() {
+                let t = (u128::from(r.coeffs()[c]) * u128::from(inv_phat[i]) % u128::from(src_q[i]))
+                    as u64;
+                sum = sum.add(&phat[i].mul_u64(t));
+            }
+            for (row, &q) in out.iter_mut().zip(dst_q) {
+                row[c] = sum.rem_u64(q);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn conversion_matches_biguint_reference() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha20Rng::seed_from_u64(0xB17_BAC);
+        for n in [16usize, 4096] {
+            let pool = PrimePool::new(n);
+            let primes61 = pool.first_primes_below(61, 12);
+            // (sources, destinations) of 61-bit primes, plus 20 sources just
+            // below 2^62, more than one u128 accumulator can hold, so the
+            // accumulator folds at least once.
+            let mut cases: Vec<(Vec<u64>, Vec<u64>)> = [(1, 8), (2, 7), (3, 9), (4, 8)]
+                .iter()
+                .map(|&(k, m)| (primes61[..k].to_vec(), primes61[k..k + m].to_vec()))
+                .collect();
+            let primes62 = pool.first_primes_below(62, 23);
+            cases.push((primes62[..20].to_vec(), primes62[20..].to_vec()));
+            for (src_q, dst_q) in cases {
+                let conv = pool.converter(&src_q, &dst_q).unwrap();
+                if src_q.len() == 20 {
+                    assert!(conv.terms_per_reduction < 20, "20 sources must fold");
+                }
+                let mut poly = RnsPoly::zero(&pool, &src_q, Domain::Coeff);
+                for r in poly.residues_mut() {
+                    let q = r.modulus();
+                    for x in r.coeffs_mut() {
+                        *x = rng.gen_range(0..q);
+                    }
+                    // Extremes: every term at its largest.
+                    r.coeffs_mut()[0] = q - 1;
+                }
+                let got = conv.convert(poly.residues()).unwrap();
+                let expect = reference_convert(poly.residues(), &dst_q);
+                for (j, (g, e)) in got.iter().zip(&expect).enumerate() {
+                    assert_eq!(
+                        g.coeffs(),
+                        &e[..],
+                        "n={n}, {} -> {} primes, destination {j}",
+                        src_q.len(),
+                        dst_q.len()
+                    );
                 }
             }
-            assert!(ok, "residue {got} not within alpha*P of {x} mod {q}");
         }
     }
 

@@ -1,12 +1,19 @@
 //! Negacyclic number-theoretic transform.
 //!
 //! The NTT maps `Z_q[X]/(X^N + 1)` to `N` pointwise slots so polynomial
-//! multiplication becomes elementwise multiplication. We implement the
-//! classic decomposition: multiply coefficient `j` by `ψ^j` (a primitive
-//! `2N`-th root of unity), run a cyclic size-`N` NTT with `ω = ψ²`, and for
-//! the inverse fold `N⁻¹·ψ^{-j}` into the post-scaling table. All twiddles
-//! carry Shoup precomputations, so the hot loops avoid 128-bit Barrett
-//! reductions.
+//! multiplication becomes elementwise multiplication. Slot `k` holds
+//! `a(ψ^(2k+1))` for a fixed primitive `2N`-th root of unity `ψ`, in
+//! natural order: the wire format stores slots in that order, and the
+//! Galois gather `out[k] = in[(t(2k+1) mod 2N) >> 1]` indexes them so.
+//!
+//! Both directions merge the `ψ` twist into the butterflies
+//! (Longa–Naehrig). The forward transform runs Cooley–Tukey butterflies
+//! whose twiddles are powers of `ψ` in bit-reversed order, then one
+//! bit-reversal pass puts the slots in natural order. The inverse runs one
+//! bit-reversal pass, then Gentleman–Sande butterflies with powers of
+//! `ψ⁻¹`, and its last stage folds in the scaling by `N⁻¹`. A table holds
+//! `2N` twiddles with Shoup companions, so the hot loops avoid 128-bit
+//! Barrett reductions, and each stage reads its twiddles in order.
 
 use bp_math::Modulus;
 use bp_par::BpThreadPool;
@@ -27,14 +34,13 @@ pub struct NttTable {
     n: usize,
     log_n: u32,
     threads: Arc<BpThreadPool>,
-    /// `ψ^j` for `j in 0..n`, with Shoup companions.
-    psi_pows: Vec<(u64, u64)>,
-    /// `N⁻¹ · ψ^{-j}` for `j in 0..n`, with Shoup companions.
-    inv_psi_pows_n: Vec<(u64, u64)>,
-    /// `ω^j` for `j in 0..n/2`, with Shoup companions.
-    omega_pows: Vec<(u64, u64)>,
-    /// `ω^{-j}` for `j in 0..n/2`, with Shoup companions.
-    inv_omega_pows: Vec<(u64, u64)>,
+    /// `ψ^bitrev(k)` for `k in 0..n`, with Shoup companions. The forward
+    /// stage with `b` butterfly blocks reads entries `b..2b`.
+    psi_rev: Vec<(u64, u64)>,
+    /// `ψ^-bitrev(k)` for `k in 2..n`, with Shoup companions. The inverse
+    /// stage with `b` butterfly blocks reads entries `b..2b`. Entries 0 and
+    /// 1 are the last stage's multipliers, `N⁻¹` and `N⁻¹·ψ^-bitrev(1)`.
+    inv_psi_rev: Vec<(u64, u64)>,
 }
 
 impl NttTable {
@@ -64,45 +70,34 @@ impl NttTable {
         assert!(bp_math::primes::is_prime(q), "modulus {q} must be prime");
 
         let m = Modulus::new(q);
+        let log_n = n.trailing_zeros();
         let psi = find_primitive_2n_root(&m, n as u64);
         let inv_psi = m.inv(psi).expect("psi invertible");
-        let omega = m.mul(psi, psi);
-        let inv_omega = m.inv(omega).expect("omega invertible");
         let inv_n = m.inv(n as u64).expect("n invertible mod q");
+
+        let mut psi_rev = vec![0u64; n];
+        let mut inv_psi_rev = vec![0u64; n];
+        let (mut p, mut ip) = (1u64, 1u64);
+        for j in 0..n {
+            let r = bit_reverse(j, log_n);
+            psi_rev[r] = p;
+            inv_psi_rev[r] = ip;
+            p = m.mul(p, psi);
+            ip = m.mul(ip, inv_psi);
+        }
+        inv_psi_rev[0] = inv_n;
+        inv_psi_rev[1] = m.mul(inv_psi_rev[1], inv_n);
 
         let with_shoup = |vals: Vec<u64>| -> Vec<(u64, u64)> {
             vals.into_iter().map(|v| (v, m.shoup(v))).collect()
         };
-
-        let mut psi_pows = Vec::with_capacity(n);
-        let mut inv_psi_pows_n = Vec::with_capacity(n);
-        let (mut p, mut ip) = (1u64, inv_n);
-        for _ in 0..n {
-            psi_pows.push(p);
-            inv_psi_pows_n.push(ip);
-            p = m.mul(p, psi);
-            ip = m.mul(ip, inv_psi);
-        }
-
-        let mut omega_pows = Vec::with_capacity(n / 2);
-        let mut inv_omega_pows = Vec::with_capacity(n / 2);
-        let (mut w, mut iw) = (1u64, 1u64);
-        for _ in 0..n / 2 {
-            omega_pows.push(w);
-            inv_omega_pows.push(iw);
-            w = m.mul(w, omega);
-            iw = m.mul(iw, inv_omega);
-        }
-
         Self {
             modulus: m,
             n,
-            log_n: n.trailing_zeros(),
+            log_n,
             threads,
-            psi_pows: with_shoup(psi_pows),
-            inv_psi_pows_n: with_shoup(inv_psi_pows_n),
-            omega_pows: with_shoup(omega_pows),
-            inv_omega_pows: with_shoup(inv_omega_pows),
+            psi_rev: with_shoup(psi_rev),
+            inv_psi_rev: with_shoup(inv_psi_rev),
         }
     }
 
@@ -126,9 +121,9 @@ impl NttTable {
 
     /// Forward negacyclic NTT, in place. Input and output are in `[0, q)`.
     ///
-    /// Internally the butterflies run lazily in `[0, 2q)` (Harvey-style):
-    /// `mul_shoup_lazy` accepts unreduced inputs and `add_2q`/`sub_2q` keep
-    /// values below `2q`, so only one final pass reduces to `[0, q)`.
+    /// The butterflies reduce lazily (Harvey): values stay in `[0, 4q)`,
+    /// which fits a `u64` because `q < 2^62`, and only the last stage
+    /// reduces to `[0, q)`.
     ///
     /// # Panics
     /// Panics if `a.len() != N`.
@@ -137,17 +132,39 @@ impl NttTable {
         bp_telemetry::counters::add(bp_telemetry::counters::Counter::NttForward, 1);
         let _span = bp_telemetry::spans::span(bp_telemetry::spans::SpanKind::NttForward);
         let m = &self.modulus;
-        // Pre-scale by psi powers; outputs may stay in [0, 2q).
-        for (x, &(w, ws)) in a.iter_mut().zip(&self.psi_pows) {
-            *x = m.mul_shoup_lazy(*x, w, ws);
+        let (q, two_q) = (m.value(), 2 * m.value());
+        debug_assert!(a.iter().all(|&x| x < q), "forward NTT input not in [0, q)");
+        let (mut blocks, mut half) = (1, self.n / 2);
+        while half > 1 {
+            let twiddles = &self.psi_rev[blocks..2 * blocks];
+            for (block, &(w, ws)) in a.chunks_exact_mut(2 * half).zip(twiddles) {
+                let (lo, hi) = block.split_at_mut(half);
+                for (x, y) in lo.iter_mut().zip(hi) {
+                    // Multiply first, then an `if` for the subtraction: on an
+                    // x86-64 Xeon the other orders and a `min`-based
+                    // subtraction compiled to a loop about 1.5× slower.
+                    let v = m.mul_shoup_lazy(*y, w, ws);
+                    let u = if *x >= two_q { *x - two_q } else { *x };
+                    *x = u + v;
+                    *y = u + two_q - v;
+                }
+            }
+            blocks *= 2;
+            half /= 2;
         }
-        self.cyclic_lazy(a, &self.omega_pows);
-        for x in a.iter_mut() {
-            *x = m.reduce_2q(*x);
+        for (pair, &(w, ws)) in a.chunks_exact_mut(2).zip(&self.psi_rev[blocks..]) {
+            let v = csub(m.mul_shoup_lazy(pair[1], w, ws), q);
+            let u = csub(csub(pair[0], two_q), q);
+            pair[0] = csub(u + v, q);
+            pair[1] = csub(u + q - v, q);
         }
+        bit_reverse_permute(a, self.log_n);
     }
 
-    /// Inverse negacyclic NTT, in place.
+    /// Inverse negacyclic NTT, in place. Input and output are in `[0, q)`.
+    ///
+    /// The butterflies keep values in `[0, 2q)`; the last stage multiplies
+    /// by `N⁻¹` with a full Shoup reduction.
     ///
     /// # Panics
     /// Panics if `a.len() != N`.
@@ -156,50 +173,92 @@ impl NttTable {
         bp_telemetry::counters::add(bp_telemetry::counters::Counter::NttInverse, 1);
         let _span = bp_telemetry::spans::span(bp_telemetry::spans::SpanKind::NttInverse);
         let m = &self.modulus;
-        self.cyclic_lazy(a, &self.inv_omega_pows);
-        // Post-scale by N^{-1} psi^{-j}; mul_shoup fully reduces any u64,
-        // so this pass doubles as the final [0, 2q) -> [0, q) reduction.
-        for (x, &(w, ws)) in a.iter_mut().zip(&self.inv_psi_pows_n) {
-            *x = m.mul_shoup(*x, w, ws);
-        }
-    }
-
-    /// Iterative radix-2 cyclic NTT with the given twiddle table
-    /// (`ω^j` for forward, `ω^{-j}` for inverse).
-    ///
-    /// Lazy reduction: inputs may be anywhere in `[0, 2q)` (or any `u64`
-    /// entering the first multiply), every butterfly keeps values in
-    /// `[0, 2q)`, and outputs are left in `[0, 2q)` — callers reduce.
-    fn cyclic_lazy(&self, a: &mut [u64], twiddles: &[(u64, u64)]) {
-        let n = self.n;
-        let m = &self.modulus;
+        let two_q = 2 * m.value();
+        debug_assert!(
+            a.iter().all(|&x| x < m.value()),
+            "inverse NTT input not in [0, q)"
+        );
         bit_reverse_permute(a, self.log_n);
-        let mut len = 2usize;
-        while len <= n {
-            let half = len / 2;
-            let step = n / len;
-            for start in (0..n).step_by(len) {
-                for j in 0..half {
-                    let (w, ws) = twiddles[j * step];
-                    let u = a[start + j];
-                    let v = m.mul_shoup_lazy(a[start + j + half], w, ws);
-                    a[start + j] = m.add_2q(u, v);
-                    a[start + j + half] = m.sub_2q(u, v);
+        let (mut blocks, mut half) = (self.n / 2, 1);
+        while blocks > 1 {
+            let twiddles = &self.inv_psi_rev[blocks..2 * blocks];
+            for (block, &(w, ws)) in a.chunks_exact_mut(2 * half).zip(twiddles) {
+                let (lo, hi) = block.split_at_mut(half);
+                for (x, y) in lo.iter_mut().zip(hi) {
+                    let (u, v) = (*x, *y);
+                    *x = m.add_2q(u, v);
+                    *y = m.mul_shoup_lazy(u + two_q - v, w, ws);
                 }
             }
-            len <<= 1;
+            blocks /= 2;
+            half *= 2;
+        }
+        let (n_inv, n_inv_s) = self.inv_psi_rev[0];
+        let (w, ws) = self.inv_psi_rev[1];
+        let (lo, hi) = a.split_at_mut(half);
+        for (x, y) in lo.iter_mut().zip(hi) {
+            let (u, v) = (*x, *y);
+            *x = m.mul_shoup(u + v, n_inv, n_inv_s);
+            *y = m.mul_shoup(u + two_q - v, w, ws);
         }
     }
 }
 
+/// `x − b` if `x ≥ b`, else `x`, for `x < 2b ≤ 2^63`. The sign of
+/// `x − b` picks the result, with no branch on the data.
+#[inline(always)]
+fn csub(x: u64, b: u64) -> u64 {
+    let d = x.wrapping_sub(b);
+    d.wrapping_add(b & ((d as i64 >> 63) as u64))
+}
+
+/// `i` with its low `log_n` bits reversed.
+fn bit_reverse(i: usize, log_n: u32) -> usize {
+    (i as u64)
+        .reverse_bits()
+        .checked_shr(64 - log_n)
+        .unwrap_or(0) as usize
+}
+
 /// In-place bit-reversal permutation of a length-`2^log_n` slice.
+///
+/// An index splits into `TILE_BITS` high bits `h`, a middle `m` and
+/// `TILE_BITS` low bits `l`; its reverse is `(rev l, rev m, rev h)`. So the
+/// square tile of indices with middle `m` maps, transposed, onto the tile
+/// with middle `rev m`, and the pass swaps whole tiles. Each tile row is
+/// one cache line, so every line is loaded once instead of once per
+/// element swapped out of order.
 fn bit_reverse_permute(a: &mut [u64], log_n: u32) {
-    let n = a.len();
-    for i in 0..n {
-        let j = (i as u64).reverse_bits() >> (64 - log_n);
-        let j = j as usize;
-        if i < j {
-            a.swap(i, j);
+    const TILE_BITS: u32 = 3;
+    const T: usize = 1 << TILE_BITS;
+    const REV: [usize; T] = [0, 4, 2, 6, 1, 5, 3, 7];
+    if log_n < 2 * TILE_BITS {
+        for i in 0..a.len() {
+            let j = bit_reverse(i, log_n);
+            if i < j {
+                a.swap(i, j);
+            }
+        }
+        return;
+    }
+    let mid_bits = log_n - 2 * TILE_BITS;
+    let stride = 1usize << (log_n - TILE_BITS);
+    let (mut tile, mut mate) = ([0u64; T * T], [0u64; T * T]);
+    for m in 0..1usize << mid_bits {
+        let m_rev = bit_reverse(m, mid_bits);
+        if m > m_rev {
+            continue;
+        }
+        let (at, mate_at) = (m << TILE_BITS, m_rev << TILE_BITS);
+        for h in 0..T {
+            tile[h * T..][..T].copy_from_slice(&a[h * stride + at..][..T]);
+            mate[h * T..][..T].copy_from_slice(&a[h * stride + mate_at..][..T]);
+        }
+        for h in 0..T {
+            for l in 0..T {
+                a[h * stride + at + l] = mate[REV[l] * T + REV[h]];
+                a[h * stride + mate_at + l] = tile[REV[l] * T + REV[h]];
+            }
         }
     }
 }
@@ -313,6 +372,64 @@ mod tests {
         t.forward(&mut fs);
         let fsum: Vec<u64> = fa.iter().zip(&fb).map(|(&x, &y)| m.add(x, y)).collect();
         assert_eq!(fs, fsum);
+    }
+
+    #[test]
+    fn slot_k_holds_evaluation_at_odd_power_of_psi() {
+        // Slot order is part of the wire format and of the Galois gather:
+        // slot k must hold a(ψ^(2k+1)), in natural order.
+        for n in [8usize, 256] {
+            let t = table(61, n);
+            let m = *t.modulus();
+            let mut x = vec![0u64; n];
+            x[1] = 1;
+            t.forward(&mut x);
+            let psi = x[0];
+            assert_eq!(
+                m.pow(psi, n as u64),
+                m.value() - 1,
+                "ψ must be a 2N-th root"
+            );
+            let a: Vec<u64> = (0..n as u64)
+                .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x55) % m.value())
+                .collect();
+            let mut fa = a.clone();
+            t.forward(&mut fa);
+            for (k, &got) in fa.iter().enumerate() {
+                let root = m.pow(psi, 2 * k as u64 + 1);
+                let expect = a.iter().rev().fold(0, |acc, &c| m.mul_add(acc, root, c));
+                assert_eq!(got, expect, "n={n}, slot {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_bounds_hold_at_the_largest_prime() {
+        // The largest inputs at the largest NTT-friendly prime below 2^62:
+        // a lazy bound that overflowed a u64 would panic in a debug build
+        // or break the round trip.
+        for n in [8usize, 4096] {
+            let t = table(62, n);
+            let q = t.modulus().value();
+            let orig = vec![q - 1; n];
+            let mut a = orig.clone();
+            t.forward(&mut a);
+            assert!(a.iter().all(|&x| x < q), "forward left a value >= q");
+            t.inverse(&mut a);
+            assert_eq!(a, orig, "n={n}");
+        }
+    }
+
+    #[test]
+    fn bit_reversal_permutes_every_size() {
+        for log_n in 1..=14 {
+            let n = 1usize << log_n;
+            let mut a: Vec<u64> = (0..n as u64).collect();
+            bit_reverse_permute(&mut a, log_n);
+            for (i, &x) in a.iter().enumerate() {
+                assert_eq!(x as usize, bit_reverse(i, log_n), "log_n={log_n}, i={i}");
+            }
+        }
     }
 
     #[test]
