@@ -20,7 +20,7 @@
 
 use crate::params::{CkksParams, Representation};
 use bp_math::primes::{closest_ntt_prime, ntt_primes_below};
-use bp_math::{BigUint, FactoredScale};
+use bp_math::FactoredScale;
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
@@ -208,11 +208,6 @@ impl ModulusChain {
             .iter()
             .map(|&q| (q as f64).log2())
             .sum()
-    }
-
-    /// `Q_l` as a big integer.
-    pub fn q_at(&self, l: usize) -> BigUint {
-        BigUint::product_of(&self.levels[l].moduli)
     }
 
     /// Datapath utilization at level `l`: information bits / storage bits

@@ -76,12 +76,6 @@ impl Ciphertext {
         &self.c1
     }
 
-    /// Total size in hardware words (`2 · R · N`): the quantity BitPacker
-    /// shrinks (paper Sec. 4.2 "ciphertext size is linear with R").
-    pub fn size_words(&self) -> usize {
-        2 * self.num_residues() * self.c0.n()
-    }
-
     /// Checks structural integrity against a context: the claimed level
     /// exists, both polynomials carry exactly the chain's residue basis for
     /// that level in a consistent domain, every coefficient is reduced

@@ -80,8 +80,6 @@ pub enum EvalError {
     },
     /// Ciphertext failed structural validation.
     Integrity(IntegrityError),
-    /// The operation is not supported for this configuration.
-    Unsupported(String),
     /// An underlying RNS kernel rejected its operands.
     Rns(RnsError),
     /// The evaluator's cooperative [`bp_rns::CancelToken`] fired between
@@ -158,7 +156,6 @@ impl std::fmt::Display for EvalError {
                  return garbage; use fewer levels or larger scales"
             ),
             EvalError::Integrity(e) => write!(f, "ciphertext integrity check failed: {e}"),
-            EvalError::Unsupported(msg) => write!(f, "unsupported operation: {msg}"),
             EvalError::Rns(e) => write!(f, "RNS kernel error: {e}"),
             EvalError::Cancelled(reason) => write!(
                 f,

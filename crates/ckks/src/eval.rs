@@ -144,17 +144,6 @@ impl<'a> Evaluator<'a> {
         self
     }
 
-    /// Replaces (or clears) the cancellation token on an existing
-    /// evaluator.
-    pub fn set_cancel_token(&mut self, token: Option<CancelToken>) {
-        self.cancel = token;
-    }
-
-    /// The attached cancellation token, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
     /// Cooperative cancellation checkpoint, polled at the start of every
     /// public op.
     fn check_cancel(&self) -> Result<(), EvalError> {

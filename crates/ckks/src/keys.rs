@@ -49,28 +49,12 @@ pub struct KeySwitchKey {
     pub(crate) digits: Vec<KskDigit>,
 }
 
-impl KeySwitchKey {
-    /// Number of nonempty digits.
-    pub fn num_digits(&self) -> usize {
-        self.digits.len()
-    }
-}
-
 /// Evaluation keys: relinearization plus any generated rotation keys.
 #[derive(Debug, Clone)]
 pub struct EvaluationKey {
     pub(crate) relin: KeySwitchKey,
     pub(crate) rotations: HashMap<i64, KeySwitchKey>,
     pub(crate) conjugation: Option<KeySwitchKey>,
-}
-
-impl EvaluationKey {
-    /// Rotation steps for which keys exist.
-    pub fn rotation_steps(&self) -> Vec<i64> {
-        let mut v: Vec<i64> = self.rotations.keys().copied().collect();
-        v.sort_unstable();
-        v
-    }
 }
 
 /// Full basis (keyswitch basis followed by special primes).

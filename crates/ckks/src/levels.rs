@@ -16,6 +16,12 @@
 //! integer; that rounding is the only approximation and is what the
 //! precision experiments (paper Figs. 18–19) measure.
 //!
+//! Both representations take one level step through the same kernels:
+//! scale up by the moduli the lower level adds (BitPacker only), then
+//! `scale_down` by the moduli it sheds — in one batch for BitPacker, one
+//! prime at a time, last first, for RNS-CKKS (Listing 1 is Listing 5 with
+//! one shed prime).
+//!
 //! Each entry point moves one level down and returns typed
 //! [`EvalError`]s: a level-0 ciphertext cannot be rescaled or adjusted
 //! ([`EvalError::LevelExhausted`]). Multi-level adjusts step one level at
@@ -28,7 +34,7 @@ use crate::ciphertext::Ciphertext;
 use crate::error::EvalError;
 use crate::params::Representation;
 use bp_math::FactoredScale;
-use bp_rns::rescale::{rns_rescale_once, scale_down, scale_up};
+use bp_rns::rescale::{scale_down, scale_up};
 use bp_rns::PrimePool;
 
 /// Rescales a ciphertext from its level `L` to `L−1`, dispatching to the
@@ -42,12 +48,11 @@ pub fn rescale(
     chain: &ModulusChain,
     pool: &PrimePool,
 ) -> Result<(), EvalError> {
-    let scale_before = ct.scale.log2();
-    match chain.representation() {
-        Representation::RnsCkks => rns_rescale_ct(ct, chain)?,
-        Representation::BitPacker => bp_rescale_ct(ct, chain, pool)?,
+    if ct.level == 0 {
+        return Err(EvalError::LevelExhausted { op: "rescale" });
     }
-    canonicalize(ct, chain)?;
+    let scale_before = ct.scale.log2();
+    step_down(ct, chain, pool)?;
     let shed_bits = scale_before - ct.scale.log2();
     ct.noise = ct.noise.rescale(shed_bits, ct.c0.n());
     Ok(())
@@ -87,11 +92,7 @@ pub fn adjust(
     ct.scale = ct.scale.mul(&k);
     let scale_before = ct.scale.log2();
     let noise_before = ct.noise;
-    match chain.representation() {
-        Representation::RnsCkks => rns_rescale_ct(ct, chain)?,
-        Representation::BitPacker => bp_rescale_ct(ct, chain, pool)?,
-    }
-    canonicalize(ct, chain)?;
+    step_down(ct, chain, pool)?;
     // Net noise effect: multiply by K, then divide by the shed modulus.
     let k_bits = k.log2();
     let shed_bits = scale_before - ct.scale.log2();
@@ -103,39 +104,13 @@ pub fn adjust(
     Ok(())
 }
 
-fn rns_rescale_ct(ct: &mut Ciphertext, chain: &ModulusChain) -> Result<(), EvalError> {
+/// Moves both polynomials from level `l ≥ 1` to `l−1`: scale up by the
+/// moduli level `l−1` adds (BitPacker only), scale down by the ones it
+/// sheds, then restore the chain's residue order. BitPacker sheds its
+/// group in one `scale_down` (Listing 5); RNS-CKKS sheds one prime at a
+/// time, last first (Listing 1). The scale follows the moduli exactly.
+fn step_down(ct: &mut Ciphertext, chain: &ModulusChain, pool: &PrimePool) -> Result<(), EvalError> {
     let l = ct.level;
-    if l == 0 {
-        return Err(EvalError::LevelExhausted { op: "rescale" });
-    }
-    let shed = chain.shed_between(l);
-    debug_assert!(chain.added_between(l).is_empty());
-    // Listing 1 semantics: shed one residue at a time. The chain appends
-    // level groups at the end, so the shed primes are the trailing residues.
-    for &q in shed.iter().rev() {
-        let last = *ct.c0.moduli().last().expect("nonempty");
-        if last != q {
-            return Err(EvalError::Unsupported(format!(
-                "chain order violated: expected trailing modulus {q}, found {last}"
-            )));
-        }
-        rns_rescale_once(&mut ct.c0)?;
-        rns_rescale_once(&mut ct.c1)?;
-        ct.scale = ct.scale.div_prime(q);
-    }
-    ct.level = l - 1;
-    Ok(())
-}
-
-fn bp_rescale_ct(
-    ct: &mut Ciphertext,
-    chain: &ModulusChain,
-    pool: &PrimePool,
-) -> Result<(), EvalError> {
-    let l = ct.level;
-    if l == 0 {
-        return Err(EvalError::LevelExhausted { op: "rescale" });
-    }
     let added = chain.added_between(l);
     let shed = chain.shed_between(l);
     let added_tables: Vec<_> = added.iter().map(|&q| pool.table(q)).collect();
@@ -143,7 +118,14 @@ fn bp_rescale_ct(
         if !added_tables.is_empty() {
             scale_up(poly, &added_tables)?;
         }
-        scale_down(poly, &shed, pool)?;
+        match chain.representation() {
+            Representation::BitPacker => scale_down(poly, &shed, pool)?,
+            Representation::RnsCkks => {
+                for q in shed.iter().rev() {
+                    scale_down(poly, std::slice::from_ref(q), pool)?;
+                }
+            }
+        }
     }
     for &q in &added {
         ct.scale = ct.scale.mul_prime(q);
@@ -152,12 +134,8 @@ fn bp_rescale_ct(
         ct.scale = ct.scale.div_prime(q);
     }
     ct.level = l - 1;
-    Ok(())
-}
-
-/// Reorders residues to the chain's canonical order for the current level,
-/// so ciphertexts produced by different paths stay layout-compatible.
-fn canonicalize(ct: &mut Ciphertext, chain: &ModulusChain) -> Result<(), EvalError> {
+    // Canonical residue order, so ciphertexts produced by different paths
+    // stay layout-compatible.
     let want = chain.moduli_at(ct.level);
     if ct.c0.moduli() != want {
         ct.c0 = ct.c0.restricted(want)?;

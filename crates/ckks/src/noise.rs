@@ -108,11 +108,6 @@ impl NoiseEstimate {
         }
     }
 
-    /// Whether the estimate still leaves `margin_bits` of clear mantissa.
-    pub fn is_healthy(&self, margin_bits: f64) -> bool {
-        self.clear_bits() >= margin_bits
-    }
-
     /// Caps the estimate at the modulus capacity of its level.
     ///
     /// Ciphertext coefficients live in `[-Q/2, Q/2)`; once the combined
@@ -186,7 +181,6 @@ mod tests {
     fn fresh_estimate_has_clear_mantissa() {
         let e = NoiseEstimate::fresh(1 << 12, 40.0);
         assert!(e.clear_bits() > 25.0, "clear bits {}", e.clear_bits());
-        assert!(e.is_healthy(20.0));
     }
 
     #[test]

@@ -437,11 +437,6 @@ impl BigUint {
         let doubled = self.shl(1).add(d);
         doubled.div_rem(&d.shl(1)).0
     }
-
-    /// Lowest 64 bits of the value (0 for zero).
-    pub fn low_u64(&self) -> u64 {
-        self.limbs.first().copied().unwrap_or(0)
-    }
 }
 
 impl core::ops::Add<&BigUint> for &BigUint {

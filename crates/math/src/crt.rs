@@ -59,22 +59,6 @@ pub fn centered_to_f64(x: &BigUint, q: &BigUint) -> f64 {
     }
 }
 
-/// Reduces a *signed* integer (given as magnitude + sign) into `[0, Q)`
-/// residues modulo each `qᵢ`.
-pub fn signed_to_residues(magnitude: &BigUint, negative: bool, moduli: &[u64]) -> Vec<u64> {
-    moduli
-        .iter()
-        .map(|&qi| {
-            let r = magnitude.rem_u64(qi);
-            if negative && r != 0 {
-                qi - r
-            } else {
-                r
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,17 +78,6 @@ mod tests {
         assert_eq!(centered_to_f64(&BigUint::from(400u64), &q), 400.0);
         assert_eq!(centered_to_f64(&BigUint::from(600u64), &q), -400.0);
         assert_eq!(centered_to_f64(&BigUint::from(500u64), &q), 500.0);
-    }
-
-    #[test]
-    fn signed_residues_roundtrip() {
-        let moduli = [97u64, 101];
-        let res = signed_to_residues(&BigUint::from(5u64), true, &moduli);
-        // -5 mod 97 = 92, -5 mod 101 = 96
-        assert_eq!(res, vec![92, 96]);
-        let x = crt_reconstruct(&res, &moduli);
-        // Should equal Q - 5
-        assert_eq!(x, BigUint::from((97u64 * 101) - 5));
     }
 
     proptest! {

@@ -57,13 +57,3 @@ pub fn centered(x: u64, q: u64) -> i64 {
         x as i64
     }
 }
-
-/// Base-2 logarithm of an integer as `f64` (exact for powers of two).
-///
-/// # Panics
-/// Panics if `x == 0`.
-#[inline]
-pub fn log2_u64(x: u64) -> f64 {
-    assert!(x > 0, "log2 of zero");
-    (x as f64).log2()
-}

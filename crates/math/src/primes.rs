@@ -129,15 +129,6 @@ pub fn ntt_primes_ascending(two_n: u64) -> impl Iterator<Item = u64> {
     })
 }
 
-/// All NTT-friendly primes with exactly `bits` bits (i.e. in
-/// `[2^(bits-1), 2^bits)`), descending.
-pub fn ntt_primes_with_bits(bits: u32, two_n: u64) -> Vec<u64> {
-    let lower = 1u64 << (bits - 1);
-    ntt_primes_below(bits, two_n)
-        .take_while(|&p| p >= lower)
-        .collect()
-}
-
 /// Finds the NTT-friendly prime closest to `target` (in log-ratio distance),
 /// excluding any prime in `used`, searching at most `max_scan` candidates in
 /// each direction. Returns `None` if no candidate is found.

@@ -86,14 +86,6 @@ impl FactoredScale {
         out
     }
 
-    /// Multiplies by `2^k` (negative `k` divides).
-    #[must_use]
-    pub fn mul_pow2(&self, k: i64) -> Self {
-        let mut out = self.clone();
-        out.pow2 += k;
-        out
-    }
-
     /// The square of this scale (result of a ciphertext-ciphertext multiply).
     #[must_use]
     pub fn square(&self) -> Self {
@@ -180,17 +172,6 @@ impl FactoredScale {
     pub fn round_to_biguint(&self) -> BigUint {
         let (num, den) = self.to_ratio();
         num.div_round(&den)
-    }
-
-    /// `self / other`, exactly.
-    #[must_use]
-    pub fn ratio_to(&self, other: &Self) -> Self {
-        self.div(other)
-    }
-
-    /// Whether the value is exactly 1.
-    pub fn is_one(&self) -> bool {
-        self.pow2 == 0 && self.factors.is_empty()
     }
 
     /// The raw representation: the power-of-two exponent and the

@@ -92,14 +92,6 @@ impl ResiduePoly {
         self.table.modulus().value()
     }
 
-    /// `log2` of this residue's modulus — the scale-capacity bits it
-    /// contributes to `log2 Q` (the numerator of the paper's packing
-    /// efficiency `log Q / (R·w)`).
-    #[inline]
-    pub fn modulus_bits(&self) -> f64 {
-        (self.modulus() as f64).log2()
-    }
-
     /// The coefficient (or slot) values.
     #[inline]
     pub fn coeffs(&self) -> &[u64] {
@@ -210,24 +202,6 @@ impl RnsPoly {
     /// capacity) bits actually in use across its residues.
     pub fn info_bits(&self) -> f64 {
         self.moduli.iter().map(|&q| (q as f64).log2()).sum()
-    }
-
-    /// Datapath bits the basis occupies at a `word_bits`-bit residue
-    /// word width: `R·w`, the denominator of the paper's packing
-    /// efficiency.
-    pub fn capacity_bits(&self, word_bits: u32) -> f64 {
-        self.num_residues() as f64 * f64::from(word_bits)
-    }
-
-    /// Packing efficiency `log2 Q / (R·w)` of this polynomial at the
-    /// given residue word width (paper Fig. 1; 0 for an empty basis).
-    pub fn packing_efficiency(&self, word_bits: u32) -> f64 {
-        let cap = self.capacity_bits(word_bits);
-        if cap > 0.0 {
-            (self.info_bits() / cap).clamp(0.0, 1.0)
-        } else {
-            0.0
-        }
     }
 
     /// Access residue `i`.
@@ -738,7 +712,7 @@ impl RnsPoly {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn setup() -> (Arc<PrimePool>, Vec<u64>) {
@@ -802,7 +776,7 @@ mod tests {
     /// The coefficient-domain automorphism `X → X^t`: coefficient `i`
     /// moves to `i·t mod 2N`, negated when that lands at or past `N`
     /// (`X^N = −1`). The reference the NTT-slot gather is checked against.
-    fn scatter(a: &RnsPoly, t: usize) -> RnsPoly {
+    pub(crate) fn scatter(a: &RnsPoly, t: usize) -> RnsPoly {
         assert_eq!(a.domain(), Domain::Coeff);
         let n = a.n();
         let residues = a
@@ -829,7 +803,7 @@ mod tests {
     }
 
     /// Uniform residues from a fixed seed, coefficient domain.
-    fn random_poly(pool: &PrimePool, qs: &[u64], seed: u64) -> RnsPoly {
+    pub(crate) fn random_poly(pool: &PrimePool, qs: &[u64], seed: u64) -> RnsPoly {
         use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha20Rng::seed_from_u64(seed);
         let mut a = RnsPoly::zero(pool, qs, Domain::Coeff);
@@ -847,7 +821,7 @@ mod tests {
         a
     }
 
-    fn assert_same(a: &RnsPoly, b: &RnsPoly, what: &str) {
+    pub(crate) fn assert_same(a: &RnsPoly, b: &RnsPoly, what: &str) {
         assert_eq!(a.moduli(), b.moduli(), "{what}");
         assert_eq!(a.domain(), b.domain(), "{what}");
         for i in 0..a.num_residues() {

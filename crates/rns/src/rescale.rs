@@ -1,103 +1,20 @@
 //! Level-management kernels shared by RNS-CKKS and BitPacker.
 //!
-//! * [`rns_rescale_once`] — the classic RNS-CKKS rescale that sheds the last
-//!   residue (paper Listing 1).
 //! * [`scale_up`] — multiply by `K = ∏ new qᵢ` and append zero residues
 //!   (paper Listing 3; the new residues of `K·x` are exactly zero because
 //!   each new modulus divides `K`).
 //! * [`scale_down`] — divide by the product of an arbitrary subset of
 //!   moduli and shed them in a single CRB-style pass (paper Listing 5).
+//!   It is the only rescale kernel: RNS-CKKS rescale (Listing 1) is
+//!   `scale_down` by one prime at a time, which rounds to nearest.
 //!
-//! All three operate on a single [`RnsPoly`]; ciphertext-level wrappers live
+//! Both operate on a single [`RnsPoly`]; ciphertext-level wrappers live
 //! in `bp-ckks`.
 
-use crate::poly::{elemwise_work, ntt_work};
-use crate::{scratch, Domain, NttTable, PrimePool, RnsError, RnsPoly};
+use crate::poly::elemwise_work;
+use crate::{NttTable, PrimePool, RnsError, RnsPoly};
 use bp_math::BigUint;
 use std::sync::Arc;
-
-/// RNS-CKKS rescale by the last residue modulus (paper Listing 1):
-/// `xᵢ ← (xᵢ − x_{R−1}) · q_{R−1}⁻¹ mod qᵢ`, then drop residue `R−1`.
-///
-/// The subtracted correction is the *centered* representative of
-/// `x mod q_{R−1}` (values above `q/2` are treated as negative), so the
-/// result is `x / q_{R−1}` rounded to nearest: error in `(-½, ½]` per
-/// coefficient, zero mean. The unsigned representative would floor
-/// instead — error in `(-1, 0]` with a `-½` bias that accumulates across
-/// the two polynomials and every rescale of a computation (surfaced by
-/// the `bp-oracle` differential fuzzer as a systematic BitPacker-vs-RNS
-/// drift). Valid in either domain (the correction residue is brought to
-/// coefficient form internally).
-///
-/// # Errors
-/// [`RnsError::NotEnoughResidues`] if the polynomial has fewer than 2
-/// residues.
-pub fn rns_rescale_once(poly: &mut RnsPoly) -> Result<(), RnsError> {
-    if poly.num_residues() < 2 {
-        return Err(RnsError::NotEnoughResidues {
-            op: "rescale",
-            have: poly.num_residues(),
-            need: 2,
-        });
-    }
-    bp_telemetry::counters::add(bp_telemetry::counters::Counter::Rescales, 1);
-    let domain = poly.domain();
-    let n = poly.n();
-    let mut last = poly.pop_residues(1)?.pop().expect("one residue");
-    let q_last = last.modulus();
-
-    // Bring the shed residue to coefficient form for cross-modulus
-    // reduction; it is ours (popped), so convert in place.
-    if domain == Domain::Ntt {
-        let t = Arc::clone(last.table());
-        t.inverse(last.coeffs_mut());
-    }
-
-    let ex = poly
-        .residues()
-        .first()
-        .map(|r| Arc::clone(r.table().threads()));
-    if let Some(ex) = ex {
-        let lc = &last;
-        // Per-residue cost: reduce + correct (2 elementwise passes), plus
-        // a forward NTT of the correction when in NTT domain.
-        let work = if domain == Domain::Ntt {
-            ntt_work(n).saturating_add(2 * elemwise_work(n))
-        } else {
-            2 * elemwise_work(n)
-        };
-        ex.par_for_each_mut_with_work(poly.residues_mut(), work, |_, r| {
-            let m = *r.table().modulus();
-            let table = Arc::clone(r.table());
-            let inv_q = m.inv(q_last % m.value()).expect("moduli coprime");
-            let inv_q_s = m.shoup(inv_q);
-
-            // Reduce the *centered* representative of the shed residue
-            // into this modulus (coefficient domain), then match the main
-            // domain. Scratch-backed: the correction buffer is recycled
-            // per residue.
-            let q_mod_m = m.reduce(q_last);
-            let half = q_last >> 1;
-            let mut corr = scratch::take_copy(lc.coeffs());
-            for x in corr.iter_mut() {
-                let c = *x;
-                let r = m.reduce(c);
-                // c > q/2 represents the negative value c - q_last.
-                *x = if c > half { m.sub(r, q_mod_m) } else { r };
-            }
-            if domain == Domain::Ntt {
-                table.forward(&mut corr);
-            }
-            for (x, &c) in r.coeffs_mut().iter_mut().zip(corr.iter()) {
-                let d = m.sub(*x, c);
-                *x = m.mul_shoup(d, inv_q, inv_q_s);
-            }
-            scratch::recycle(corr);
-        });
-    }
-    last.recycle();
-    Ok(())
-}
 
 /// Scale-up by new moduli (paper Listing 3): multiplies the polynomial by
 /// `K = ∏ qᵢ` over the existing residues and appends zero residues for each
@@ -126,9 +43,11 @@ pub fn scale_up(poly: &mut RnsPoly, new_tables: &[Arc<NttTable>]) -> Result<(), 
     Ok(())
 }
 
-/// Scale-down (paper Listing 5): divides by `P = ∏ shed moduli` (flooring,
-/// up to the approximate-conversion error of at most `k` units) and sheds
-/// those residues in one pass.
+/// Scale-down (paper Listing 5): divides by `P = ∏ shed moduli` and sheds
+/// those residues in one pass. The correction is the centered basis
+/// conversion of `x mod P` (see [`crate::basis`]), so the result is within
+/// `k/2` of `x/P` for `k` shed moduli, and with one shed modulus it is
+/// `x/P` rounded to nearest: RNS-CKKS rescale (paper Listing 1).
 ///
 /// The shed set may be *any* subset of the basis; residues are internally
 /// moved to the end, mirroring `moveResiduesToEnd` in the paper. The
@@ -190,6 +109,7 @@ pub fn scale_down(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Domain;
     use bp_math::crt::{crt_decompose, crt_reconstruct};
 
     fn poly_from_big(pool: &PrimePool, moduli: &[u64], x: &BigUint) -> RnsPoly {
@@ -215,7 +135,7 @@ mod tests {
             .mul_u64(12345)
             .add(&BigUint::from(678u64));
         let mut p = poly_from_big(&pool, &qs, &x);
-        rns_rescale_once(&mut p).unwrap();
+        scale_down(&mut p, &qs[2..], &pool).unwrap();
         // Expected: close to floor(x / q_last); the RNS identity gives
         // (x - (x mod q_last rep)) / q_last which may differ from the exact
         // floor by less than 1 in integer value -> check within 1.
@@ -238,38 +158,21 @@ mod tests {
         let qs = pool.first_primes_below(30, 3);
         let q_last = qs[2];
         // Remainder just below q_last: the centered representative is
-        // negative, so the quotient must round *up* to floor + 1 (the old
-        // unsigned correction floored here — off by a whole unit with a
+        // negative, so the quotient must round *up* to floor + 1 (an
+        // unsigned correction floors here — off by a whole unit with a
         // systematic negative bias).
         let x_up = BigUint::from(q_last)
             .mul_u64(777)
             .add(&BigUint::from(q_last - 1));
         let mut p = poly_from_big(&pool, &qs, &x_up);
-        rns_rescale_once(&mut p).unwrap();
+        scale_down(&mut p, &[q_last], &pool).unwrap();
         assert_eq!(read_big(&p, 0), BigUint::from(778u64));
 
         // Small remainder rounds down to the floor.
         let x_down = BigUint::from(q_last).mul_u64(777).add(&BigUint::from(3u64));
         let mut p = poly_from_big(&pool, &qs, &x_down);
-        rns_rescale_once(&mut p).unwrap();
+        scale_down(&mut p, &[q_last], &pool).unwrap();
         assert_eq!(read_big(&p, 0), BigUint::from(777u64));
-    }
-
-    #[test]
-    fn rescale_in_ntt_domain_matches_coeff_domain() {
-        let pool = PrimePool::new(1 << 4);
-        let qs = pool.first_primes_below(28, 3);
-        let coeffs: Vec<i64> = (0..16).map(|i| i * 1_000_003 + 7).collect();
-        let mut a = RnsPoly::from_i64_coeffs(&pool, &qs, &coeffs);
-        let mut b = a.clone();
-        rns_rescale_once(&mut a).unwrap();
-
-        b.to_ntt();
-        rns_rescale_once(&mut b).unwrap();
-        b.to_coeff();
-        for i in 0..a.num_residues() {
-            assert_eq!(a.residue(i).coeffs(), b.residue(i).coeffs());
-        }
     }
 
     #[test]
@@ -359,17 +262,6 @@ mod tests {
         assert!(matches!(
             scale_down(&mut p, &qs, &pool),
             Err(RnsError::NotEnoughResidues { .. })
-        ));
-    }
-
-    #[test]
-    fn rescale_below_two_residues_is_an_error() {
-        let pool = PrimePool::new(1 << 3);
-        let qs = pool.first_primes_below(30, 1);
-        let mut p = RnsPoly::zero(&pool, &qs, Domain::Coeff);
-        assert!(matches!(
-            rns_rescale_once(&mut p),
-            Err(RnsError::NotEnoughResidues { op: "rescale", .. })
         ));
     }
 

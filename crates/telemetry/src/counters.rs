@@ -33,7 +33,9 @@ pub enum Counter {
     BasisConversions,
     /// Key-switch (digit-decompose + inner-product) invocations.
     KeySwitches,
-    /// Rescale kernel invocations (`rns_rescale_once` / `scaleDown`).
+    /// Rescale kernel (`scale_down`, paper Listing 5) invocations, one per
+    /// polynomial: once per BitPacker level step or keyswitch mod-down,
+    /// once per shed prime for an RNS-CKKS level step (Listing 1).
     Rescales,
     /// Level-adjust steps performed by the level manager.
     Adjusts,

@@ -156,7 +156,6 @@ fn all_eval() -> Vec<(EvalError, bool)> {
             EvalError::Integrity(IntegrityError::LevelOutOfRange { level: 9, max: 3 }),
             true,
         ),
-        (EvalError::Unsupported("conjugate on BFV".into()), false),
         (
             EvalError::Rns(RnsError::UnreducedCoefficient {
                 modulus: 97,
@@ -302,7 +301,7 @@ fn integrity_errors_display_and_are_all_transient() {
 #[test]
 fn eval_errors_display_and_classify() {
     let all = all_eval();
-    assert_eq!(all.len(), 16, "update this test when EvalError grows");
+    assert_eq!(all.len(), 15, "update this test when EvalError grows");
     for (e, transient) in &all {
         assert_display_nonempty(e, &format!("{e:?}"));
         assert_eq!(e.is_transient(), *transient, "{e:?}");
