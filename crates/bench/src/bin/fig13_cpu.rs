@@ -8,18 +8,22 @@
 //! (DESIGN.md substitution: changes packing by < 5%).
 //!
 //! The program runs node by node through `Evaluator::step_op`, the call
-//! `run_program` makes for every node, and each node is timed: the total
-//! is the sum of the node times, and level management (the paper's red
-//! bars) is the sum of the `rescale` and `adjust` nodes. After one warm-up
-//! run per app and representation, BitPacker and RNS-CKKS runs alternate
-//! so host drift cancels; the speedup is the median per-pair ratio, shown
-//! with its quartiles.
+//! `run_program` makes for every node, with a `GaloisHoist` built per run
+//! as `run_program` builds one (each proxy node is rotated at most once,
+//! so no mod-up is shared), and each node is timed: the total is the sum
+//! of the node times, and level management (the paper's red bars) is the
+//! sum of the `rescale` and `adjust` nodes. After one warm-up run per app
+//! and representation, BitPacker and RNS-CKKS runs alternate so host
+//! drift cancels; the speedup is the median per-pair ratio, shown with
+//! its quartiles.
 //!
 //! Run with `--release`; debug timings are meaningless.
 
 use bp_bench::{box_stats, gmean, write_csv};
 use bp_ckks::ir::{OpKind, Program};
-use bp_ckks::{level_budget, BpThreadPool, Ciphertext, CkksContext, KeySet, Representation};
+use bp_ckks::{
+    level_budget, BpThreadPool, Ciphertext, CkksContext, GaloisHoist, KeySet, Representation,
+};
 use bp_workloads::{functional, App};
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
@@ -83,6 +87,7 @@ impl Setup {
         let ev = self.ctx.evaluator();
         let mut plain = |pseed: u64, _slots: usize| self.plains[pseed as usize].clone();
         let mut nodes = vec![self.input.clone()];
+        let mut hoist = GaloisHoist::new(&self.program);
         let mut run = Run {
             total_s: 0.0,
             level_mgmt_s: 0.0,
@@ -91,7 +96,14 @@ impl Setup {
             let id = self.program.inputs + k;
             let start = Instant::now();
             let ct = ev
-                .step_op(id, op, |i| &nodes[i], &self.keys.evaluation, &mut plain)
+                .step_op(
+                    id,
+                    op,
+                    |i| &nodes[i],
+                    &self.keys.evaluation,
+                    &mut plain,
+                    &mut hoist,
+                )
                 .unwrap_or_else(|e| panic!("node {id}: {e}"));
             let node_s = start.elapsed().as_secs_f64();
             run.total_s += node_s;

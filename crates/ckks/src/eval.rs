@@ -92,6 +92,38 @@ impl fmt::Display for RepairLog {
 /// A residue-wise binary polynomial op (`RnsPoly::add` or `RnsPoly::sub`).
 type PolyOp = fn(&RnsPoly, &RnsPoly) -> Result<RnsPoly, RnsError>;
 
+/// One polynomial's keyswitch digit extensions, in key-digit order:
+/// digit `j`'s residues modded up to the level's basis plus the special
+/// primes, or `None` when none of the digit's primes is active.
+pub(crate) type DigitExtensions = Vec<Option<RnsPoly>>;
+
+/// How a `Rotate`/`Conjugate` op reads its operand, decided in the
+/// program path by the operand node's number of Galois readers
+/// ([`crate::GaloisHoist`]).
+pub(crate) enum GaloisReader<'c> {
+    /// The only Galois reader (and every public `rotate`/`conjugate`
+    /// call): gather `c1`, then mod up the gathered `c1` one digit at a
+    /// time.
+    Lone,
+    /// One of several Galois readers of one node: the node's un-permuted
+    /// `c1` is modded up once, into this entry, by whichever reader finds
+    /// it empty, and every reader gathers the cached extensions.
+    Shared(&'c mut Option<DigitExtensions>),
+}
+
+/// Where [`Evaluator::apply_ksk`] takes each digit's extension from.
+enum Extensions<'c> {
+    /// Mod up the switched polynomial itself, one digit at a time.
+    ModUp,
+    /// The switched polynomial is the Galois image `X → X^t` of the one
+    /// passed: gather each of its digit extensions, made once into
+    /// `cache` if it is empty.
+    Gather {
+        t: usize,
+        cache: &'c mut Option<DigitExtensions>,
+    },
+}
+
 /// Operation dispatcher bound to a [`CkksContext`].
 ///
 /// Created via [`CkksContext::evaluator`] (Strict) or
@@ -529,7 +561,7 @@ impl<'a> Evaluator<'a> {
         scale: FactoredScale,
         noise: NoiseEstimate,
     ) -> Result<Ciphertext, EvalError> {
-        let (ks_b, ks_a) = self.apply_ksk(&d2, &ek.relin)?;
+        let (ks_b, ks_a) = self.apply_ksk(&d2, &ek.relin, Extensions::ModUp)?;
         d2.into_scratch();
         let mut ct = Ciphertext::new(
             d0.add_owned(&ks_b)?,
@@ -555,6 +587,17 @@ impl<'a> Evaluator<'a> {
         steps: i64,
         ek: &EvaluationKey,
     ) -> Result<Ciphertext, EvalError> {
+        self.rotate_as(a, steps, ek, GaloisReader::Lone)
+    }
+
+    /// [`Evaluator::rotate`], reading `a` as `reader`.
+    pub(crate) fn rotate_as(
+        &self,
+        a: &Ciphertext,
+        steps: i64,
+        ek: &EvaluationKey,
+        reader: GaloisReader<'_>,
+    ) -> Result<Ciphertext, EvalError> {
         self.run_op(OpKind::Rotate, || {
             let n = self.ctx.params().n();
             let normalized = steps.rem_euclid((n / 2) as i64);
@@ -562,7 +605,7 @@ impl<'a> Evaluator<'a> {
                 .rotations
                 .get(&normalized)
                 .ok_or(EvalError::MissingRotationKey { steps, normalized })?;
-            self.galois(a, galois_element(steps, n), key)
+            self.galois(a, galois_element(steps, n), key, reader)
         })
     }
 
@@ -573,12 +616,22 @@ impl<'a> Evaluator<'a> {
     /// # Errors
     /// [`EvalError::MissingConjugationKey`] if `ek` has no conjugation key.
     pub fn conjugate(&self, a: &Ciphertext, ek: &EvaluationKey) -> Result<Ciphertext, EvalError> {
+        self.conjugate_as(a, ek, GaloisReader::Lone)
+    }
+
+    /// [`Evaluator::conjugate`], reading `a` as `reader`.
+    pub(crate) fn conjugate_as(
+        &self,
+        a: &Ciphertext,
+        ek: &EvaluationKey,
+        reader: GaloisReader<'_>,
+    ) -> Result<Ciphertext, EvalError> {
         self.run_op(OpKind::Conjugate, || {
             let key = ek
                 .conjugation
                 .as_ref()
                 .ok_or(EvalError::MissingConjugationKey)?;
-            self.galois(a, 2 * self.ctx.params().n() - 1, key)
+            self.galois(a, 2 * self.ctx.params().n() - 1, key, reader)
         })
     }
 
@@ -588,23 +641,38 @@ impl<'a> Evaluator<'a> {
     /// with `key`. A coefficient-domain operand (the wire format admits
     /// one) is brought to NTT form first, so the result is always in NTT
     /// form.
+    ///
+    /// A [`GaloisReader::Shared`] reader takes the digit extensions of the
+    /// permuted `c1` as gathers of the un-permuted `c1`'s extensions.
+    /// Basis conversion lifts to centered representatives, so it commutes
+    /// with the automorphism, and the inner product sees the same values
+    /// either way: the output bytes do not depend on the reader.
     fn galois(
         &self,
         a: &Ciphertext,
         t: usize,
         key: &KeySwitchKey,
+        reader: GaloisReader<'_>,
     ) -> Result<Ciphertext, EvalError> {
-        let permute = |p: &RnsPoly| -> Result<RnsPoly, EvalError> {
+        fn ntt_form(p: &RnsPoly) -> Cow<'_, RnsPoly> {
             let mut p = Cow::Borrowed(p);
             if p.domain() == Domain::Coeff {
                 p.to_mut().to_ntt();
             }
-            Ok(p.automorphism(t)?)
+            p
+        }
+        let c0t = ntt_form(&a.c0).automorphism(t)?;
+        let (ks_b, ks_a) = match reader {
+            GaloisReader::Lone => {
+                let c1t = ntt_form(&a.c1).automorphism(t)?;
+                let ks = self.apply_ksk(&c1t, key, Extensions::ModUp)?;
+                c1t.into_scratch();
+                ks
+            }
+            GaloisReader::Shared(cache) => {
+                self.apply_ksk(&ntt_form(&a.c1), key, Extensions::Gather { t, cache })?
+            }
         };
-        let c0t = permute(&a.c0)?;
-        let c1t = permute(&a.c1)?;
-        let (ks_b, ks_a) = self.apply_ksk(&c1t, key)?;
-        c1t.into_scratch();
         let ct = Ciphertext::new(
             c0t.add_owned(&ks_b)?,
             ks_a,
@@ -699,10 +767,18 @@ impl<'a> Evaluator<'a> {
     /// Per digit: slice the active residues, mod-up to the extended basis
     /// `Q_ℓ ∪ P` (a CRB operation), inner-product with the key, then
     /// mod-down by the special primes `P` (another CRB; paper Sec. 4.3).
-    pub(crate) fn apply_ksk(
+    ///
+    /// The inner product streams one digit extension at a time: take it
+    /// (modded up from `d` now, or, under [`Extensions::Gather`], which
+    /// switches `d`'s Galois image, gathered from `d`'s cached mod-up),
+    /// multiply-accumulate it into both accumulators, retire it. An empty
+    /// cache is filled here, after the fault hook and inside the keyswitch
+    /// span, so a shared mod-up runs within its first reader's frame.
+    fn apply_ksk(
         &self,
         d: &RnsPoly,
         ksk: &KeySwitchKey,
+        extensions: Extensions<'_>,
     ) -> Result<(RnsPoly, RnsPoly), EvalError> {
         // Fault-injection hook: an armed keyswitch fault is reported as
         // detected corruption of the switched polynomial — the transient
@@ -721,53 +797,37 @@ impl<'a> Evaluator<'a> {
         bp_telemetry::counters::add(bp_telemetry::counters::Counter::KeySwitches, 1);
         let _span = bp_telemetry::spans::span(bp_telemetry::spans::SpanKind::KeySwitch);
         let pool = self.ctx.pool();
-        let active = d.moduli();
         let special = self.chain().special();
-        let mut f_l = active.to_vec();
+        let mut f_l = d.moduli().to_vec();
         f_l.extend_from_slice(special);
+
+        // Every key of one chain splits the keyswitch basis into the same
+        // digits, so a cache filled by one Galois key serves the others.
+        let gather = match extensions {
+            Extensions::ModUp => None,
+            Extensions::Gather { t, cache } => {
+                if cache.is_none() {
+                    let exts = ksk
+                        .digits
+                        .iter()
+                        .map(|digit| self.mod_up(d, &digit.moduli, &f_l))
+                        .collect::<Result<_, _>>()?;
+                    *cache = Some(exts);
+                }
+                cache.as_ref().map(|exts| (t, exts))
+            }
+        };
 
         let mut acc_b = RnsPoly::zero(pool, &f_l, Domain::Ntt);
         let mut acc_a = RnsPoly::zero(pool, &f_l, Domain::Ntt);
 
-        for digit in &ksk.digits {
-            let c_j: Vec<u64> = digit
-                .moduli
-                .iter()
-                .copied()
-                .filter(|q| active.contains(q))
-                .collect();
-            if c_j.is_empty() {
+        for (j, digit) in ksk.digits.iter().enumerate() {
+            let ext = match gather {
+                None => self.mod_up(d, &digit.moduli, &f_l)?,
+                Some((t, exts)) => exts[j].as_ref().map(|e| e.automorphism(t)).transpose()?,
+            };
+            let Some(ext) = ext else {
                 continue;
-            }
-            let src = d.restricted(&c_j)?;
-            let rest: Vec<u64> = f_l.iter().copied().filter(|q| !c_j.contains(q)).collect();
-            let ext = if rest.is_empty() {
-                src
-            } else {
-                let conv = pool.converter(&c_j, &rest)?;
-                let converted = conv.convert_from(src.residues(), Domain::Ntt, Domain::Ntt)?;
-                // Assemble in f_l order: originals where present, converted
-                // otherwise. Option slots let every residue move exactly
-                // once — no clones, no zero-filled placeholders.
-                let mut src_slots: Vec<Option<ResiduePoly>> =
-                    src.into_residues().into_iter().map(Some).collect();
-                let mut conv_slots: Vec<Option<ResiduePoly>> =
-                    converted.into_iter().map(Some).collect();
-                let mut residues = Vec::with_capacity(f_l.len());
-                for &q in &f_l {
-                    let r = if let Some(pos) = c_j.iter().position(|&c| c == q) {
-                        src_slots[pos]
-                            .take()
-                            .expect("each source residue is used exactly once")
-                    } else {
-                        let pos = rest.iter().position(|&r| r == q).expect("in rest");
-                        conv_slots[pos]
-                            .take()
-                            .expect("each converted residue is used exactly once")
-                    };
-                    residues.push(r);
-                }
-                RnsPoly::from_residues(Domain::Ntt, residues)?
             };
             // Fused multiply-accumulate: one traversal per accumulator, no
             // product temporaries. The key digits span the full basis and
@@ -781,10 +841,59 @@ impl<'a> Evaluator<'a> {
 
         // Mod-down by the special primes through the pool's memoized
         // P → Q_ℓ converter (extracting `special` from `f_l` leaves
-        // exactly `active`, in order).
+        // exactly `d`'s moduli, in order).
         scale_down(&mut acc_b, special, pool)?;
         scale_down(&mut acc_a, special, pool)?;
         Ok((acc_b, acc_a))
+    }
+
+    /// One digit's mod-up: `d`'s residues at the digit's active primes,
+    /// extended by basis conversion to the rest of `f_l` (the active
+    /// moduli followed by the special primes) and laid out in `f_l`
+    /// order. `None` when none of the digit's primes is active.
+    fn mod_up(
+        &self,
+        d: &RnsPoly,
+        digit: &[u64],
+        f_l: &[u64],
+    ) -> Result<Option<RnsPoly>, EvalError> {
+        let active = d.moduli();
+        let c_j: Vec<u64> = digit
+            .iter()
+            .copied()
+            .filter(|q| active.contains(q))
+            .collect();
+        if c_j.is_empty() {
+            return Ok(None);
+        }
+        let src = d.restricted(&c_j)?;
+        let rest: Vec<u64> = f_l.iter().copied().filter(|q| !c_j.contains(q)).collect();
+        if rest.is_empty() {
+            return Ok(Some(src));
+        }
+        let conv = self.ctx.pool().converter(&c_j, &rest)?;
+        let converted = conv.convert_from(src.residues(), Domain::Ntt, Domain::Ntt)?;
+        // Assemble in f_l order: originals where present, converted
+        // otherwise. Option slots let every residue move exactly once —
+        // no clones, no zero-filled placeholders.
+        let mut src_slots: Vec<Option<ResiduePoly>> =
+            src.into_residues().into_iter().map(Some).collect();
+        let mut conv_slots: Vec<Option<ResiduePoly>> = converted.into_iter().map(Some).collect();
+        let mut residues = Vec::with_capacity(f_l.len());
+        for &q in f_l {
+            let r = if let Some(pos) = c_j.iter().position(|&c| c == q) {
+                src_slots[pos]
+                    .take()
+                    .expect("each source residue is used exactly once")
+            } else {
+                let pos = rest.iter().position(|&r| r == q).expect("in rest");
+                conv_slots[pos]
+                    .take()
+                    .expect("each converted residue is used exactly once")
+            };
+            residues.push(r);
+        }
+        Ok(Some(RnsPoly::from_residues(Domain::Ntt, residues)?))
     }
 }
 

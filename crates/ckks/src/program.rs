@@ -5,10 +5,13 @@
 //! its *execution*: every [`bp_ir::Op`] maps onto exactly one public
 //! [`Evaluator`] method, so the same program runs unchanged under either
 //! [`Representation`](crate::Representation) and either
-//! [`EvalPolicy`](crate::EvalPolicy). Plaintext operands are not stored in
-//! the program; they are named by a `pseed` and materialised on demand
-//! through a [`PlainSource`], which keeps the wire format free of bulk
-//! data and makes replay deterministic.
+//! [`EvalPolicy`](crate::EvalPolicy). The one departure is keyswitch
+//! hoisting: `Rotate` and `Conjugate` ops that read the same node share
+//! that node's mod-up ([`GaloisHoist`]) instead of each redoing it, and
+//! produce the bytes the public methods would. Plaintext operands are not
+//! stored in the program; they are named by a `pseed` and materialised on
+//! demand through a [`PlainSource`], which keeps the wire format free of
+//! bulk data and makes replay deterministic.
 //!
 //! Trace integration: while a program runs, the evaluator stamps the
 //! current IR node id into every telemetry [`OpRecord`](bp_telemetry::trace::OpRecord)
@@ -19,9 +22,11 @@
 use crate::chain::ModulusChain;
 use crate::ciphertext::Ciphertext;
 use crate::error::EvalError;
-use crate::eval::Evaluator;
+use crate::eval::{DigitExtensions, Evaluator, GaloisReader};
 use crate::keys::EvaluationKey;
 use bp_ir::{LevelBudget, Op, Program};
+use bp_rns::RnsPoly;
+use std::collections::HashMap;
 use std::fmt;
 
 /// Supplies plaintext operand values for `*_plain` IR ops.
@@ -134,6 +139,71 @@ impl ProgramRun {
     }
 }
 
+/// Per-run state of the program path's hoisted Galois keyswitches.
+///
+/// A node read by two or more `Rotate`/`Conjugate` ops has its `c1`
+/// decomposed and modded up once, by its first Galois reader; every
+/// reader gathers the cached digit extensions by its own Galois element
+/// and runs its own inner product and mod-down, and the entry is dropped
+/// when the node's last Galois reader has run. A node with one Galois
+/// reader runs the same code as [`Evaluator::rotate`]. Either way the
+/// output bytes are those of the per-op call.
+///
+/// Build one from the program at the start of every run and pass it to
+/// each [`Evaluator::step_op`] of that run, so no other program or run
+/// reads an entry. Nothing of it is checkpointed: a run resumed part way
+/// starts with an empty cache, its first reader of a shared node
+/// recomputes the mod-up, and the entry is still dropped at the node's
+/// last reader.
+#[derive(Debug)]
+pub struct GaloisHoist {
+    /// Per node: its number of Galois readers and the node id of the last
+    /// one.
+    readers: Vec<(u32, usize)>,
+    /// Digit extensions of shared nodes' `c1`, by node id.
+    cache: HashMap<usize, Option<DigitExtensions>>,
+}
+
+impl GaloisHoist {
+    /// Counts the Galois readers of every node of `program`.
+    pub fn new(program: &Program) -> Self {
+        let mut readers = vec![(0, 0); program.num_nodes()];
+        for (k, op) in program.ops.iter().enumerate() {
+            if let Op::Rotate { a, .. } | Op::Conjugate { a } = *op {
+                if let Some((count, last)) = readers.get_mut(a) {
+                    *count += 1;
+                    *last = program.inputs + k;
+                }
+            }
+        }
+        Self {
+            readers,
+            cache: HashMap::new(),
+        }
+    }
+
+    /// How a Galois op reads node `a`: shared when the node has two or
+    /// more Galois readers.
+    fn reader(&mut self, a: usize) -> GaloisReader<'_> {
+        match self.readers.get(a) {
+            Some(&(count, _)) if count >= 2 => {
+                GaloisReader::Shared(self.cache.entry(a).or_default())
+            }
+            _ => GaloisReader::Lone,
+        }
+    }
+
+    /// Drops node `a`'s cached extensions once node `id`, its last Galois
+    /// reader, has run.
+    fn retire(&mut self, a: usize, id: usize) {
+        if self.readers.get(a).is_some_and(|&(_, last)| last == id) {
+            if let Some(exts) = self.cache.remove(&a).flatten() {
+                exts.into_iter().flatten().for_each(RnsPoly::into_scratch);
+            }
+        }
+    }
+}
+
 /// Extra scale headroom (bits) a multiply needs beyond `2·log2(S_l)` at a
 /// level before the level counts as multiply-capable. Mirrors the margin
 /// the generator's symbolic walk assumes.
@@ -170,6 +240,11 @@ impl Evaluator<'_> {
     /// operands are drawn from `plain` and encoded at the ciphertext
     /// operand's level, at that level's chain scale.
     ///
+    /// Every op runs its public [`Evaluator`] method's body, except that a
+    /// `Rotate` or `Conjugate` of a node with several Galois readers
+    /// shares that node's mod-up through `hoist`, the run's
+    /// [`GaloisHoist`], with the same output bytes.
+    ///
     /// # Errors
     /// Whatever the underlying evaluator op returns ([`EvalError`]).
     ///
@@ -183,6 +258,7 @@ impl Evaluator<'_> {
         node: impl Fn(usize) -> &'n Ciphertext,
         ek: &EvaluationKey,
         plain: &mut dyn PlainSource,
+        hoist: &mut GaloisHoist,
     ) -> Result<Ciphertext, EvalError> {
         let ctx = self.context();
         let slots = ctx.params().slots();
@@ -209,12 +285,15 @@ impl Evaluator<'_> {
             }
             Op::Mul { a, b } => self.mul(node(a), node(b), ek),
             Op::Square { a } => self.square(node(a), ek),
-            Op::Rotate { a, steps } => self.rotate(node(a), steps, ek),
-            Op::Conjugate { a } => self.conjugate(node(a), ek),
+            Op::Rotate { a, steps } => self.rotate_as(node(a), steps, ek, hoist.reader(a)),
+            Op::Conjugate { a } => self.conjugate_as(node(a), ek, hoist.reader(a)),
             Op::Rescale { a } => self.rescale(node(a)),
             Op::Adjust { a, target } => self.adjust_to(node(a), target),
         };
         self.ir_op.set(None);
+        if let Op::Rotate { a, .. } | Op::Conjugate { a } = *op {
+            hoist.retire(a, id);
+        }
         result
     }
 
@@ -245,9 +324,10 @@ impl Evaluator<'_> {
         }
         let mut nodes = inputs;
         nodes.reserve(program.ops.len());
+        let mut hoist = GaloisHoist::new(program);
         for (k, op) in program.ops.iter().enumerate() {
             let node = program.inputs + k;
-            let result = self.step_op(node, op, |i| &nodes[i], ek, plain);
+            let result = self.step_op(node, op, |i| &nodes[i], ek, plain, &mut hoist);
             nodes.push(result.map_err(|error| ProgramError::Eval { node, error })?);
         }
         Ok(ProgramRun {
@@ -260,9 +340,13 @@ impl Evaluator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::CkksContext;
     use crate::params::{CkksParams, Representation};
     use crate::security::SecurityLevel;
+    use crate::wire::write_ciphertext;
     use bp_ir::{IrError, ProgramBuilder};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha20Rng;
 
     fn chain(repr: Representation, levels: usize) -> ModulusChain {
         let params = CkksParams::builder()
@@ -303,6 +387,84 @@ mod tests {
             square_then_rescale()
                 .validate(&budget)
                 .unwrap_or_else(|e| panic!("{repr:?}: {e}"));
+        }
+    }
+
+    /// Every Galois reader of a shared node gives the bytes of the per-op
+    /// call on the same operand: for each generated key step and the
+    /// conjugation, under both representations, at the top level and two
+    /// lower ones, with the top-level operand in NTT form and in
+    /// coefficient form.
+    #[test]
+    fn hoisted_galois_ops_match_per_op_bytes() {
+        const STEPS: [i64; 5] = [1, 2, 3, 7, -1];
+        for repr in [Representation::BitPacker, Representation::RnsCkks] {
+            let params = CkksParams::builder()
+                .log_n(7)
+                .word_bits(28)
+                .representation(repr)
+                .security(SecurityLevel::Insecure)
+                .levels(4, 26)
+                .base_modulus_bits(30)
+                .dnum(2)
+                .build()
+                .expect("params");
+            let ctx = CkksContext::new(&params).expect("context");
+            let mut rng = ChaCha20Rng::seed_from_u64(41);
+            let mut keys = ctx.keygen(&mut rng);
+            ctx.gen_rotation_keys(&mut keys, &STEPS, &mut rng);
+            ctx.gen_conjugation_key(&mut keys, &mut rng);
+            let ek = &keys.evaluation;
+
+            // x is read at the top level; y feeds a rescaled and an
+            // adjusted node, each read by every Galois op too.
+            let mut b = ProgramBuilder::new(28);
+            let x = b.input();
+            let y = b.input();
+            let weighted = b.mul_plain(y, 0);
+            let rescaled = b.rescale(weighted);
+            let adjusted = b.adjust(y, 1);
+            let mut readers = Vec::new();
+            for a in [x, rescaled, adjusted] {
+                for steps in STEPS {
+                    readers.push((b.rotate(a, steps), a, Some(steps)));
+                }
+                readers.push((b.conjugate(a), a, None));
+            }
+            let program = b.finish();
+
+            let slots = ctx.params().slots();
+            let mut encrypt = |phase: f64| {
+                let vals: Vec<f64> = (0..slots)
+                    .map(|i| (i as f64 * 0.3 + phase).cos() / 2.0)
+                    .collect();
+                ctx.encrypt(&ctx.encode(&vals, ctx.max_level()), &keys.public, &mut rng)
+            };
+            let (x_ntt, y_ct) = (encrypt(0.0), encrypt(1.0));
+            let mut x_coeff = x_ntt.clone();
+            x_coeff.c0.to_coeff();
+            x_coeff.c1.to_coeff();
+            assert_eq!(write_ciphertext(&x_coeff)[5], 0, "wire domain tag");
+
+            let ev = ctx.evaluator();
+            for (form, x_ct) in [("ntt", x_ntt), ("coeff", x_coeff)] {
+                let mut plain = |_: u64, n: usize| vec![0.5; n];
+                let run = ev
+                    .run_program(&program, vec![x_ct, y_ct.clone()], ek, &mut plain)
+                    .expect("program runs");
+                for &(id, a, steps) in &readers {
+                    let per_op = match steps {
+                        Some(steps) => ev.rotate(run.node(a), steps, ek),
+                        None => ev.conjugate(run.node(a), ek),
+                    }
+                    .expect("per-op Galois op");
+                    assert_eq!(
+                        write_ciphertext(run.node(id)),
+                        write_ciphertext(&per_op),
+                        "{repr} {form}: node {id} reads node {a} with steps {steps:?}"
+                    );
+                }
+            }
         }
     }
 }

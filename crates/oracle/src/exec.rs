@@ -23,7 +23,8 @@
 use crate::generate::{input_values, plain_values, GenLimits, ROTATION_STEPS};
 use bp_ckks::wire::{read_ciphertext, write_ciphertext};
 use bp_ckks::{
-    Ciphertext, CkksContext, CkksParams, EvalPolicy, KeySet, Representation, SecurityLevel,
+    Ciphertext, CkksContext, CkksParams, EvalPolicy, GaloisHoist, KeySet, Representation,
+    SecurityLevel,
 };
 use bp_ir::Program;
 use rand::SeedableRng;
@@ -405,9 +406,10 @@ fn backend_run(backend: &Backend, program: &Program, slots: usize) -> BackendRun
     // `step_op` the `run_program` interpreter uses), with plaintext
     // operands resolved from the deterministic pseed streams.
     let mut plain = |pseed: u64, n: usize| plain_values(pseed, n);
+    let mut hoist = GaloisHoist::new(program);
     for (k, op) in program.ops.iter().enumerate() {
         let node = program.inputs + k;
-        let ct = match ev.step_op(node, op, |i| &cts[i], ek, &mut plain) {
+        let ct = match ev.step_op(node, op, |i| &cts[i], ek, &mut plain, &mut hoist) {
             Ok(ct) => ct,
             Err(e) => {
                 run.error = Some((node, e.to_string()));

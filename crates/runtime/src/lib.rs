@@ -9,7 +9,9 @@
 //!
 //! * [`Runtime::run_program`] — the one entry point: supervised execution
 //!   of the [`bp_ir::Program`] attached to a [`JobSpec`], through the
-//!   same `Evaluator::step_op` dispatch every other IR consumer uses.
+//!   same `Evaluator::step_op` dispatch every other IR consumer uses,
+//!   with a `GaloisHoist` built per attempt, so rotations of one node
+//!   share its mod-up and a resumed attempt recomputes it.
 //!   Each job gets cooperative **deadlines** (a [`CancelToken`] threaded
 //!   into the evaluator), **panic isolation** (`catch_unwind` at the job
 //!   boundary → [`RuntimeError::JobPanicked`]), **retry** of transient

@@ -10,11 +10,16 @@
 //! convention. Ciphertexts travel through the `bp-ckks` wire format,
 //! which preserves exact factored scales and chain positions; an
 //! interrupted run therefore resumes **bit-identically**.
+//!
+//! Each attempt builds its own [`GaloisHoist`], through which the
+//! rotations of one node share that node's keyswitch mod-up. Checkpoints
+//! do not carry it: a resumed attempt starts with it empty and its first
+//! Galois reader of a shared node recomputes the same bytes.
 
 use crate::checkpoint::{fnv1a64, Checkpoint};
 use crate::error::RuntimeError;
 use crate::job::{terminal_for, JobSpec, Runtime};
-use bp_ckks::{level_budget, Ciphertext, CkksContext, EvaluationKey};
+use bp_ckks::{level_budget, Ciphertext, CkksContext, EvaluationKey, GaloisHoist};
 use bp_ir::Program;
 use std::sync::Mutex;
 
@@ -193,6 +198,7 @@ impl Runtime {
             }
 
             let mut plain_src = |pseed: u64, n: usize| plain(pseed, n);
+            let mut hoist = GaloisHoist::new(program);
             let mut checkpoints = 0u64;
             for (k, op) in program.ops.iter().enumerate().skip(start) {
                 token.check().map_err(terminal_for)?;
@@ -202,7 +208,7 @@ impl Runtime {
                         .as_ref()
                         .expect("operands of a validated program are live")
                 };
-                let ct = ev.step_op(id, op, operand, ek, &mut plain_src)?;
+                let ct = ev.step_op(id, op, operand, ek, &mut plain_src, &mut hoist)?;
                 nodes[id] = Some(ct);
                 let pos = k + 1;
                 if every > 0 && (pos % every == 0 || pos == program.ops.len()) {

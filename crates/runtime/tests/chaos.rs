@@ -60,9 +60,10 @@ impl Harness {
         let ctx = CkksContext::with_threads(&params, Arc::new(BpThreadPool::sequential()))
             .expect("chaos context builds");
         let mut rng = ChaCha20Rng::seed_from_u64(77);
-        let keys = ctx.keygen(&mut rng);
+        let mut keys = ctx.keygen(&mut rng);
         let pt = ctx.encode(&[0.5, -0.25, 0.125], ctx.max_level());
         let input = ctx.encrypt(&pt, &keys.public, &mut rng);
+        ctx.gen_rotation_keys(&mut keys, &[1, 2], &mut rng);
         Self { ctx, keys, input }
     }
 
@@ -234,6 +235,32 @@ fn ckks_evaluator_faults_retry_bit_identically() {
         &MemoryStore::new(),
     );
     assert!(healthy.is_ok(), "other workloads unaffected: {healthy:?}");
+
+    // Case E: both rotations read x, so the first one mods x up for the
+    // two of them. The second reader's keyswitch fails; the retry resumes
+    // at that rotation with an empty cache, recomputes the mod-up, and
+    // still matches a fault-free run byte for byte.
+    let shared = program(|b, x| {
+        let one = b.rotate(x, 1);
+        let two = b.rotate(x, 2);
+        b.add(one, two)
+    });
+    let spec = JobSpec::new("chaos-hoist").program(shared);
+    let clean_shared = h
+        .run(&rt, &spec, &halves, &MemoryStore::new())
+        .expect("fault-free run");
+    ckks_fault::arm(ckks_fault::FaultSite::KeySwitch, 1);
+    let out = h
+        .run(
+            &rt,
+            &spec.retry(fast_retry(2)),
+            &halves,
+            &MemoryStore::new(),
+        )
+        .expect("keyswitch fault must be retried to success");
+    assert_eq!(out.resumed_at, Some(1), "resumed at the second rotation");
+    assert_eq!(y_bytes(&out), y_bytes(&clean_shared));
+    assert_eq!(ckks_fault::armed_count(), 0, "fault was consumed");
     ckks_fault::disarm_all();
 }
 
