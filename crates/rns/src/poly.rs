@@ -564,13 +564,10 @@ impl RnsPoly {
             None => Vec::new(),
             Some(ex) => ex.par_map_with_work(src.len(), elemwise_work(n), |i| {
                 let sp = &src[i];
-                let mut new = scratch::take_zeroed(n);
-                for (k, out) in new.iter_mut().enumerate() {
-                    *out = sp.coeffs[((t * (2 * k + 1)) & mask) >> 1];
-                }
+                let coeffs = scratch::take_with(n, |k| sp.coeffs[((t * (2 * k + 1)) & mask) >> 1]);
                 ResiduePoly {
                     table: Arc::clone(&sp.table),
-                    coeffs: new,
+                    coeffs,
                 }
             }),
         };

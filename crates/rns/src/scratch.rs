@@ -10,10 +10,10 @@
 //!
 //! # Ownership rules
 //!
-//! * [`take_zeroed`] / [`take_copy`] hand the caller an **owned**
-//!   `Vec<u64>` — it may escape into long-lived structures (ciphertext
-//!   residues) freely; such buffers are simply dropped later and never
-//!   return to the pool.
+//! * [`take_zeroed`] / [`take_copy`] / [`take_with`] hand the caller an
+//!   **owned** `Vec<u64>` — it may escape into long-lived structures
+//!   (ciphertext residues) freely; such buffers are simply dropped later
+//!   and never return to the pool.
 //! * [`recycle`] is the only way a buffer re-enters the pool. Call it on
 //!   buffers that would otherwise be dropped at the end of a kernel
 //!   (temporaries, consumed accumulators). Recycling is always optional
@@ -83,6 +83,26 @@ pub fn take_copy(src: &[u64]) -> Vec<u64> {
     }
 }
 
+/// An owned buffer of `n` elements with element `i` set to `f(i)`,
+/// reusing a retired buffer of the same length when available. Every
+/// element is written, so there is no zero-fill first (the Galois
+/// gather writes each output slot exactly once).
+pub fn take_with(n: usize, mut f: impl FnMut(usize) -> u64) -> Vec<u64> {
+    match pop(n) {
+        Some(mut v) => {
+            counters::add(Counter::ScratchReuses, 1);
+            for (i, x) in v.iter_mut().enumerate() {
+                *x = f(i);
+            }
+            v
+        }
+        None => {
+            counters::add(Counter::ScratchAllocs, 1);
+            (0..n).map(f).collect()
+        }
+    }
+}
+
 /// Returns a buffer to this thread's pool for later reuse. Buckets are
 /// keyed by the buffer's *length*, so only return buffers whose length is
 /// the natural residue degree they will be requested at. Empty buffers
@@ -129,6 +149,17 @@ mod tests {
         // Miss path (no pooled buffer of length 5).
         let src5 = [9u64, 8, 7, 6, 5];
         assert_eq!(take_copy(&src5), src5.to_vec());
+    }
+
+    #[test]
+    fn take_with_writes_every_element() {
+        let f = |i: usize| 3 * i as u64 + 1;
+        let want: Vec<u64> = (0..8).map(f).collect();
+        // Hit path: a dirty pooled buffer is overwritten everywhere.
+        recycle(vec![7u64; 8]);
+        assert_eq!(take_with(8, f), want);
+        // Miss path (no pooled buffer of length 8 left).
+        assert_eq!(take_with(8, f), want);
     }
 
     #[test]
