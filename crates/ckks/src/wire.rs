@@ -79,10 +79,32 @@ impl WireError {
     }
 }
 
+/// Bytes before the scale: magic, version, domain, level and `n`.
+const HEADER_LEN: usize = 4 + 1 + 1 + 4 + 4;
+
+/// Exact length of `ct`'s wire encoding: the header, the scale (pow2,
+/// factor count and one (prime, exponent) pair per factor), the two
+/// noise-estimate fields, and for each of c0 and c1 a residue count
+/// followed by one modulus and `n` coefficients per residue.
+pub fn encoded_len(ct: &Ciphertext) -> usize {
+    let scale = 8 + 4 + 16 * ct.scale().parts().1.len();
+    let poly = |p: &RnsPoly| 4 + p.num_residues() * (8 + 8 * p.n());
+    HEADER_LEN + scale + 8 + 8 + poly(ct.c0()) + poly(ct.c1())
+}
+
 /// Serializes a ciphertext to bytes.
 pub fn write_ciphertext(ct: &Ciphertext) -> Vec<u8> {
+    let mut out = Vec::with_capacity(encoded_len(ct));
+    write_ciphertext_into(&mut out, ct);
+    out
+}
+
+/// Appends `ct`'s wire encoding to `out`, so a container format can
+/// write ciphertexts straight into its own buffer. Reserve
+/// [`encoded_len`] bytes first to write without reallocating.
+pub fn write_ciphertext_into(out: &mut Vec<u8>, ct: &Ciphertext) {
     let _span = bp_telemetry::spans::span(bp_telemetry::spans::SpanKind::Serialize);
-    let mut out = Vec::new();
+    let start = out.len();
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
     out.push(match ct.c0().domain() {
@@ -91,23 +113,22 @@ pub fn write_ciphertext(ct: &Ciphertext) -> Vec<u8> {
     });
     out.extend_from_slice(&(ct.level() as u32).to_le_bytes());
     out.extend_from_slice(&(ct.c0().n() as u32).to_le_bytes());
-    write_scale(&mut out, ct.scale());
+    write_scale(out, ct.scale());
     out.extend_from_slice(&ct.noise().noise_bits.to_le_bytes());
     out.extend_from_slice(&ct.noise().message_bits.to_le_bytes());
     for poly in [ct.c0(), ct.c1()] {
         out.extend_from_slice(&(poly.num_residues() as u32).to_le_bytes());
         for r in poly.residues() {
             out.extend_from_slice(&r.modulus().to_le_bytes());
-            for &c in r.coeffs() {
-                out.extend_from_slice(&c.to_le_bytes());
-            }
+            // One exact-length extend per residue, which writes each byte
+            // once: a push per coefficient re-checks capacity every word.
+            out.extend(r.coeffs().iter().flat_map(|c| c.to_le_bytes()));
         }
     }
     bp_telemetry::counters::add(
         bp_telemetry::counters::Counter::BytesSerialized,
-        out.len() as u64,
+        (out.len() - start) as u64,
     );
-    out
 }
 
 fn write_scale(out: &mut Vec<u8>, scale: &FactoredScale) {
@@ -394,6 +415,58 @@ mod tests {
             read_ciphertext(&ctx2, &bytes),
             Err(WireError::Incompatible(_))
         ));
+    }
+
+    /// `encoded_len` is the exact encoding length under both
+    /// representations, for fresh NTT-domain and coefficient-domain
+    /// operands and for a rescaled one with factored scale primes; and
+    /// `write_ciphertext_into` appends exactly `write_ciphertext`'s bytes.
+    #[test]
+    fn encoded_len_is_exact_and_appending_matches() {
+        for repr in [Representation::BitPacker, Representation::RnsCkks] {
+            let params = CkksParams::builder()
+                .log_n(7)
+                .word_bits(28)
+                .representation(repr)
+                .security(SecurityLevel::Insecure)
+                .levels(3, 26)
+                .base_modulus_bits(30)
+                .build()
+                .unwrap();
+            let ctx = CkksContext::new(&params).unwrap();
+            let mut rng = ChaCha20Rng::seed_from_u64(70);
+            let keys = ctx.keygen(&mut rng);
+            let ev = ctx.evaluator();
+            let ntt = ctx.encrypt(&ctx.encode(&[0.5], ctx.max_level()), &keys.public, &mut rng);
+            let mut coeff = ntt.clone();
+            coeff.c0.to_coeff();
+            coeff.c1.to_coeff();
+            let rescaled = ev
+                .rescale(&ev.mul(&ntt, &ntt, &keys.evaluation).unwrap())
+                .unwrap();
+            for (form, ct) in [("ntt", &ntt), ("coeff", &coeff), ("rescaled", &rescaled)] {
+                let bytes = write_ciphertext(ct);
+                assert_eq!(
+                    bytes[5],
+                    u8::from(form != "coeff"),
+                    "{repr} {form}: domain tag"
+                );
+                assert_eq!(encoded_len(ct), bytes.len(), "{repr} {form}");
+                assert_eq!(
+                    bytes.capacity(),
+                    bytes.len(),
+                    "{repr} {form}: one exact reservation"
+                );
+                let mut out = b"prefix".to_vec();
+                write_ciphertext_into(&mut out, ct);
+                assert_eq!(&out[..6], b"prefix");
+                assert_eq!(&out[6..], bytes.as_slice(), "{repr} {form}");
+            }
+            assert!(
+                !rescaled.scale().parts().1.is_empty(),
+                "{repr}: scale primes"
+            );
+        }
     }
 
     #[test]
