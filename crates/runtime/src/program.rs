@@ -212,14 +212,17 @@ impl Runtime {
                 nodes[id] = Some(ct);
                 let pos = k + 1;
                 if every > 0 && (pos % every == 0 || pos == program.ops.len()) {
-                    let mut cp = Checkpoint::new(&spec.workload, fingerprint, pos as u64);
                     let live = program.live_nodes(pos);
-                    for &i in &live {
-                        if let Some(ct) = nodes[i].as_ref() {
-                            cp.insert(&slot_name(i), ct);
-                        }
-                    }
-                    store.save(cp.to_bytes());
+                    let slots: Vec<(String, &Ciphertext)> = live
+                        .iter()
+                        .filter_map(|&i| Some((slot_name(i), nodes[i].as_ref()?)))
+                        .collect();
+                    store.save(Checkpoint::encode(
+                        &spec.workload,
+                        fingerprint,
+                        pos as u64,
+                        &slots,
+                    ));
                     checkpoints += 1;
                     // Bound memory to the live set the snapshot captured.
                     let mut keep = vec![false; program.inputs + pos];

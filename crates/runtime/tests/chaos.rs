@@ -269,9 +269,7 @@ fn ckks_evaluator_faults_retry_bit_identically() {
 #[test]
 fn checkpoint_faults_are_typed_never_panic() {
     let h = Harness::new();
-    let mut cp = Checkpoint::new("chaos-wire", 0, 1);
-    cp.insert("ct", &h.input);
-    let bytes = cp.to_bytes();
+    let bytes = Checkpoint::encode("chaos-wire", 0, 1, &[("ct", &h.input)]);
 
     // Truncation at every length: typed error, no panic, no garbage.
     for keep in 0..bytes.len() {

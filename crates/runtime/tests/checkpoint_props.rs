@@ -84,9 +84,8 @@ fn straight_vs_resumed(
     for &op in &program[..split] {
         state = apply(&ctx, &keys, &state, op);
     }
-    let mut cp = Checkpoint::new("props", 0, split as u64);
-    cp.insert("state", &state);
-    let decoded = Checkpoint::from_bytes(&cp.to_bytes()).expect("checkpoint round-trip");
+    let bytes = Checkpoint::encode("props", 0, split as u64, &[("state", &state)]);
+    let decoded = Checkpoint::from_bytes(&bytes).expect("checkpoint round-trip");
     assert_eq!(decoded.pos(), split as u64);
     let mut resumed = decoded.restore(&ctx, "state").expect("restore validates");
     for &op in &program[split..] {
