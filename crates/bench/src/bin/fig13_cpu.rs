@@ -7,12 +7,12 @@
 //! levels, dnum 3 — on a sequential pool. Software moduli cap at 61 bits
 //! (DESIGN.md substitution: changes packing by < 5%).
 //!
-//! The program runs node by node through `Evaluator::step_op`, the call
-//! `run_program` makes for every node, with a `GaloisHoist` built per run
-//! as `run_program` builds one (each proxy node is rotated at most once,
-//! so no mod-up is shared), and each node is timed: the total is the sum
-//! of the node times, and level management (the paper's red bars) is the
-//! sum of the `rescale` and `adjust` nodes. After one warm-up run per app
+//! The program runs node by node through `ProgramStepper::step`, the loop
+//! `run_program` runs (each proxy node is rotated at most once, so no
+//! mod-up is shared), which also retires each node after its last reader
+//! as the runtime does. Each step is timed: the total is the sum of the
+//! node times, and level management (the paper's red bars) is the sum of
+//! the `rescale` and `adjust` nodes. After one warm-up run per app
 //! and representation, BitPacker and RNS-CKKS runs alternate so host
 //! drift cancels; the speedup is the median per-pair ratio, shown with
 //! its quartiles.
@@ -22,7 +22,7 @@
 use bp_bench::{box_stats, gmean, write_csv};
 use bp_ckks::ir::{OpKind, Program};
 use bp_ckks::{
-    level_budget, BpThreadPool, Ciphertext, CkksContext, GaloisHoist, KeySet, Representation,
+    level_budget, BpThreadPool, Ciphertext, CkksContext, KeySet, ProgramStepper, Representation,
 };
 use bp_workloads::{functional, App};
 use rand::SeedableRng;
@@ -86,31 +86,29 @@ impl Setup {
     fn run(&self) -> Run {
         let ev = self.ctx.evaluator();
         let mut plain = |pseed: u64, _slots: usize| self.plains[pseed as usize].clone();
-        let mut nodes = vec![self.input.clone()];
-        let mut hoist = GaloisHoist::new(&self.program);
+        let inputs = vec![self.input.clone()];
+        let mut stepper = ProgramStepper::new(
+            &ev,
+            &self.program,
+            inputs,
+            &self.keys.evaluation,
+            &mut plain,
+        )
+        .expect("the proxy program has one input");
         let mut run = Run {
             total_s: 0.0,
             level_mgmt_s: 0.0,
         };
-        for (k, op) in self.program.ops.iter().enumerate() {
-            let id = self.program.inputs + k;
+        for op in &self.program.ops {
             let start = Instant::now();
-            let ct = ev
-                .step_op(
-                    id,
-                    op,
-                    |i| &nodes[i],
-                    &self.keys.evaluation,
-                    &mut plain,
-                    &mut hoist,
-                )
-                .unwrap_or_else(|e| panic!("node {id}: {e}"));
+            if let Some(Err(e)) = stepper.step() {
+                panic!("op {}: {e}", stepper.pos());
+            }
             let node_s = start.elapsed().as_secs_f64();
             run.total_s += node_s;
             if matches!(op.kind(), OpKind::Rescale | OpKind::Adjust) {
                 run.level_mgmt_s += node_s;
             }
-            nodes.push(ct);
         }
         run
     }

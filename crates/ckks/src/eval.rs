@@ -99,7 +99,7 @@ pub(crate) type DigitExtensions = Vec<Option<RnsPoly>>;
 
 /// How a `Rotate`/`Conjugate` op reads its operand, decided in the
 /// program path by the operand node's number of Galois readers
-/// ([`crate::GaloisHoist`]).
+/// ([`crate::ProgramStepper`]).
 pub(crate) enum GaloisReader<'c> {
     /// The only Galois reader (and every public `rotate`/`conjugate`
     /// call): gather `c1`, then mod up the gathered `c1` one digit at a
@@ -134,9 +134,9 @@ pub struct Evaluator<'a> {
     policy: EvalPolicy,
     repairs: RepairLog,
     cancel: Option<CancelToken>,
-    /// The `bp_ir::Program` node currently executing under
-    /// [`Evaluator::step_op`], stamped into every trace record the op
-    /// emits (including auto-align repairs). `None` for ad-hoc calls.
+    /// The `bp_ir::Program` node a [`crate::ProgramStepper`] is
+    /// executing, stamped into every trace record the op emits (including
+    /// auto-align repairs). `None` for ad-hoc calls.
     pub(crate) ir_op: Cell<Option<u64>>,
 }
 

@@ -83,5 +83,5 @@ pub use error::{EvalError, IntegrityError};
 pub use eval::{EvalPolicy, Evaluator, RepairLog};
 pub use keys::{EvaluationKey, KeySwitchKey, PublicKey, SecretKey};
 pub use params::{CkksParams, CkksParamsBuilder, ParamsError, Representation};
-pub use program::{level_budget, GaloisHoist, PlainSource, ProgramError, ProgramRun};
+pub use program::{level_budget, PlainSource, ProgramError, ProgramRun, ProgramStepper};
 pub use security::SecurityLevel;

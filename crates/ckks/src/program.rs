@@ -5,13 +5,14 @@
 //! its *execution*: every [`bp_ir::Op`] maps onto exactly one public
 //! [`Evaluator`] method, so the same program runs unchanged under either
 //! [`Representation`](crate::Representation) and either
-//! [`EvalPolicy`](crate::EvalPolicy). The one departure is keyswitch
-//! hoisting: `Rotate` and `Conjugate` ops that read the same node share
-//! that node's mod-up ([`GaloisHoist`]) instead of each redoing it, and
-//! produce the bytes the public methods would. Plaintext operands are not
-//! stored in the program; they are named by a `pseed` and materialised on
-//! demand through a [`PlainSource`], which keeps the wire format free of
-//! bulk data and makes replay deterministic.
+//! [`EvalPolicy`](crate::EvalPolicy). [`ProgramStepper`] is the one loop
+//! that runs a program. Its one departure is keyswitch hoisting: `Rotate`
+//! and `Conjugate` ops that read the same node share that node's mod-up
+//! instead of each redoing it, and produce the bytes the public methods
+//! would. Plaintext operands are not stored in the program; they are
+//! named by a `pseed` and materialised on demand through a
+//! [`PlainSource`], which keeps the wire format free of bulk data and
+//! makes replay deterministic.
 //!
 //! Trace integration: while a program runs, the evaluator stamps the
 //! current IR node id into every telemetry [`OpRecord`](bp_telemetry::trace::OpRecord)
@@ -26,7 +27,6 @@ use crate::eval::{DigitExtensions, Evaluator, GaloisReader};
 use crate::keys::EvaluationKey;
 use bp_ir::{LevelBudget, Op, Program};
 use bp_rns::RnsPoly;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Supplies plaintext operand values for `*_plain` IR ops.
@@ -46,7 +46,8 @@ impl<F: FnMut(u64, usize) -> Vec<f64>> PlainSource for F {
     }
 }
 
-/// Why [`Evaluator::run_program`] refused or aborted a program.
+/// Why [`Evaluator::run_program`] or a [`ProgramStepper`] refused or
+/// aborted a program.
 #[derive(Debug)]
 pub enum ProgramError {
     /// The program failed its structural well-formedness check (cycle,
@@ -66,6 +67,15 @@ pub enum ProgramError {
         /// The evaluator error it failed with.
         error: EvalError,
     },
+    /// A run cannot continue at op position `pos`: the position is past
+    /// the program's last op, or a node live there was not supplied.
+    Resume {
+        /// The op position asked for.
+        pos: usize,
+        /// The first node live at `pos` that was not supplied; `None`
+        /// when `pos` is past the last op.
+        missing: Option<usize>,
+    },
 }
 
 impl fmt::Display for ProgramError {
@@ -78,6 +88,10 @@ impl fmt::Display for ProgramError {
             ProgramError::Eval { node, error } => {
                 write!(f, "program node {node} failed: {error}")
             }
+            ProgramError::Resume { pos, missing } => match missing {
+                Some(node) => write!(f, "cannot resume at op {pos}: live node {node} is missing"),
+                None => write!(f, "cannot resume at op {pos}: past the program's last op"),
+            },
         }
     }
 }
@@ -87,7 +101,7 @@ impl std::error::Error for ProgramError {
         match self {
             ProgramError::Malformed(e) => Some(e),
             ProgramError::Eval { error, .. } => Some(error),
-            ProgramError::InputCount { .. } => None,
+            ProgramError::InputCount { .. } | ProgramError::Resume { .. } => None,
         }
     }
 }
@@ -139,71 +153,6 @@ impl ProgramRun {
     }
 }
 
-/// Per-run state of the program path's hoisted Galois keyswitches.
-///
-/// A node read by two or more `Rotate`/`Conjugate` ops has its `c1`
-/// decomposed and modded up once, by its first Galois reader; every
-/// reader gathers the cached digit extensions by its own Galois element
-/// and runs its own inner product and mod-down, and the entry is dropped
-/// when the node's last Galois reader has run. A node with one Galois
-/// reader runs the same code as [`Evaluator::rotate`]. Either way the
-/// output bytes are those of the per-op call.
-///
-/// Build one from the program at the start of every run and pass it to
-/// each [`Evaluator::step_op`] of that run, so no other program or run
-/// reads an entry. Nothing of it is checkpointed: a run resumed part way
-/// starts with an empty cache, its first reader of a shared node
-/// recomputes the mod-up, and the entry is still dropped at the node's
-/// last reader.
-#[derive(Debug)]
-pub struct GaloisHoist {
-    /// Per node: its number of Galois readers and the node id of the last
-    /// one.
-    readers: Vec<(u32, usize)>,
-    /// Digit extensions of shared nodes' `c1`, by node id.
-    cache: HashMap<usize, Option<DigitExtensions>>,
-}
-
-impl GaloisHoist {
-    /// Counts the Galois readers of every node of `program`.
-    pub fn new(program: &Program) -> Self {
-        let mut readers = vec![(0, 0); program.num_nodes()];
-        for (k, op) in program.ops.iter().enumerate() {
-            if let Op::Rotate { a, .. } | Op::Conjugate { a } = *op {
-                if let Some((count, last)) = readers.get_mut(a) {
-                    *count += 1;
-                    *last = program.inputs + k;
-                }
-            }
-        }
-        Self {
-            readers,
-            cache: HashMap::new(),
-        }
-    }
-
-    /// How a Galois op reads node `a`: shared when the node has two or
-    /// more Galois readers.
-    fn reader(&mut self, a: usize) -> GaloisReader<'_> {
-        match self.readers.get(a) {
-            Some(&(count, _)) if count >= 2 => {
-                GaloisReader::Shared(self.cache.entry(a).or_default())
-            }
-            _ => GaloisReader::Lone,
-        }
-    }
-
-    /// Drops node `a`'s cached extensions once node `id`, its last Galois
-    /// reader, has run.
-    fn retire(&mut self, a: usize, id: usize) {
-        if self.readers.get(a).is_some_and(|&(_, last)| last == id) {
-            if let Some(exts) = self.cache.remove(&a).flatten() {
-                exts.into_iter().flatten().for_each(RnsPoly::into_scratch);
-            }
-        }
-    }
-}
-
 /// Extra scale headroom (bits) a multiply needs beyond `2·log2(S_l)` at a
 /// level before the level counts as multiply-capable. Mirrors the margin
 /// the generator's symbolic walk assumes.
@@ -211,7 +160,7 @@ const MUL_HEADROOM_BITS: f64 = 3.0;
 
 /// Derives the [`LevelBudget`] a chain supports: its top level, and the
 /// lowest level at which a `mul`/`square` result (scale `S_l²`) still fits
-/// the level's modulus with [`MUL_HEADROOM_BITS`] to spare, or
+/// the level's modulus with `MUL_HEADROOM_BITS` (3) to spare, or
 /// `max_level + 1` when no level does. Programs validated against this
 /// budget execute on the chain without capacity exhaustion.
 pub fn level_budget(chain: &ModulusChain) -> LevelBudget {
@@ -228,86 +177,17 @@ pub fn level_budget(chain: &ModulusChain) -> LevelBudget {
 }
 
 impl Evaluator<'_> {
-    /// Executes one IR op — the one computing node `id` — against
-    /// already-computed node ciphertexts, stamping `id` into every trace
-    /// record the op emits (auto-align repairs included).
-    ///
-    /// `node` resolves an IR node id (inputs first) to its ciphertext; the
-    /// op's operands must already be present. A lookup function rather
-    /// than a slice so callers with sparse storage — the runtime resuming
-    /// from a checkpoint holds only the live nodes — execute through the
-    /// same dispatch as dense callers (`|i| &nodes[i]`). Plaintext
-    /// operands are drawn from `plain` and encoded at the ciphertext
-    /// operand's level, at that level's chain scale.
-    ///
-    /// Every op runs its public [`Evaluator`] method's body, except that a
-    /// `Rotate` or `Conjugate` of a node with several Galois readers
-    /// shares that node's mod-up through `hoist`, the run's
-    /// [`GaloisHoist`], with the same output bytes.
+    /// Interprets a whole [`Program`] through a [`ProgramStepper`] that
+    /// keeps every node, since [`ProgramRun`] returns them all. Works
+    /// identically under Strict and AutoAlign policies and under both
+    /// representations — the program is the backend-agnostic artifact,
+    /// this method is the backend binding.
     ///
     /// # Errors
-    /// Whatever the underlying evaluator op returns ([`EvalError`]).
-    ///
-    /// # Panics
-    /// Whatever `node` does on a missing id — run ops in program order
-    /// (or use [`Evaluator::run_program`], which checks shape up front).
-    pub fn step_op<'n>(
-        &self,
-        id: usize,
-        op: &Op,
-        node: impl Fn(usize) -> &'n Ciphertext,
-        ek: &EvaluationKey,
-        plain: &mut dyn PlainSource,
-        hoist: &mut GaloisHoist,
-    ) -> Result<Ciphertext, EvalError> {
-        let ctx = self.context();
-        let slots = ctx.params().slots();
-        let mut encode_for = |a: &Ciphertext, pseed: u64| {
-            let vals = plain.values(pseed, slots);
-            ctx.encode(&vals, a.level())
-        };
-        self.ir_op.set(Some(id as u64));
-        let result = match *op {
-            Op::Add { a, b } => self.add(node(a), node(b)),
-            Op::Sub { a, b } => self.sub(node(a), node(b)),
-            Op::Negate { a } => self.negate(node(a)),
-            Op::AddPlain { a, pseed } => {
-                let pt = encode_for(node(a), pseed);
-                self.add_plain(node(a), &pt)
-            }
-            Op::SubPlain { a, pseed } => {
-                let pt = encode_for(node(a), pseed);
-                self.sub_plain(node(a), &pt)
-            }
-            Op::MulPlain { a, pseed } => {
-                let pt = encode_for(node(a), pseed);
-                self.mul_plain(node(a), &pt)
-            }
-            Op::Mul { a, b } => self.mul(node(a), node(b), ek),
-            Op::Square { a } => self.square(node(a), ek),
-            Op::Rotate { a, steps } => self.rotate_as(node(a), steps, ek, hoist.reader(a)),
-            Op::Conjugate { a } => self.conjugate_as(node(a), ek, hoist.reader(a)),
-            Op::Rescale { a } => self.rescale(node(a)),
-            Op::Adjust { a, target } => self.adjust_to(node(a), target),
-        };
-        self.ir_op.set(None);
-        if let Op::Rotate { a, .. } | Op::Conjugate { a } = *op {
-            hoist.retire(a, id);
-        }
-        result
-    }
-
-    /// Interprets a whole [`Program`]: checks its shape, then executes
-    /// every op in order, stamping each op's IR node id into the telemetry
-    /// trace. Works identically under Strict and AutoAlign policies and
-    /// under both representations — the program is the backend-agnostic
-    /// artifact, this method is the backend binding.
-    ///
-    /// # Errors
-    /// [`ProgramError::Malformed`] before execution if the program's DAG
-    /// is ill-shaped; [`ProgramError::InputCount`] if `inputs` does not
-    /// match the program's declared input count; [`ProgramError::Eval`]
-    /// (with the failing node) if any op fails.
+    /// [`ProgramError::InputCount`] if `inputs` does not match the
+    /// program's declared input count; [`ProgramError::Malformed`] before
+    /// execution if the program's DAG is ill-shaped;
+    /// [`ProgramError::Eval`] (with the failing node) if any op fails.
     pub fn run_program(
         &self,
         program: &Program,
@@ -315,25 +195,223 @@ impl Evaluator<'_> {
         ek: &EvaluationKey,
         plain: &mut dyn PlainSource,
     ) -> Result<ProgramRun, ProgramError> {
-        program.check_shape().map_err(ProgramError::Malformed)?;
+        let mut run = ProgramStepper::new(self, program, inputs, ek, plain)?;
+        run.retire = false;
+        while let Some(step) = run.step() {
+            if let Err(error) = step {
+                let node = program.inputs + run.pos;
+                return Err(ProgramError::Eval { node, error });
+            }
+        }
+        Ok(ProgramRun {
+            nodes: run.nodes.into_iter().flatten().collect(),
+            outputs: program.outputs.clone(),
+        })
+    }
+}
+
+/// Runs a [`Program`] one op at a time, stamping each op's node id into
+/// every trace record it emits (auto-align repairs included) and encoding
+/// its plaintext operand at the ciphertext operand's level.
+///
+/// One table per run of who reads each node decides three things. A node
+/// read by two or more `Rotate`/`Conjugate` ops has its `c1` modded up
+/// once, by its first Galois reader, and each reader gathers the cached
+/// digit extensions by its own Galois element. After a node's last reader
+/// it goes back to the scratch pool, unless it is an output or the last
+/// node of a program without outputs. And it gives the live set that a
+/// checkpoint holds, without the hoisting cache: a resumed run recomputes
+/// a shared mod-up, with the same bytes.
+pub struct ProgramStepper<'r> {
+    ev: &'r Evaluator<'r>,
+    program: &'r Program,
+    ek: &'r EvaluationKey,
+    plain: &'r mut dyn PlainSource,
+    /// By node id: its ciphertext (`None` before it is computed and once
+    /// it is retired), the last op node that reads it (itself when none
+    /// does, `usize::MAX` when the run keeps it), and how many
+    /// `Rotate`/`Conjugate` ops read it and the last of those.
+    nodes: Vec<Option<Ciphertext>>,
+    last: Vec<usize>,
+    galois: Vec<(u32, usize)>,
+    /// Digit extensions of shared Galois operands' `c1`, by node id.
+    hoisted: Vec<Option<DigitExtensions>>,
+    /// Ops run so far.
+    pos: usize,
+    /// Off only in [`Evaluator::run_program`].
+    retire: bool,
+}
+
+impl<'r> ProgramStepper<'r> {
+    /// Starts a run of `program` on `inputs`.
+    ///
+    /// # Errors
+    /// [`ProgramError::InputCount`] or [`ProgramError::Malformed`].
+    pub fn new(
+        ev: &'r Evaluator<'r>,
+        program: &'r Program,
+        inputs: Vec<Ciphertext>,
+        ek: &'r EvaluationKey,
+        plain: &'r mut dyn PlainSource,
+    ) -> Result<Self, ProgramError> {
         if inputs.len() != program.inputs {
             return Err(ProgramError::InputCount {
                 expected: program.inputs,
                 got: inputs.len(),
             });
         }
-        let mut nodes = inputs;
-        nodes.reserve(program.ops.len());
-        let mut hoist = GaloisHoist::new(program);
-        for (k, op) in program.ops.iter().enumerate() {
-            let node = program.inputs + k;
-            let result = self.step_op(node, op, |i| &nodes[i], ek, plain, &mut hoist);
-            nodes.push(result.map_err(|error| ProgramError::Eval { node, error })?);
+        Self::resume(ev, program, 0, inputs.into_iter().enumerate(), ek, plain)
+    }
+
+    /// Continues a run of `program` with `ops[..pos]` done, from the nodes
+    /// live there by node id, as [`ProgramStepper::live`] lists them.
+    ///
+    /// # Errors
+    /// [`ProgramError::Malformed`]; [`ProgramError::Resume`] when `pos` is
+    /// past the last op or a node live there is missing from `live`.
+    pub fn resume(
+        ev: &'r Evaluator<'r>,
+        program: &'r Program,
+        pos: usize,
+        live: impl IntoIterator<Item = (usize, Ciphertext)>,
+        ek: &'r EvaluationKey,
+        plain: &'r mut dyn PlainSource,
+    ) -> Result<Self, ProgramError> {
+        program.check_shape().map_err(ProgramError::Malformed)?;
+        if pos > program.ops.len() {
+            return Err(ProgramError::Resume { pos, missing: None });
         }
-        Ok(ProgramRun {
+        let mut last: Vec<usize> = (0..program.num_nodes()).collect();
+        let mut galois = vec![(0, 0); program.num_nodes()];
+        for (id, op) in (program.inputs..).zip(&program.ops) {
+            let (a, b) = op.operands();
+            for i in [Some(a), b].into_iter().flatten() {
+                last[i] = id;
+            }
+            if let Op::Rotate { a, .. } | Op::Conjugate { a } = *op {
+                galois[a] = (galois[a].0 + 1, id);
+            }
+        }
+        let last_node = program.outputs.is_empty().then(|| program.num_nodes() - 1);
+        for i in program.outputs.iter().map(|o| o.node).chain(last_node) {
+            last[i] = usize::MAX;
+        }
+        let computed = program.inputs + pos;
+        let mut nodes = vec![None; program.num_nodes()];
+        for (i, ct) in live.into_iter().filter(|&(i, _)| i < computed) {
+            nodes[i] = Some(ct);
+        }
+        if let Some(i) = (0..computed).find(|&i| last[i] >= computed && nodes[i].is_none()) {
+            let missing = Some(i);
+            return Err(ProgramError::Resume { pos, missing });
+        }
+        Ok(Self {
+            ev,
+            program,
+            ek,
+            plain,
             nodes,
-            outputs: program.outputs.clone(),
+            last,
+            galois,
+            hoisted: vec![None; program.num_nodes()],
+            pos,
+            retire: true,
         })
+    }
+
+    /// Ops run so far: a checkpoint taken now resumes at this position.
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// The computed nodes a later op reads, plus the outputs computed so
+    /// far (for a program without outputs, its last node after the last
+    /// op), by ascending node id: what a checkpoint at
+    /// [`ProgramStepper::pos`] holds.
+    pub fn live(&self) -> impl Iterator<Item = (usize, &Ciphertext)> + '_ {
+        let (computed, last) = (self.program.inputs + self.pos, &self.last);
+        self.nodes[..computed]
+            .iter()
+            .enumerate()
+            .filter(move |&(i, _)| last[i] >= computed)
+            .filter_map(|(i, ct)| Some((i, ct.as_ref()?)))
+    }
+
+    /// Runs the next op and lends out its node; `None` once every op has
+    /// run. Every earlier node that no later op reads then goes back to
+    /// the scratch pool, unless the run keeps it.
+    ///
+    /// # Errors
+    /// The op's [`EvalError`]; the failed op stays next.
+    pub fn step(&mut self) -> Option<Result<&Ciphertext, EvalError>> {
+        let op = *self.program.ops.get(self.pos)?;
+        let id = self.program.inputs + self.pos;
+        self.ev.ir_op.set(Some(id as u64));
+        let result = self.dispatch(op);
+        self.ev.ir_op.set(None);
+        match result {
+            Ok(ct) => self.nodes[id] = Some(ct),
+            Err(e) => return Some(Err(e)),
+        }
+        self.pos += 1;
+        if let Op::Rotate { a, .. } | Op::Conjugate { a } = op {
+            if self.galois[a].1 == id {
+                let exts = self.hoisted[a].take().into_iter().flatten().flatten();
+                exts.for_each(RnsPoly::into_scratch);
+            }
+        }
+        for i in (0..id).filter(|&i| self.retire && self.last[i] <= id) {
+            if let Some(ct) = self.nodes[i].take() {
+                ct.c0.into_scratch();
+                ct.c1.into_scratch();
+            }
+        }
+        self.nodes[id].as_ref().map(Ok)
+    }
+
+    /// Computes `op`'s node from its operands.
+    fn dispatch(&mut self, op: Op) -> Result<Ciphertext, EvalError> {
+        let (ev, ek, nodes, plain) = (self.ev, self.ek, &self.nodes, &mut self.plain);
+        let node = |i: usize| nodes[i].as_ref().expect("an operand is live");
+        let ctx = ev.context();
+        let mut encode_for = |a: &Ciphertext, pseed: u64| {
+            ctx.encode(&plain.values(pseed, ctx.params().slots()), a.level())
+        };
+        let reader = match op {
+            Op::Rotate { a, .. } | Op::Conjugate { a } if self.galois[a].0 >= 2 => {
+                GaloisReader::Shared(&mut self.hoisted[a])
+            }
+            _ => GaloisReader::Lone,
+        };
+        match op {
+            Op::Add { a, b } => ev.add(node(a), node(b)),
+            Op::Sub { a, b } => ev.sub(node(a), node(b)),
+            Op::Negate { a } => ev.negate(node(a)),
+            Op::AddPlain { a, pseed } => ev.add_plain(node(a), &encode_for(node(a), pseed)),
+            Op::SubPlain { a, pseed } => ev.sub_plain(node(a), &encode_for(node(a), pseed)),
+            Op::MulPlain { a, pseed } => ev.mul_plain(node(a), &encode_for(node(a), pseed)),
+            Op::Mul { a, b } => ev.mul(node(a), node(b), ek),
+            Op::Square { a } => ev.square(node(a), ek),
+            Op::Rotate { a, steps } => ev.rotate_as(node(a), steps, ek, reader),
+            Op::Conjugate { a } => ev.conjugate_as(node(a), ek, reader),
+            Op::Rescale { a } => ev.rescale(node(a)),
+            Op::Adjust { a, target } => ev.adjust_to(node(a), target),
+        }
+    }
+
+    /// The run's result after its last op: the declared outputs by name,
+    /// or the last node as `"result"` when the program declares none;
+    /// `None` before the last op has run.
+    pub fn into_outputs(self) -> Option<Vec<(String, Ciphertext)>> {
+        let program = self.program;
+        if self.pos < program.ops.len() {
+            return None;
+        }
+        let result = ("result", program.num_nodes() - 1);
+        let last = program.outputs.is_empty().then_some(result);
+        let named = program.outputs.iter().map(|o| (o.name.as_str(), o.node));
+        let output = |(name, i): (&str, usize)| Some((name.to_string(), self.nodes[i].clone()?));
+        named.chain(last).map(output).collect()
     }
 }
 
@@ -394,7 +472,9 @@ mod tests {
     /// call on the same operand: for each generated key step and the
     /// conjugation, under both representations, at the top level and two
     /// lower ones, with the top-level operand in NTT form and in
-    /// coefficient form.
+    /// coefficient form. A retiring stepper lends `run_program`'s bytes
+    /// at every node, holds only its live nodes and the one it lent, and
+    /// drops every shared mod-up by the end, with and without an output.
     #[test]
     fn hoisted_galois_ops_match_per_op_bytes() {
         const STEPS: [i64; 5] = [1, 2, 3, 7, -1];
@@ -421,6 +501,7 @@ mod tests {
             let mut b = ProgramBuilder::new(28);
             let x = b.input();
             let y = b.input();
+            let _unread = b.input();
             let weighted = b.mul_plain(y, 0);
             let rescaled = b.rescale(weighted);
             let adjusted = b.adjust(y, 1);
@@ -449,8 +530,9 @@ mod tests {
             let ev = ctx.evaluator();
             for (form, x_ct) in [("ntt", x_ntt), ("coeff", x_coeff)] {
                 let mut plain = |_: u64, n: usize| vec![0.5; n];
+                let inputs = vec![x_ct, y_ct.clone(), y_ct.clone()];
                 let run = ev
-                    .run_program(&program, vec![x_ct, y_ct.clone()], ek, &mut plain)
+                    .run_program(&program, inputs.clone(), ek, &mut plain)
                     .expect("program runs");
                 for &(id, a, steps) in &readers {
                     let per_op = match steps {
@@ -463,6 +545,37 @@ mod tests {
                         write_ciphertext(&per_op),
                         "{repr} {form}: node {id} reads node {a} with steps {steps:?}"
                     );
+                }
+                let output = bp_ir::Output {
+                    name: "r".into(),
+                    node: rescaled,
+                };
+                for outputs in [vec![], vec![output]] {
+                    let program = Program {
+                        outputs,
+                        ..program.clone()
+                    };
+                    let mut stepper =
+                        ProgramStepper::new(&ev, &program, inputs.clone(), ek, &mut plain)
+                            .expect("stepper starts");
+                    loop {
+                        let id = program.inputs + stepper.pos;
+                        let Some(step) = stepper.step() else { break };
+                        let lent = write_ciphertext(step.expect("op runs"));
+                        assert_eq!(lent, write_ciphertext(run.node(id)), "{repr} {form} {id}");
+                        let held = stepper
+                            .nodes
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, n)| n.is_some());
+                        let held: Vec<usize> = held.map(|(i, _)| i).collect();
+                        let mut want: Vec<usize> = stepper.live().map(|(i, _)| i).collect();
+                        if want.last() != Some(&id) {
+                            want.push(id);
+                        }
+                        assert_eq!(held, want, "{repr} {form}: held after node {id}");
+                    }
+                    assert!(stepper.hoisted.iter().all(Option::is_none), "{repr} {form}");
                 }
             }
         }

@@ -18,7 +18,7 @@
 //! - a builder API ([`ProgramBuilder`]), with Horner and baby-step/giant-step
 //!   polynomial evaluation and Chebyshev interpolation ([`poly`]),
 //! - the versioned `bitpacker-ir/v1` JSON wire format ([`IrDoc`]),
-//! - an exact `f64` reference interpreter ([`reference`]), and
+//! - an exact `f64` reference interpreter ([`reference`](mod@reference)), and
 //! - the dependency-free JSON codec ([`json`]) the wire format (and the
 //!   rest of the workspace) is built on.
 

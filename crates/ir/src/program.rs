@@ -304,38 +304,6 @@ impl Program {
         }
         Ok(states)
     }
-
-    /// The nodes that must be materialized to resume execution at op
-    /// position `pos` (i.e. with `ops[..pos]` already executed): every
-    /// already-computed node still read by a remaining op, plus
-    /// already-computed output nodes, plus — when the program has no
-    /// declared outputs — the latest computed node (the conventional
-    /// result). Sorted ascending.
-    pub fn live_nodes(&self, pos: usize) -> Vec<usize> {
-        let pos = pos.min(self.ops.len());
-        let computed = self.inputs + pos;
-        let mut live = vec![false; computed];
-        for op in &self.ops[pos..] {
-            let (a, b) = op.operands();
-            if a < computed {
-                live[a] = true;
-            }
-            if let Some(b) = b {
-                if b < computed {
-                    live[b] = true;
-                }
-            }
-        }
-        for out in &self.outputs {
-            if out.node < computed {
-                live[out.node] = true;
-            }
-        }
-        if self.outputs.is_empty() && computed > 0 {
-            live[computed - 1] = true;
-        }
-        (0..computed).filter(|&i| live[i]).collect()
-    }
 }
 
 #[cfg(test)]
@@ -473,23 +441,6 @@ mod tests {
             node: 99,
         });
         assert!(!p.is_well_formed());
-    }
-
-    #[test]
-    fn live_nodes_track_resume_position() {
-        let p = small();
-        // Before any op: both inputs are read later.
-        assert_eq!(p.live_nodes(0), vec![0, 1]);
-        // After the mul: only the product is still needed.
-        assert_eq!(p.live_nodes(1), vec![2]);
-        // Fully executed, no declared outputs: the final node.
-        assert_eq!(p.live_nodes(3), vec![4]);
-        let mut named = p.clone();
-        named.outputs.push(Output {
-            name: "prod".into(),
-            node: 2,
-        });
-        assert_eq!(named.live_nodes(3), vec![2]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! chain, and (c) an exact plaintext reference over the slot vectors. The
 //! two encrypted runs must agree with the reference — and with each other —
 //! within a tolerance derived from each ciphertext's analytic
-//! [`bp_ckks::NoiseEstimate`] and the exact `bp-math` scale bookkeeping;
+//! [`bp_ckks::noise::NoiseEstimate`] and the exact `bp-math` scale bookkeeping;
 //! on top of that, every intermediate ciphertext must survive a wire
 //! round-trip (`read(write(ct))` succeeds and re-serializes to identical
 //! bytes) and structural validation.
@@ -23,7 +23,7 @@
 use crate::generate::{input_values, plain_values, GenLimits, ROTATION_STEPS};
 use bp_ckks::wire::{read_ciphertext, write_ciphertext};
 use bp_ckks::{
-    Ciphertext, CkksContext, CkksParams, EvalPolicy, GaloisHoist, KeySet, Representation,
+    Ciphertext, CkksContext, CkksParams, EvalPolicy, KeySet, ProgramStepper, Representation,
     SecurityLevel,
 };
 use bp_ir::Program;
@@ -387,7 +387,7 @@ fn backend_run(backend: &Backend, program: &Program, slots: usize) -> BackendRun
         error: None,
         wire_failure: None,
     };
-    let mut cts: Vec<Ciphertext> = Vec::with_capacity(program.num_nodes());
+    let mut cts: Vec<Ciphertext> = Vec::with_capacity(program.inputs);
 
     // Input nodes: fresh public-key encryptions at the top level.
     for i in 0..program.inputs {
@@ -402,26 +402,26 @@ fn backend_run(backend: &Backend, program: &Program, slots: usize) -> BackendRun
         cts.push(ct);
     }
 
-    // Op nodes: the single shared IR dispatch in `bp-ckks` (the same
-    // `step_op` the `run_program` interpreter uses), with plaintext
-    // operands resolved from the deterministic pseed streams.
+    // Op nodes: the one program stepper in `bp-ckks`, retiring nodes as
+    // the runtime does, with plaintext operands resolved from the
+    // deterministic pseed streams.
     let mut plain = |pseed: u64, n: usize| plain_values(pseed, n);
-    let mut hoist = GaloisHoist::new(program);
-    for (k, op) in program.ops.iter().enumerate() {
-        let node = program.inputs + k;
-        let ct = match ev.step_op(node, op, |i| &cts[i], ek, &mut plain, &mut hoist) {
+    let mut stepper = ProgramStepper::new(&ev, program, cts, ek, &mut plain)
+        .expect("oracle programs are well formed");
+    while let Some(step) = stepper.step() {
+        let node = run.obs.len();
+        let ct = match step {
             Ok(ct) => ct,
             Err(e) => {
                 run.error = Some((node, e.to_string()));
                 return run;
             }
         };
-        if let Err(detail) = wire_and_validate(backend, &ct) {
+        if let Err(detail) = wire_and_validate(backend, ct) {
             run.wire_failure = Some((node, detail));
             return run;
         }
-        run.obs.push(observe(backend, &ct, slots));
-        cts.push(ct);
+        run.obs.push(observe(backend, ct, slots));
     }
     run
 }
@@ -585,6 +585,28 @@ mod tests {
         }
     }
 
+    /// The stepper in the retiring configuration that the runtime and
+    /// [`backend_run`] use: the wire bytes of the inputs and of every node
+    /// `step` lends, or the failing node and its error text.
+    fn stepper_run(
+        backend: &Backend,
+        program: &Program,
+        slots: usize,
+    ) -> Result<Vec<Vec<u8>>, (usize, String)> {
+        let ev = backend.ctx.evaluator_with_policy(EvalPolicy::Strict);
+        let inputs = encrypt_inputs(backend, program, slots);
+        let mut bytes: Vec<Vec<u8>> = inputs.iter().map(write_ciphertext).collect();
+        let mut plain = |pseed: u64, n: usize| plain_values(pseed, n);
+        let ek = &backend.keys.evaluation;
+        let mut stepper =
+            ProgramStepper::new(&ev, program, inputs, ek, &mut plain).expect("well formed");
+        while let Some(step) = stepper.step() {
+            let ct = step.map_err(|e| (bytes.len(), e.to_string()))?;
+            bytes.push(write_ciphertext(ct));
+        }
+        Ok(bytes)
+    }
+
     fn smoke_seeds() -> u64 {
         if let Ok(v) = std::env::var("BITPACKER_ORACLE_SMOKE_SEEDS") {
             return v
@@ -602,8 +624,9 @@ mod tests {
 
     /// The tentpole's conformance criterion: the same IR program produces
     /// bit-identical ciphertext wire bytes whether executed through the
-    /// historical inline op match or through the `bp-ckks` interpreter,
-    /// on both representations, across a generated-program sweep.
+    /// historical inline op match, through the `bp-ckks` interpreter, or
+    /// node by node through a retiring [`ProgramStepper`], on both
+    /// representations, across a generated-program sweep.
     #[test]
     fn interpreter_matches_inline_path_bit_identically() {
         let env = OracleEnv::new(28).unwrap();
@@ -612,26 +635,165 @@ mod tests {
             let program = generate(seed, 28, env.limits);
             for backend in [&env.bitpacker, &env.rns] {
                 let old = inline_run(backend, &program, slots);
-                let new = interpreter_run(backend, &program, slots);
-                match (old, new) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a.len(), b.len(), "seed {seed} {}", backend.name);
-                        for (node, (x, y)) in a.iter().zip(&b).enumerate() {
-                            assert_eq!(
-                                x, y,
-                                "seed {seed} {}: node {node} wire bytes differ",
-                                backend.name
-                            );
+                let interpreter = interpreter_run(backend, &program, slots);
+                let stepper = stepper_run(backend, &program, slots);
+                for (path, new) in [("ir", interpreter), ("stepper", stepper)] {
+                    match (&old, new) {
+                        (Ok(a), Ok(b)) => {
+                            assert_eq!(a.len(), b.len(), "seed {seed} {} {path}", backend.name);
+                            for (node, (x, y)) in a.iter().zip(&b).enumerate() {
+                                assert_eq!(
+                                    x, y,
+                                    "seed {seed} {} {path}: node {node} wire bytes differ",
+                                    backend.name
+                                );
+                            }
                         }
+                        (Err(a), Err(b)) => {
+                            assert_eq!(a, &b, "seed {seed} {} {path}: errors differ", backend.name)
+                        }
+                        (old, new) => panic!(
+                            "seed {seed} {}: paths disagree on success: inline={old:?} {path}={new:?}",
+                            backend.name
+                        ),
                     }
-                    (Err(a), Err(b)) => {
-                        assert_eq!(a, b, "seed {seed} {}: errors differ", backend.name)
-                    }
-                    (old, new) => panic!(
-                        "seed {seed} {}: paths disagree on success: inline={old:?} ir={new:?}",
-                        backend.name
-                    ),
                 }
+            }
+        }
+    }
+
+    /// Generated programs, without declared outputs, including ones that
+    /// rotate one node several times; two of them again with outputs
+    /// declared at their first op node and their middle node; and a
+    /// hand-written program with known live sets.
+    fn stepper_programs(env: &OracleEnv) -> Vec<Program> {
+        let shares_galois_operand = |p: &Program| {
+            let galois = p.ops.iter().filter_map(|op| match *op {
+                Op::Rotate { a, .. } | Op::Conjugate { a } => Some(a),
+                _ => None,
+            });
+            let mut operands: Vec<usize> = galois.collect();
+            operands.sort_unstable();
+            operands.windows(2).any(|w| w[0] == w[1])
+        };
+        let generated = (0..).map(|seed| generate(seed, 28, env.limits));
+        let mut programs: Vec<Program> = generated.clone().take(4).collect();
+        programs.extend(generated.filter(shares_galois_operand).take(3));
+        for k in [0, 4] {
+            let mut named = programs[k].clone();
+            for (name, node) in [("first", named.inputs), ("mid", named.num_nodes() / 2)] {
+                let name = name.to_string();
+                named.outputs.push(bp_ir::Output { name, node });
+            }
+            programs.push(named);
+        }
+        programs.push(Program::new(
+            7,
+            28,
+            2,
+            vec![
+                Op::Mul { a: 0, b: 1 },
+                Op::Rescale { a: 2 },
+                Op::AddPlain { a: 3, pseed: 9 },
+            ],
+        ));
+        programs
+    }
+
+    /// The nodes live at `pos` by definition: computed, and read by a later
+    /// op, or an output, or the last node of a program without outputs.
+    fn expected_live(p: &Program, pos: usize) -> Vec<usize> {
+        let read_later = |i| {
+            p.ops[pos..].iter().any(|op| {
+                let (a, b) = op.operands();
+                a == i || b == Some(i)
+            })
+        };
+        let last_of_unnamed = |i| p.outputs.is_empty() && i + 1 == p.num_nodes();
+        let output = |i| p.outputs.iter().any(|o| o.node == i);
+        (0..p.inputs + pos)
+            .filter(|&i| read_later(i) || output(i) || last_of_unnamed(i))
+            .collect()
+    }
+
+    fn output_bytes(outputs: Vec<(String, Ciphertext)>) -> Vec<(String, Vec<u8>)> {
+        let bytes = |(name, ct): (String, Ciphertext)| (name, write_ciphertext(&ct));
+        outputs.into_iter().map(bytes).collect()
+    }
+
+    /// At every position of a straight run, `live()` is exactly the
+    /// expected live set; resuming from it ends on the straight run's
+    /// output bytes; and resuming without one of its nodes, or past the
+    /// end, is a typed `ProgramError::Resume`.
+    #[test]
+    fn stepper_live_sets_resume_bit_identically() {
+        let env = OracleEnv::new(28).unwrap();
+        let slots = env.slots();
+        let programs = stepper_programs(&env);
+        let small = programs.last().expect("the hand-written program");
+        assert_eq!(expected_live(small, 0), [0, 1]);
+        assert_eq!(expected_live(small, 1), [2]);
+        assert_eq!(expected_live(small, 3), [4]);
+        for program in &programs {
+            for backend in [&env.bitpacker, &env.rns] {
+                let case = format!(
+                    "seed {} {} {:?}",
+                    program.seed, backend.name, program.outputs
+                );
+                let ev = backend.ctx.evaluator_with_policy(EvalPolicy::Strict);
+                let ek = &backend.keys.evaluation;
+                let mut plain = |pseed: u64, n: usize| plain_values(pseed, n);
+                let inputs = encrypt_inputs(backend, program, slots);
+                let mut run = ProgramStepper::new(&ev, program, inputs, ek, &mut plain).unwrap();
+                let mut snapshots = Vec::new();
+                loop {
+                    let live: Vec<(usize, Ciphertext)> =
+                        run.live().map(|(i, ct)| (i, ct.clone())).collect();
+                    let ids: Vec<usize> = live.iter().map(|&(i, _)| i).collect();
+                    assert_eq!(
+                        ids,
+                        expected_live(program, run.pos()),
+                        "{case} at {}",
+                        run.pos()
+                    );
+                    snapshots.push(live);
+                    if run.step().is_none() {
+                        break;
+                    }
+                }
+                let straight = output_bytes(run.into_outputs().expect("the run is done"));
+
+                let ops = program.ops.len();
+                let mut plain = |pseed: u64, n: usize| plain_values(pseed, n);
+                for (pos, live) in snapshots.iter().enumerate() {
+                    for dropped in 0..live.len() {
+                        let mut partial = live.clone();
+                        let (node, _) = partial.remove(dropped);
+                        let err =
+                            ProgramStepper::resume(&ev, program, pos, partial, ek, &mut plain)
+                                .err()
+                                .expect("a live node is missing");
+                        let missing = Some(node);
+                        assert!(
+                            matches!(err, bp_ckks::ProgramError::Resume { pos: p, missing: m } if p == pos && m == missing),
+                            "{case} at {pos} without node {node}: {err}"
+                        );
+                    }
+                    let mut resumed =
+                        ProgramStepper::resume(&ev, program, pos, live.clone(), ek, &mut plain)
+                            .unwrap_or_else(|e| panic!("{case} at {pos}: {e}"));
+                    while let Some(step) = resumed.step() {
+                        step.unwrap_or_else(|e| panic!("{case} resumed at {pos}: {e}"));
+                    }
+                    let outputs = resumed.into_outputs().expect("the run is done");
+                    assert_eq!(output_bytes(outputs), straight, "{case} resumed at {pos}");
+                }
+                let all = snapshots.last().expect("a snapshot per position").clone();
+                let past = ProgramStepper::resume(&ev, program, ops + 1, all, ek, &mut plain);
+                assert!(
+                    matches!(past, Err(bp_ckks::ProgramError::Resume { pos, missing: None }) if pos == ops + 1),
+                    "{case}: resuming past the end"
+                );
             }
         }
     }

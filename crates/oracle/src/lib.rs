@@ -4,17 +4,17 @@
 //! The paper's central claim is that BitPacker's packed-residue level
 //! management is numerically interchangeable with classic RNS-CKKS. This
 //! crate checks that claim mechanically: it generates deterministic,
-//! seed-driven random evaluator programs ([`generate`]), executes each
-//! program three ways ([`exec`]) — on a BitPacker chain, on a classic
-//! RNS-CKKS chain, and as an exact plaintext reference over the slot
-//! vectors — and asserts agreement within a tolerance derived from the
-//! analytic noise estimate and the exact scale bookkeeping. Every
+//! seed-driven random evaluator programs ([`generate`](mod@generate)),
+//! executes each program three ways ([`exec`]) — on a BitPacker chain, on
+//! a classic RNS-CKKS chain, and as an exact plaintext reference over the
+//! slot vectors — and asserts agreement within a tolerance derived from
+//! the analytic noise estimate and the exact scale bookkeeping. Every
 //! intermediate ciphertext additionally has to survive a byte-identical
 //! wire round-trip and structural validation.
 //!
-//! Failing programs are shrunk ([`shrink`]) to a minimal repro and dumped
-//! as a replayable `bitpacker-ir/v1` JSON document (the [`bp_ir`] wire
-//! format, the only one the reader accepts); replay with
+//! Failing programs are shrunk ([`shrink`](mod@shrink)) to a minimal
+//! repro and dumped as a replayable `bitpacker-ir/v1` JSON document (the
+//! [`bp_ir`] wire format, the only one the reader accepts); replay with
 //! `cargo run -p bp-oracle -- replay <trace.json>`.
 
 #![warn(missing_docs)]

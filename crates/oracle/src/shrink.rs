@@ -9,7 +9,7 @@
 //! 2. **Cone reduction** — for each remaining op (latest first), try
 //!    deleting it together with everything that depends on it. The
 //!    candidate keeps an op only if all of its operands survive, and node
-//!    indices are renumbered with [`Op::remap`]. A candidate is accepted
+//!    indices are renumbered with [`bp_ir::Op::remap`]. A candidate is accepted
 //!    iff it still diverges (any [`Divergence`], not necessarily the
 //!    original kind — a different symptom of the same program is still a
 //!    minimal repro).

@@ -26,7 +26,7 @@
 //!   `RefCell` touched only in short non-reentrant sections).
 //!
 //! Buffers are bucketed by exact length (residue degree `n`), each bucket
-//! capped at [`MAX_PER_BUCKET`] buffers, so mixed-degree processes (tests
+//! capped at `MAX_PER_BUCKET` (16) buffers, so mixed-degree processes (tests
 //! run n=16 and n=8192 contexts side by side) cannot cause cross-size
 //! realloc churn and per-thread memory stays bounded.
 //!

@@ -147,13 +147,14 @@ impl std::error::Error for CheckpointError {
     }
 }
 
-/// A decoded snapshot of an IR program run in progress.
+/// A decoded snapshot of an IR program run in progress, borrowing every
+/// field from the stream it was decoded from.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Checkpoint {
-    workload: String,
+pub struct Checkpoint<'a> {
+    workload: &'a str,
     fingerprint: u64,
     pos: u64,
-    slots: Vec<(String, Vec<u8>)>,
+    slots: Vec<(&'a str, &'a [u8])>,
 }
 
 /// Bytes of a stream before its slots and after them: magic, version,
@@ -166,7 +167,7 @@ fn frame_len(workload: &str) -> usize {
 /// past the magic.
 const MIN_LEN: usize = 4 + 2 + 8;
 
-impl Checkpoint {
+impl<'a> Checkpoint<'a> {
     /// Serializes a snapshot of `workload` running the program with
     /// `fingerprint`, taken with `ops[..pos]` complete, holding each
     /// `(name, ciphertext)` of `slots` in the validated wire format.
@@ -196,8 +197,8 @@ impl Checkpoint {
     }
 
     /// Workload key recorded at snapshot time.
-    pub fn workload(&self) -> &str {
-        &self.workload
+    pub fn workload(&self) -> &'a str {
+        self.workload
     }
 
     /// Fingerprint of the program the snapshot belongs to.
@@ -212,19 +213,19 @@ impl Checkpoint {
     }
 
     /// Names of the stored ciphertext slots, in stream order.
-    pub fn slot_names(&self) -> impl Iterator<Item = &str> {
-        self.slots.iter().map(|(n, _)| n.as_str())
+    pub fn slot_names(&self) -> impl Iterator<Item = &'a str> + '_ {
+        self.slots.iter().map(|&(n, _)| n)
     }
 
     /// Decodes and fully validates the ciphertext stored under `name`
     /// against `ctx` (the context must be parameterized identically to
     /// the one that produced the snapshot).
     pub fn restore(&self, ctx: &CkksContext, name: &str) -> Result<Ciphertext, CheckpointError> {
-        let (_, bytes) = self.slots.iter().find(|(n, _)| n == name).ok_or_else(|| {
-            CheckpointError::MissingSlot {
+        let bytes = self
+            .slot_bytes(name)
+            .ok_or_else(|| CheckpointError::MissingSlot {
                 name: name.to_string(),
-            }
-        })?;
+            })?;
         read_ciphertext(ctx, bytes).map_err(|source| CheckpointError::Wire {
             name: name.to_string(),
             source,
@@ -233,17 +234,18 @@ impl Checkpoint {
 
     /// Raw wire bytes stored under `name`, if present. Exposed so tests
     /// can assert bit-identical resume without decoding.
-    pub fn slot_bytes(&self, name: &str) -> Option<&[u8]> {
+    pub fn slot_bytes(&self, name: &str) -> Option<&'a [u8]> {
         self.slots
             .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, b)| b.as_slice())
+            .find(|&&(n, _)| n == name)
+            .map(|&(_, b)| b)
     }
 
     /// Decodes a checkpoint, verifying magic, length, version, the
-    /// checksum and structural consistency, in that order. Slot
-    /// ciphertexts are validated lazily by [`Checkpoint::restore`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, CheckpointError> {
+    /// checksum and structural consistency, in that order, without
+    /// copying any field out of `bytes`. Slot ciphertexts are validated
+    /// lazily by [`Checkpoint::restore`].
+    pub fn from_bytes(bytes: &'a [u8]) -> Result<Self, CheckpointError> {
         if bytes.len() < CHECKPOINT_MAGIC.len() {
             return Err(CheckpointError::Truncated {
                 need: CHECKPOINT_MAGIC.len(),
@@ -281,7 +283,7 @@ impl Checkpoint {
             buf: &bytes[..payload_len],
             pos: 6,
         };
-        let workload = String::from_utf8(r.take_prefixed()?.to_vec())
+        let workload = std::str::from_utf8(r.take_prefixed()?)
             .map_err(|_| CheckpointError::Malformed("workload is not valid UTF-8"))?;
         let fingerprint = r.take_u64()?;
         let pos = r.take_u64()?;
@@ -292,10 +294,9 @@ impl Checkpoint {
         );
         let mut slots = Vec::new();
         for _ in 0..slot_count {
-            let name = String::from_utf8(r.take_prefixed()?.to_vec())
+            let name = std::str::from_utf8(r.take_prefixed()?)
                 .map_err(|_| CheckpointError::Malformed("slot name is not valid UTF-8"))?;
-            let data = r.take_prefixed()?.to_vec();
-            slots.push((name, data));
+            slots.push((name, r.take_prefixed()?));
         }
         if r.pos != r.buf.len() {
             return Err(CheckpointError::Malformed(
@@ -486,7 +487,8 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_everything() {
-        let back = Checkpoint::from_bytes(&sample()).expect("roundtrip");
+        let bytes = sample();
+        let back = Checkpoint::from_bytes(&bytes).expect("roundtrip");
         assert_eq!(back.workload(), "logreg");
         assert_eq!(back.fingerprint(), 0xfeed_f00d);
         assert_eq!(back.pos(), 3);

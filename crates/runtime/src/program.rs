@@ -1,26 +1,27 @@
 //! Supervised execution of IR programs with exact-position checkpoints.
 //!
 //! [`Runtime::run_program`] is the runtime's binding of the shared
-//! program IR ([`bp_ir::Program`]): the job spec carries the program, the
-//! interpreter dispatch is [`bp_ckks::Evaluator::step_op`] (the same
-//! one `run_program` on the evaluator and the oracle's differential
-//! harness use), and every checkpoint records the program's fingerprint,
-//! an exact op position and the live node set — so resume means
-//! "continue at `ops[pos]` of this program", not a per-workload step
-//! convention. Ciphertexts travel through the `bp-ckks` wire format,
-//! which preserves exact factored scales and chain positions; an
-//! interrupted run therefore resumes **bit-identically**.
+//! program IR ([`bp_ir::Program`]): the job spec carries the program,
+//! each attempt drives a [`ProgramStepper`] (the loop `run_program` on the
+//! evaluator and the oracle's differential harness also run), and every
+//! checkpoint records the program's fingerprint, an exact op position and
+//! the stepper's live node set — so resume means "continue at `ops[pos]`
+//! of this program", not a per-workload step convention. Ciphertexts
+//! travel through the `bp-ckks` wire format, which preserves exact
+//! factored scales and chain positions; an interrupted run therefore
+//! resumes **bit-identically**.
 //!
-//! Each attempt builds its own [`GaloisHoist`], through which the
-//! rotations of one node share that node's keyswitch mod-up. Checkpoints
-//! do not carry it: a resumed attempt starts with it empty and its first
-//! Galois reader of a shared node recomputes the same bytes.
+//! The stepper retires each node after its last reader, so an attempt
+//! holds only live nodes between checkpoints too. Its hoisting cache, the
+//! shared keyswitch mod-up of a node several rotations read, is not
+//! checkpointed: a resumed attempt's first Galois reader of such a node
+//! recomputes the same bytes. A snapshot the stepper cannot resume from (a
+//! live node missing, a position past the end) starts the attempt fresh.
 
 use crate::checkpoint::{fnv1a64, Checkpoint};
 use crate::error::RuntimeError;
-use crate::job::{terminal_for, JobSpec, Runtime};
-use bp_ckks::{level_budget, Ciphertext, CkksContext, EvaluationKey, GaloisHoist};
-use bp_ir::Program;
+use crate::job::{JobSpec, Runtime};
+use bp_ckks::{level_budget, Ciphertext, CkksContext, EvaluationKey, ProgramStepper};
 use std::sync::Mutex;
 
 /// Where serialized checkpoints persist between attempts (and, for
@@ -92,36 +93,29 @@ impl ProgramOutcome {
     }
 }
 
-/// Slot name a node's ciphertext is checkpointed under.
-fn slot_name(node: usize) -> String {
-    format!("n{node}")
-}
-
-/// Decodes `bytes` and restores every node live at the recorded program
-/// position. `None` (fall back to a fresh start) when the snapshot is
-/// corrupt, from another workload or program, or fails ciphertext
-/// validation against `ctx` — a bad checkpoint must never be worse than
-/// no checkpoint.
+/// Decodes `bytes` into the recorded op position and every node it
+/// holds, node `i` from slot `n{i}`. `None` (fall back to a fresh start)
+/// when the snapshot is corrupt, from another workload or program, or
+/// fails ciphertext validation against `ctx` — a bad checkpoint must
+/// never be worse than no checkpoint.
 fn try_resume(
     bytes: &[u8],
     workload: &str,
     fingerprint: u64,
-    program: &Program,
     ctx: &CkksContext,
 ) -> Option<(usize, Vec<(usize, Ciphertext)>)> {
     let cp = Checkpoint::from_bytes(bytes).ok()?;
     if cp.workload() != workload || cp.fingerprint() != fingerprint {
         return None;
     }
-    let pos = usize::try_from(cp.pos()).ok()?;
-    if pos > program.ops.len() {
-        return None;
-    }
-    let mut restored = Vec::new();
-    for i in program.live_nodes(pos) {
-        restored.push((i, cp.restore(ctx, &slot_name(i)).ok()?));
-    }
-    Some((pos, restored))
+    let node = |name: &str| name.strip_prefix('n')?.parse().ok();
+    let live = cp
+        .slot_names()
+        .map(|name| Some((node(name)?, cp.restore(ctx, name).ok()?)));
+    Some((
+        usize::try_from(cp.pos()).ok()?,
+        live.collect::<Option<_>>()?,
+    ))
 }
 
 impl Runtime {
@@ -179,79 +173,31 @@ impl Runtime {
         let every = spec.checkpoint_every;
         self.supervise(spec, |token| {
             let ev = ctx.evaluator().with_cancel(token.clone());
-            let mut nodes: Vec<Option<Ciphertext>> = vec![None; program.num_nodes()];
-            for (slot, ct) in nodes.iter_mut().zip(inputs) {
-                *slot = Some(ct.clone());
-            }
-            let mut start = 0usize;
-            let mut resumed_at = None;
-            if let Some(bytes) = store.load() {
-                if let Some((pos, restored)) =
-                    try_resume(&bytes, &spec.workload, fingerprint, program, ctx)
-                {
-                    for (i, ct) in restored {
-                        nodes[i] = Some(ct);
-                    }
-                    start = pos;
-                    resumed_at = Some(pos as u64);
-                }
-            }
-
             let mut plain_src = |pseed: u64, n: usize| plain(pseed, n);
-            let mut hoist = GaloisHoist::new(program);
+            let resumed = store
+                .load()
+                .and_then(|bytes| try_resume(&bytes, &spec.workload, fingerprint, ctx))
+                .and_then(|(pos, live)| {
+                    ProgramStepper::resume(&ev, program, pos, live, ek, &mut plain_src).ok()
+                });
+            let resumed_at = resumed.as_ref().map(|run| run.pos() as u64);
+            let mut run = match resumed {
+                Some(run) => run,
+                None => ProgramStepper::new(&ev, program, inputs.to_vec(), ek, &mut plain_src)
+                    .expect("the program and its inputs were checked above"),
+            };
             let mut checkpoints = 0u64;
-            for (k, op) in program.ops.iter().enumerate().skip(start) {
-                token.check().map_err(terminal_for)?;
-                let id = program.inputs + k;
-                let operand = |i: usize| {
-                    nodes[i]
-                        .as_ref()
-                        .expect("operands of a validated program are live")
-                };
-                let ct = ev.step_op(id, op, operand, ek, &mut plain_src, &mut hoist)?;
-                nodes[id] = Some(ct);
-                let pos = k + 1;
+            while let Some(step) = run.step() {
+                step?;
+                let pos = run.pos();
                 if every > 0 && (pos % every == 0 || pos == program.ops.len()) {
-                    let live = program.live_nodes(pos);
-                    let slots: Vec<(String, &Ciphertext)> = live
-                        .iter()
-                        .filter_map(|&i| Some((slot_name(i), nodes[i].as_ref()?)))
-                        .collect();
-                    store.save(Checkpoint::encode(
-                        &spec.workload,
-                        fingerprint,
-                        pos as u64,
-                        &slots,
-                    ));
+                    let live: Vec<_> = run.live().map(|(i, ct)| (format!("n{i}"), ct)).collect();
+                    let bytes = Checkpoint::encode(&spec.workload, fingerprint, pos as u64, &live);
+                    store.save(bytes);
                     checkpoints += 1;
-                    // Bound memory to the live set the snapshot captured.
-                    let mut keep = vec![false; program.inputs + pos];
-                    for &i in &live {
-                        keep[i] = true;
-                    }
-                    for (i, slot) in nodes.iter_mut().enumerate().take(program.inputs + pos) {
-                        if !keep[i] {
-                            *slot = None;
-                        }
-                    }
                 }
             }
-
-            let named = |node: usize, name: String| {
-                let ct = nodes[node]
-                    .clone()
-                    .expect("outputs of a validated program are live at completion");
-                (name, ct)
-            };
-            let outputs = if program.outputs.is_empty() {
-                vec![named(program.num_nodes() - 1, "result".to_string())]
-            } else {
-                program
-                    .outputs
-                    .iter()
-                    .map(|o| named(o.node, o.name.clone()))
-                    .collect()
-            };
+            let outputs = run.into_outputs().expect("every op has run");
             Ok(ProgramOutcome {
                 outputs,
                 resumed_at,
@@ -266,7 +212,7 @@ mod tests {
     use super::*;
     use bp_ckks::wire::write_ciphertext;
     use bp_ckks::{BpThreadPool, CkksParams, KeySet, Representation, SecurityLevel};
-    use bp_ir::ProgramBuilder;
+    use bp_ir::{Program, ProgramBuilder};
     use rand::SeedableRng;
     use rand_chacha::ChaCha20Rng;
     use std::sync::Arc;
@@ -388,8 +334,8 @@ mod tests {
         assert!(out.output("y").is_some());
         // The final snapshot records the exact end position and exactly
         // the live node set (here: only the named output).
-        let cp = Checkpoint::from_bytes(&store.snapshot().expect("snapshot saved"))
-            .expect("snapshot decodes");
+        let bytes = store.snapshot().expect("snapshot saved");
+        let cp = Checkpoint::from_bytes(&bytes).expect("snapshot decodes");
         assert_eq!(cp.pos(), program.ops.len() as u64);
         let slots: Vec<&str> = cp.slot_names().collect();
         assert_eq!(slots, vec!["n6"]);
@@ -456,5 +402,59 @@ mod tests {
             (None, fresh),
             "a snapshot of program A must not resume program B"
         );
+    }
+
+    /// A snapshot of the right workload and program with a valid checksum
+    /// that the program still cannot resume from — a live slot missing, or
+    /// a position past the end — starts the run fresh, and the run ends on
+    /// the uninterrupted run's bytes.
+    #[test]
+    fn unresumable_snapshots_start_fresh() {
+        let (ctx, keys) = ctx_and_keys();
+        let rt = Runtime::new();
+        let input = encrypted_input(&ctx, &keys);
+        let program = sample_program(1);
+        let fingerprint = fnv1a64(program.to_json(None).as_bytes());
+        let run = |store: &dyn CheckpointStore| {
+            let out = rt
+                .run_program(
+                    &JobSpec::new("fresh").program(program.clone()),
+                    &ctx,
+                    &keys.evaluation,
+                    std::slice::from_ref(&input),
+                    &plain_table,
+                    store,
+                )
+                .expect("program runs");
+            let y = write_ciphertext(out.output("y").expect("output y"));
+            (out.resumed_at, y)
+        };
+        let history = History::default();
+        let (_, straight) = run(&history);
+        let snapshots = history.all.into_inner().unwrap();
+        // A store primed with `bytes` re-encoded at `pos` without `slot`.
+        let restamped = |bytes: &[u8], pos: u64, slot: &str| {
+            let cp = Checkpoint::from_bytes(bytes).expect("snapshot decodes");
+            let kept: Vec<(&str, Ciphertext)> = cp
+                .slot_names()
+                .filter(|&name| name != slot)
+                .map(|name| (name, cp.restore(&ctx, name).expect("slot restores")))
+                .collect();
+            let slots: Vec<(&str, &Ciphertext)> = kept.iter().map(|(n, ct)| (*n, ct)).collect();
+            let store = MemoryStore::new();
+            store.prime(Checkpoint::encode("fresh", fingerprint, pos, &slots));
+            store
+        };
+
+        // After op 3, nodes 2 and 3 are live: the restamped snapshot
+        // resumes, and without either slot it starts fresh.
+        let third = &snapshots[2];
+        assert_eq!(run(&restamped(third, 3, "")), (Some(3), straight.clone()));
+        for slot in ["n2", "n3"] {
+            assert_eq!(run(&restamped(third, 3, slot)), (None, straight.clone()));
+        }
+        let last = snapshots.last().expect("a snapshot per op");
+        let past_end = program.ops.len() as u64 + 1;
+        assert_eq!(run(&restamped(last, past_end, "")), (None, straight));
     }
 }

@@ -355,7 +355,7 @@ fn deadline_interrupts_a_program_cooperatively() {
     let store = MemoryStore::new();
     let out = h.run(&Runtime::new(), &spec, &plain, &store);
     assert_eq!(out.err(), Some(RuntimeError::DeadlineExceeded));
-    let last = Checkpoint::from_bytes(&store.snapshot().expect("ops before the sleep ran"))
-        .expect("snapshot decodes");
+    let bytes = store.snapshot().expect("ops before the sleep ran");
+    let last = Checkpoint::from_bytes(&bytes).expect("snapshot decodes");
     assert_eq!(last.pos(), 2, "stopped at the op whose plaintext slept");
 }

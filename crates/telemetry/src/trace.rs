@@ -65,8 +65,8 @@ pub struct OpRecord {
     /// numerator of the paper's packing efficiency `log Q / (R·w)`).
     pub log_q: f64,
     /// The `bp_ir::Program` node this op computed, when the evaluator
-    /// was executing an IR program via `step_op`. `None` for ad-hoc
-    /// evaluator calls.
+    /// was executing an IR program through `bp_ckks::ProgramStepper`.
+    /// `None` for ad-hoc evaluator calls.
     pub ir_op: Option<u64>,
 }
 
