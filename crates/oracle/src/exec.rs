@@ -529,10 +529,10 @@ mod tests {
             .collect()
     }
 
-    /// The pre-IR executor: the per-op-kind match the oracle carried
-    /// before `Evaluator::step_op` existed, kept verbatim as the
-    /// conformance baseline for the interpreter. Returns the wire bytes of
-    /// every node, or the failing node and its error text.
+    /// The pre-IR executor: the per-op-kind match over the public
+    /// `Evaluator` methods, kept verbatim as the conformance baseline for
+    /// the interpreter. Returns the wire bytes of every node, or the
+    /// failing node and its error text.
     fn inline_run(
         backend: &Backend,
         program: &Program,
