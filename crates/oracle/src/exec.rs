@@ -622,7 +622,7 @@ mod tests {
         }
     }
 
-    /// The tentpole's conformance criterion: the same IR program produces
+    /// The IR path's conformance criterion: the same IR program produces
     /// bit-identical ciphertext wire bytes whether executed through the
     /// historical inline op match, through the `bp-ckks` interpreter, or
     /// node by node through a retiring [`ProgramStepper`], on both
