@@ -191,15 +191,6 @@ impl<'a> Evaluator<'a> {
         &self.repairs
     }
 
-    /// Drains the repair counters: returns a snapshot of the counts so far
-    /// and resets the live log to zero, so long-running sessions can
-    /// report repairs per window instead of monotonically.
-    pub fn take_repairs(&self) -> RepairLog {
-        let snapshot = self.repairs.clone();
-        self.repairs.reset();
-        snapshot
-    }
-
     /// Records one completed op into the telemetry trace, with its
     /// level-management detail: residues shed and added, and whether it
     /// was an auto-align repair. A no-op unless telemetry is live.
@@ -743,7 +734,6 @@ impl<'a> Evaluator<'a> {
         let _frame = bp_telemetry::profile::frame(kind.name());
         // Fault-injection hook: an armed rescale fault surfaces as a
         // transient corruption of the operand's residue data.
-        #[cfg(feature = "fault-injection")]
         if kind == OpKind::Rescale && crate::fault::fire(crate::fault::FaultSite::Rescale) {
             let modulus = a.moduli().first().copied().unwrap_or(0);
             return Err(EvalError::Rns(bp_rns::RnsError::UnreducedCoefficient {
@@ -783,7 +773,6 @@ impl<'a> Evaluator<'a> {
         // Fault-injection hook: an armed keyswitch fault is reported as
         // detected corruption of the switched polynomial — the transient
         // error class a real FU/memory fault would surface as.
-        #[cfg(feature = "fault-injection")]
         if crate::fault::fire(crate::fault::FaultSite::KeySwitch) {
             let modulus = d.moduli().first().copied().unwrap_or(0);
             return Err(EvalError::Integrity(

@@ -57,7 +57,6 @@ mod context;
 pub mod encoding;
 mod error;
 mod eval;
-#[cfg(feature = "fault-injection")]
 pub mod fault;
 mod keys;
 pub mod levels;

@@ -1,7 +1,6 @@
 //! Negative-path coverage: every typed error the panic-free pipeline can
 //! produce, triggered through the public API, plus fault-injection tests
-//! built on `bp_rns::fault` (compiled with the `fault-injection`
-//! feature via this crate's dev-dependency).
+//! built on `bp_rns::fault`.
 //!
 //! The contract under test: no malformed input, missing key, exhausted
 //! budget, or corrupted payload may panic — each must surface as the

@@ -243,7 +243,7 @@ fn pool_reused_after_panic_is_bit_identical() {
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {})); // silence the expected panic
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        poisoned.par_for_each(64, |i| {
+        poisoned.par_map(64, u64::MAX, |i| {
             if i == 17 {
                 panic!("injected fault");
             }

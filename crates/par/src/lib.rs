@@ -21,10 +21,10 @@
 //!    the calling thread — no thread is ever spawned, no synchronization
 //!    happens, and the code path is byte-for-byte the classic sequential
 //!    loop. An **adaptive cutoff** extends this to small parallel pools:
-//!    when the caller supplies a per-item work estimate (the `*_with_work`
-//!    variants) and the estimated work per chunk falls below a calibrated
-//!    threshold ([`DEFAULT_MIN_WORK`]), the fan-out runs inline too,
-//!    because waking workers would cost more than it saves.
+//!    every fan-out carries a per-item work estimate, and when the
+//!    estimated work per chunk falls below a calibrated threshold
+//!    ([`DEFAULT_MIN_WORK`]), the fan-out runs inline too, because waking
+//!    workers would cost more than it saves.
 //! 3. **Panics propagate, the pool survives.** A panic in any chunk is
 //!    caught at the chunk boundary, the remaining chunks still run, and
 //!    the first panic payload is re-raised on the calling thread once the
@@ -189,20 +189,16 @@ pub const THREADS_ENV_VAR: &str = "BITPACKER_THREADS";
 
 /// Default adaptive cutoff: the minimum estimated work **per chunk**, in
 /// element-operation units (≈ one 64-bit modular multiply each), below
-/// which a `*_with_work` fan-out runs inline instead of waking the pool.
+/// which a fan-out runs inline instead of waking the pool.
 ///
-/// Calibration: a parked-pool dispatch costs single-digit microseconds
-/// (see the `pool_dispatch` bench); an elementwise modular pass runs at
-/// roughly 1–2 ns per element. 16 Ki element-ops per chunk ≈ 20–30 µs of
-/// work per worker, comfortably above dispatch cost. In practice this
-/// sends NTT-sized chunks (`n·log2 n` units per residue) to the pool and
-/// keeps small elementwise fan-outs at n=4096 inline.
+/// Calibration: a parked-pool dispatch measured about 0.7 µs, against
+/// about 59 µs for the scoped spawns the pool replaced (CHANGES.md, the
+/// persistent worker pool); an elementwise modular pass runs at roughly
+/// 1–2 ns per element. 16 Ki element-ops per chunk ≈ 20–30 µs of work per
+/// worker, comfortably above dispatch cost. In practice this sends
+/// NTT-sized chunks (`n·log2 n` units per residue) to the pool and keeps
+/// small elementwise fan-outs at n=4096 inline.
 pub const DEFAULT_MIN_WORK: u64 = 16 * 1024;
-
-/// Work-estimate plumbing: `u64::MAX` per item marks "no estimate", which
-/// makes the cutoff comparison always choose the parallel path — the
-/// behavior of the plain (non-`_with_work`) entry points.
-const WORK_UNKNOWN: u64 = u64::MAX;
 
 thread_local! {
     /// True while this thread is executing chunks of an in-flight
@@ -622,18 +618,17 @@ impl BpThreadPool {
     /// `true` when a fan-out of `len` items with `per_item_work` estimated
     /// element-ops each should run inline: sequential pool, single chunk,
     /// nested inside an in-flight dispatch, or under the adaptive cutoff.
+    /// A `per_item_work` of `u64::MAX` is never under the cutoff.
     #[inline]
     fn run_inline(&self, len: usize, per_item_work: u64) -> bool {
         let jobs = self.workers.min(len);
         if jobs <= 1 || IN_DISPATCH.get() {
             return true;
         }
-        if per_item_work != WORK_UNKNOWN {
-            let chunk = len.div_ceil(jobs) as u64;
-            if chunk.saturating_mul(per_item_work) < self.min_work {
-                counters::add(Counter::ParInline, 1);
-                return true;
-            }
+        let chunk = len.div_ceil(jobs) as u64;
+        if chunk.saturating_mul(per_item_work) < self.min_work {
+            counters::add(Counter::ParInline, 1);
+            return true;
         }
         false
     }
@@ -641,30 +636,18 @@ impl BpThreadPool {
     /// Runs `f(index, &mut item)` for every element of `items`, fanning the
     /// slice out over the pool's workers in contiguous chunks.
     ///
-    /// Determinism: each index is visited exactly once with the same
-    /// arguments regardless of the worker count, so any `f` whose effect on
-    /// `items[i]` depends only on `(i, items[i])` and immutable captures
-    /// produces bit-identical results at every thread count.
-    ///
-    /// This entry point has no work estimate and therefore never applies
-    /// the adaptive cutoff; prefer
-    /// [`BpThreadPool::par_for_each_mut_with_work`] on hot paths.
-    pub fn par_for_each_mut<T, F>(&self, items: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync,
-    {
-        self.par_for_each_mut_with_work(items, WORK_UNKNOWN, f);
-    }
-
-    /// [`BpThreadPool::par_for_each_mut`] with an adaptive cutoff:
     /// `per_item_work` estimates the cost of one item in element-operation
     /// units (≈ one 64-bit modular multiply; an elementwise pass over an
     /// `n`-coefficient residue is `n`, an NTT is `n·log2 n`). When the
     /// estimated work per chunk falls below the pool's threshold the loop
     /// runs inline on the calling thread — bit-identically, since chunk
     /// placement never affects results.
-    pub fn par_for_each_mut_with_work<T, F>(&self, items: &mut [T], per_item_work: u64, f: F)
+    ///
+    /// Determinism: each index is visited exactly once with the same
+    /// arguments regardless of the worker count, so any `f` whose effect on
+    /// `items[i]` depends only on `(i, items[i])` and immutable captures
+    /// produces bit-identical results at every thread count.
+    pub fn par_for_each_mut<T, F>(&self, items: &mut [T], per_item_work: u64, f: F)
     where
         T: Send,
         F: Fn(usize, &mut T) + Sync,
@@ -704,56 +687,11 @@ impl BpThreadPool {
         self.dispatch(parts.len(), &runner);
     }
 
-    /// Runs `f(index)` for every index in `0..len` across the pool's
-    /// workers (contiguous chunks). Use when the closure only reads shared
-    /// state or synchronizes internally. No work estimate — the cutoff
-    /// never applies; prefer [`BpThreadPool::par_for_each_with_work`] on
-    /// hot paths.
-    pub fn par_for_each<F>(&self, len: usize, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        self.par_for_each_with_work(len, WORK_UNKNOWN, f);
-    }
-
-    /// [`BpThreadPool::par_for_each`] with an adaptive cutoff; see
-    /// [`BpThreadPool::par_for_each_mut_with_work`] for the work unit.
-    pub fn par_for_each_with_work<F>(&self, len: usize, per_item_work: u64, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        if self.run_inline(len, per_item_work) {
-            for i in 0..len {
-                f(i);
-            }
-            return;
-        }
-        let chunk = len.div_ceil(self.workers.min(len));
-        let chunks = len.div_ceil(chunk);
-        let runner = |ci: usize| {
-            let start = ci * chunk;
-            let end = (start + chunk).min(len);
-            for i in start..end {
-                f(i);
-            }
-        };
-        self.dispatch(chunks, &runner);
-    }
-
     /// Computes `f(index)` for every index in `0..len` in parallel and
-    /// collects the results in index order. Determinism follows from
+    /// collects the results in index order; `per_item_work` is as for
+    /// [`BpThreadPool::par_for_each_mut`]. Determinism follows from
     /// [`BpThreadPool::par_for_each_mut`]: slot `i` always holds `f(i)`.
-    pub fn par_map<U, F>(&self, len: usize, f: F) -> Vec<U>
-    where
-        U: Send,
-        F: Fn(usize) -> U + Sync,
-    {
-        self.par_map_with_work(len, WORK_UNKNOWN, f)
-    }
-
-    /// [`BpThreadPool::par_map`] with an adaptive cutoff; see
-    /// [`BpThreadPool::par_for_each_mut_with_work`] for the work unit.
-    pub fn par_map_with_work<U, F>(&self, len: usize, per_item_work: u64, f: F) -> Vec<U>
+    pub fn par_map<U, F>(&self, len: usize, per_item_work: u64, f: F) -> Vec<U>
     where
         U: Send,
         F: Fn(usize) -> U + Sync,
@@ -762,7 +700,7 @@ impl BpThreadPool {
             return (0..len).map(f).collect();
         }
         let mut out: Vec<Option<U>> = (0..len).map(|_| None).collect();
-        self.par_for_each_mut_with_work(&mut out, per_item_work, |i, slot| {
+        self.par_for_each_mut(&mut out, per_item_work, |i, slot| {
             *slot = Some(f(i));
         });
         out.into_iter()
@@ -807,7 +745,7 @@ mod tests {
             let pool = BpThreadPool::new(workers);
             for len in [0usize, 1, 2, 5, 16, 33] {
                 let mut v = vec![0u64; len];
-                pool.par_for_each_mut(&mut v, |i, x| *x += i as u64 + 1);
+                pool.par_for_each_mut(&mut v, u64::MAX, |i, x| *x += i as u64 + 1);
                 let expect: Vec<u64> = (0..len as u64).map(|i| i + 1).collect();
                 assert_eq!(v, expect, "workers={workers} len={len}");
             }
@@ -819,16 +757,16 @@ mod tests {
         let reference: Vec<u64> = (0..97u64).map(|i| i.wrapping_mul(0x9E3779B9)).collect();
         for workers in [1usize, 2, 4, 8] {
             let pool = BpThreadPool::new(workers);
-            let got = pool.par_map(97, |i| (i as u64).wrapping_mul(0x9E3779B9));
+            let got = pool.par_map(97, u64::MAX, |i| (i as u64).wrapping_mul(0x9E3779B9));
             assert_eq!(got, reference, "workers={workers}");
         }
     }
 
     #[test]
-    fn par_for_each_covers_range() {
+    fn par_map_covers_range() {
         let pool = BpThreadPool::new(4);
         let count = AtomicUsize::new(0);
-        pool.par_for_each(1000, |_| {
+        pool.par_map(1000, u64::MAX, |_| {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 1000);
@@ -841,7 +779,7 @@ mod tests {
         let pool = BpThreadPool::new(4);
         for round in 0..200usize {
             let mut v = vec![0usize; 37];
-            pool.par_for_each_mut(&mut v, |i, x| *x = i * round);
+            pool.par_for_each_mut(&mut v, u64::MAX, |i, x| *x = i * round);
             for (i, x) in v.iter().enumerate() {
                 assert_eq!(*x, i * round, "round={round}");
             }
@@ -855,8 +793,8 @@ mod tests {
         // Threshold 0: cutoff disabled, every fan-out dispatches.
         let parallel = BpThreadPool::with_min_work(4, 0);
         for len in [1usize, 5, 64, 257] {
-            let a = inline.par_map_with_work(len, 8, |i| (i as u64).wrapping_mul(0x2545F491));
-            let b = parallel.par_map_with_work(len, 8, |i| (i as u64).wrapping_mul(0x2545F491));
+            let a = inline.par_map(len, 8, |i| (i as u64).wrapping_mul(0x2545F491));
+            let b = parallel.par_map(len, 8, |i| (i as u64).wrapping_mul(0x2545F491));
             assert_eq!(a, b, "len={len}");
         }
     }
@@ -866,10 +804,10 @@ mod tests {
         let pool = Arc::new(BpThreadPool::new(4));
         let count = AtomicUsize::new(0);
         let p2 = Arc::clone(&pool);
-        pool.par_for_each(8, |_| {
+        pool.par_map(8, u64::MAX, |_| {
             // Inner fan-out from inside a chunk: must run inline on this
             // thread instead of parking on the busy pool.
-            p2.par_for_each(16, |_| {
+            p2.par_map(16, u64::MAX, |_| {
                 count.fetch_add(1, Ordering::Relaxed);
             });
         });
@@ -885,7 +823,7 @@ mod tests {
                 s.spawn(move || {
                     for round in 0..50usize {
                         let mut v = vec![0usize; 29];
-                        pool.par_for_each_mut(&mut v, |i, x| *x = i + t + round);
+                        pool.par_for_each_mut(&mut v, u64::MAX, |i, x| *x = i + t + round);
                         for (i, x) in v.iter().enumerate() {
                             assert_eq!(*x, i + t + round);
                         }
@@ -929,7 +867,7 @@ mod tests {
         let token = CancelToken::new();
         let mut v = vec![0u64; 64];
         let t = token.clone();
-        pool.par_for_each_mut(&mut v, |i, x| {
+        pool.par_for_each_mut(&mut v, u64::MAX, |i, x| {
             if i == 0 {
                 t.cancel();
             }
@@ -945,7 +883,7 @@ mod tests {
     fn worker_panic_propagates_to_caller() {
         let pool = BpThreadPool::new(4);
         let mut v = vec![0u8; 64];
-        pool.par_for_each_mut(&mut v, |i, _| {
+        pool.par_for_each_mut(&mut v, u64::MAX, |i, _| {
             if i == 63 {
                 panic!("worker panic propagates");
             }
@@ -959,7 +897,7 @@ mod tests {
             let p = Arc::clone(&pool);
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
                 let mut v = vec![0u8; 64];
-                p.par_for_each_mut(&mut v, |i, _| {
+                p.par_for_each_mut(&mut v, u64::MAX, |i, _| {
                     if i == 17 {
                         panic!("round {round} chunk panic");
                     }
@@ -968,7 +906,7 @@ mod tests {
             assert!(caught.is_err(), "panic must propagate (round {round})");
             // Same pool, clean dispatch: workers survived the unwind.
             let mut v = vec![0u64; 64];
-            pool.par_for_each_mut(&mut v, |i, x| *x = i as u64);
+            pool.par_for_each_mut(&mut v, u64::MAX, |i, x| *x = i as u64);
             let expect: Vec<u64> = (0..64).collect();
             assert_eq!(v, expect, "pool must stay usable (round {round})");
         }
@@ -985,7 +923,7 @@ mod tests {
         let pool = BpThreadPool::new(4);
         let ran = AtomicUsize::new(0);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.par_for_each(64, |i| {
+            pool.par_map(64, u64::MAX, |i| {
                 if i == 5 {
                     panic!("chunk panic");
                 }
@@ -1001,7 +939,7 @@ mod tests {
         drop(BpThreadPool::new(8)); // never dispatched: nothing spawned
         let pool = BpThreadPool::new(8);
         let mut v = vec![0u64; 32];
-        pool.par_for_each_mut(&mut v, |i, x| *x = i as u64);
+        pool.par_for_each_mut(&mut v, u64::MAX, |i, x| *x = i as u64);
         drop(pool); // workers observe shutdown and exit
     }
 }

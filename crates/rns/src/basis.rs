@@ -178,7 +178,7 @@ impl BasisConverter {
         // tᵢ = xᵢ · (P/pᵢ)⁻¹ mod pᵢ — independent per source residue.
         // Scratch-backed temporaries: copy the residue, transform in
         // place, and recycle once the accumulation pass is done.
-        let t_vals: Vec<Vec<u64>> = ex.par_map_with_work(src.len(), elemwise_work(n), |i| {
+        let t_vals: Vec<Vec<u64>> = ex.par_map(src.len(), elemwise_work(n), |i| {
             let r = &src[i];
             let (inv, inv_s) = self.inv_phat[i];
             let m = r.table().modulus();
@@ -207,7 +207,7 @@ impl BasisConverter {
         // output.
         let acc_work = elemwise_work(n).saturating_mul(src.len() as u64);
         let chunk = self.terms_per_reduction;
-        let out = ex.par_map_with_work(self.dst_tables.len(), acc_work, |j| {
+        let out = ex.par_map(self.dst_tables.len(), acc_work, |j| {
             let dt = &self.dst_tables[j];
             let row = &self.phat_mod_dst[j];
             let neg_p = u128::from(self.neg_p_mod_dst[j]);
@@ -260,7 +260,7 @@ impl BasisConverter {
         let mut out = if src_domain == Domain::Ntt {
             // Scratch-backed coefficient-domain copies, recycled as soon
             // as the conversion has consumed them.
-            let coeff_src: Vec<ResiduePoly> = ex.par_map_with_work(src.len(), ntt_work(n), |i| {
+            let coeff_src: Vec<ResiduePoly> = ex.par_map(src.len(), ntt_work(n), |i| {
                 let mut c = src[i].clone_scratch();
                 let t = Arc::clone(c.table());
                 t.inverse(c.coeffs_mut());
@@ -275,7 +275,7 @@ impl BasisConverter {
             self.convert(src)?
         };
         if target_domain == Domain::Ntt {
-            ex.par_for_each_mut_with_work(&mut out, ntt_work(n), |_, r| {
+            ex.par_for_each_mut(&mut out, ntt_work(n), |_, r| {
                 let t = Arc::clone(r.table());
                 t.forward(r.coeffs_mut());
             });

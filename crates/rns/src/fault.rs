@@ -1,12 +1,12 @@
-//! Test-only fault injection for robustness testing.
+//! Fault injection for robustness testing.
 //!
-//! Enabled by the `fault-injection` feature. These helpers deliberately
-//! corrupt RNS polynomials the way a faulty memory, a truncated network
-//! read, or a hostile peer would, so the test suite can assert that every
-//! corruption surfaces as a typed error ([`crate::RnsError`] or the CKKS
-//! layer's integrity errors) instead of a panic or silent garbage.
-//!
-//! Nothing in this module is part of the production API surface.
+//! Compiled into every build. These helpers deliberately corrupt RNS
+//! polynomials and serialized bytes the way a faulty memory, a truncated
+//! network read, or a hostile peer would, so the test suites can assert
+//! that every corruption surfaces as a typed error ([`crate::RnsError`]
+//! or the CKKS layer's integrity errors) instead of a panic or silent
+//! garbage. No library code calls them: nothing happens, and nothing is
+//! paid, until a test does.
 
 use crate::RnsPoly;
 
@@ -16,7 +16,7 @@ use crate::RnsPoly;
 /// Returns the original value so tests can restore it.
 ///
 /// # Panics
-/// Panics (test-only code) if `residue` or `index` is out of range.
+/// Panics if `residue` or `index` is out of range.
 pub fn corrupt_coefficient(poly: &mut RnsPoly, residue: usize, index: usize) -> u64 {
     let r = &mut poly.residues_mut()[residue];
     let q = r.modulus();
@@ -34,7 +34,7 @@ pub fn corrupt_coefficient(poly: &mut RnsPoly, residue: usize, index: usize) -> 
 /// Returns the original value.
 ///
 /// # Panics
-/// Panics (test-only code) if `residue` or `index` is out of range.
+/// Panics if `residue` or `index` is out of range.
 pub fn flip_coefficient_bit(poly: &mut RnsPoly, residue: usize, index: usize, bit: u32) -> u64 {
     let r = &mut poly.residues_mut()[residue];
     let q = r.modulus();
@@ -54,7 +54,7 @@ pub fn truncate_bytes(bytes: &mut Vec<u8>, keep: usize) {
 /// Flips one bit in a serialized blob, simulating in-flight corruption.
 ///
 /// # Panics
-/// Panics (test-only code) if `byte` is out of range.
+/// Panics if `byte` is out of range.
 pub fn flip_byte_bit(bytes: &mut [u8], byte: usize, bit: u32) {
     bytes[byte] ^= 1 << (bit % 8);
 }

@@ -52,14 +52,12 @@
 
 pub mod basis;
 mod error;
+pub mod fault;
 mod ntt;
 mod poly;
 mod pool;
 pub mod rescale;
 pub mod scratch;
-
-#[cfg(feature = "fault-injection")]
-pub mod fault;
 
 pub use bp_par::{BpThreadPool, CancelReason, CancelToken};
 pub use error::RnsError;

@@ -269,7 +269,7 @@ impl RnsPoly {
         F: Fn(usize, &mut ResiduePoly) + Sync,
     {
         if let Some(ex) = self.executor() {
-            ex.par_for_each_mut_with_work(&mut self.residues, per_item_work, f);
+            ex.par_for_each_mut(&mut self.residues, per_item_work, f);
         }
     }
 
@@ -562,7 +562,7 @@ impl RnsPoly {
         let src = self.residues.as_slice();
         let residues = match self.executor() {
             None => Vec::new(),
-            Some(ex) => ex.par_map_with_work(src.len(), elemwise_work(n), |i| {
+            Some(ex) => ex.par_map(src.len(), elemwise_work(n), |i| {
                 let sp = &src[i];
                 let coeffs = scratch::take_with(n, |k| sp.coeffs[((t * (2 * k + 1)) & mask) >> 1]);
                 ResiduePoly {

@@ -88,7 +88,7 @@ pub fn scale_down(
         .map(|r| Arc::clone(r.table().threads()));
     if let Some(ex) = ex {
         let work = 2 * elemwise_work(poly.n());
-        ex.par_for_each_mut_with_work(poly.residues_mut(), work, |i, r| {
+        ex.par_for_each_mut(poly.residues_mut(), work, |i, r| {
             let m = *r.table().modulus();
             let inv_p = m.inv(p.rem_u64(m.value())).expect("moduli coprime");
             let inv_p_s = m.shoup(inv_p);
