@@ -232,8 +232,10 @@ impl CkksContext {
 
     /// Encodes real values at `level` with an explicit scale.
     pub fn encode_at_scale(&self, vals: &[f64], level: usize, scale: FactoredScale) -> Plaintext {
-        let coeffs = self.encoder.embed(vals, scale.to_f64());
-        let poly = RnsPoly::from_i128_coeffs(&self.pool, self.chain.moduli_at(level), &coeffs);
+        let moduli = self.chain.moduli_at(level);
+        let poly = self.encoder.embed_with(vals, scale.to_f64(), |coeffs| {
+            RnsPoly::from_i128_coeffs(&self.pool, moduli, coeffs)
+        });
         Plaintext { poly, scale, level }
     }
 

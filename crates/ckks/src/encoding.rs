@@ -9,6 +9,15 @@
 
 use bp_math::FactoredScale;
 use bp_rns::{PrimePool, RnsPoly};
+use std::cell::Cell;
+
+thread_local! {
+    /// This thread's encode working buffers: the slot values under the
+    /// inverse FFT, then the scaled integer coefficients. Kept between
+    /// encodes because, freed each time, they sit at the top of the heap
+    /// and the allocator returns and refaults their pages on every encode.
+    static EMBED_BUFS: Cell<(Vec<Complex>, Vec<i128>)> = const { Cell::new((Vec::new(), Vec::new())) };
+}
 
 /// A complex number (f64 parts). Minimal, internal to encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -154,13 +163,32 @@ impl Encoder {
     /// # Panics
     /// Panics if `vals.len() > slots`.
     pub fn embed(&self, vals: &[f64], scale: f64) -> Vec<i128> {
-        self.embed_complex(
-            &vals
-                .iter()
-                .map(|&v| Complex::new(v, 0.0))
-                .collect::<Vec<_>>(),
-            scale,
-        )
+        self.embed_with(vals, scale, <[i128]>::to_vec)
+    }
+
+    /// [`Encoder::embed`], lending the coefficients to `f` from working
+    /// buffers this thread keeps between calls, so an encode allocates
+    /// nothing but its pooled residues.
+    pub(crate) fn embed_with<R>(
+        &self,
+        vals: &[f64],
+        scale: f64,
+        f: impl FnOnce(&[i128]) -> R,
+    ) -> R {
+        assert!(vals.len() <= self.slots, "too many slot values");
+        // Taken out of the thread-local while in use: a nested or
+        // unwinding call finds empty buffers, never a borrowed one.
+        let (mut buf, mut coeffs) = EMBED_BUFS.take();
+        buf.clear();
+        buf.resize(self.slots, Complex::default());
+        for (b, &v) in buf.iter_mut().zip(vals) {
+            b.re = v;
+        }
+        coeffs.resize(self.n, 0);
+        self.embed_into(&mut buf, scale, &mut coeffs);
+        let out = f(&coeffs);
+        EMBED_BUFS.set((buf, coeffs));
+        out
     }
 
     /// Embeds complex slot values into scaled integer coefficients.
@@ -171,13 +199,19 @@ impl Encoder {
         assert!(vals.len() <= self.slots, "too many slot values");
         let mut buf = vec![Complex::default(); self.slots];
         buf[..vals.len()].copy_from_slice(vals);
-        self.special_ifft(&mut buf);
         let mut coeffs = vec![0i128; self.n];
+        self.embed_into(&mut buf, scale, &mut coeffs);
+        coeffs
+    }
+
+    /// The inverse embedding of the `slots` values in `buf` (overwritten),
+    /// scaled and rounded into all `N` of `coeffs`.
+    fn embed_into(&self, buf: &mut [Complex], scale: f64, coeffs: &mut [i128]) {
+        self.special_ifft(buf);
         for (i, c) in buf.iter().enumerate() {
             coeffs[i] = (c.re * scale).round() as i128;
             coeffs[i + self.slots] = (c.im * scale).round() as i128;
         }
-        coeffs
     }
 
     /// Decodes scaled integer coefficients back into real slot values.
@@ -245,8 +279,9 @@ pub fn encode(
     scale: &FactoredScale,
     level: usize,
 ) -> Plaintext {
-    let coeffs = encoder.embed(vals, scale.to_f64());
-    let poly = RnsPoly::from_i128_coeffs(pool, moduli, &coeffs);
+    let poly = encoder.embed_with(vals, scale.to_f64(), |coeffs| {
+        RnsPoly::from_i128_coeffs(pool, moduli, coeffs)
+    });
     Plaintext {
         poly,
         scale: scale.clone(),

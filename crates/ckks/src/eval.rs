@@ -465,15 +465,13 @@ impl<'a> Evaluator<'a> {
             }
             let mut p = pt.poly.clone();
             p.to_ntt();
-            let ct = Ciphertext::new(
+            Ok(Ciphertext::new(
                 poly_op(&a.c0, &p)?,
                 a.c1.clone(),
                 a.level,
                 a.scale.clone(),
                 a.noise,
-            );
-            p.into_scratch();
-            Ok(ct)
+            ))
         })
     }
 
@@ -496,7 +494,6 @@ impl<'a> Evaluator<'a> {
                 a.noise.mul_plain(pt.scale.log2()),
             );
             self.clamp_capacity(&mut ct);
-            p.into_scratch();
             Ok(ct)
         })
     }
@@ -553,7 +550,6 @@ impl<'a> Evaluator<'a> {
         noise: NoiseEstimate,
     ) -> Result<Ciphertext, EvalError> {
         let (ks_b, ks_a) = self.apply_ksk(&d2, &ek.relin, Extensions::ModUp)?;
-        d2.into_scratch();
         let mut ct = Ciphertext::new(
             d0.add_owned(&ks_b)?,
             d1.add_owned(&ks_a)?,
@@ -562,8 +558,6 @@ impl<'a> Evaluator<'a> {
             noise.keyswitch(self.ctx.params().n()),
         );
         self.clamp_capacity(&mut ct);
-        ks_b.into_scratch();
-        ks_a.into_scratch();
         Ok(ct)
     }
 
@@ -656,23 +650,19 @@ impl<'a> Evaluator<'a> {
         let (ks_b, ks_a) = match reader {
             GaloisReader::Lone => {
                 let c1t = ntt_form(&a.c1).automorphism(t)?;
-                let ks = self.apply_ksk(&c1t, key, Extensions::ModUp)?;
-                c1t.into_scratch();
-                ks
+                self.apply_ksk(&c1t, key, Extensions::ModUp)?
             }
             GaloisReader::Shared(cache) => {
                 self.apply_ksk(&ntt_form(&a.c1), key, Extensions::Gather { t, cache })?
             }
         };
-        let ct = Ciphertext::new(
+        Ok(Ciphertext::new(
             c0t.add_owned(&ks_b)?,
             ks_a,
             a.level,
             a.scale.clone(),
             a.noise.keyswitch(self.ctx.params().n()),
-        );
-        ks_b.into_scratch();
-        Ok(ct)
+        ))
     }
 
     /// Homomorphic negation.
@@ -761,7 +751,9 @@ impl<'a> Evaluator<'a> {
     /// The inner product streams one digit extension at a time: take it
     /// (modded up from `d` now, or, under [`Extensions::Gather`], which
     /// switches `d`'s Galois image, gathered from `d`'s cached mod-up),
-    /// multiply-accumulate it into both accumulators, retire it. An empty
+    /// multiply it into both accumulators, drop it. The first active
+    /// digit's products start the accumulators and later digits
+    /// multiply-accumulate, so nothing is zero-filled first. An empty
     /// cache is filled here, after the fault hook and inside the keyswitch
     /// span, so a shared mod-up runs within its first reader's frame.
     fn apply_ksk(
@@ -807,9 +799,7 @@ impl<'a> Evaluator<'a> {
             }
         };
 
-        let mut acc_b = RnsPoly::zero(pool, &f_l, Domain::Ntt);
-        let mut acc_a = RnsPoly::zero(pool, &f_l, Domain::Ntt);
-
+        let mut acc: Option<(RnsPoly, RnsPoly)> = None;
         for (j, digit) in ksk.digits.iter().enumerate() {
             let ext = match gather {
                 None => self.mod_up(d, &digit.moduli, &f_l)?,
@@ -818,15 +808,25 @@ impl<'a> Evaluator<'a> {
             let Some(ext) = ext else {
                 continue;
             };
-            // Fused multiply-accumulate: one traversal per accumulator, no
-            // product temporaries. The key digits span the full basis and
-            // are read in place at `f_l`'s moduli, never copied.
-            acc_b.mul_add_assign(&ext, &digit.b)?;
-            acc_a.mul_add_assign(&ext, &digit.a)?;
-            // Retire the extension to the scratch pool so the next digit
-            // (and the next keyswitch) reuses its arenas.
-            ext.into_scratch();
+            // The key digits span the full basis and are read in place at
+            // `f_l`'s moduli, never copied. `mul_add(x, y, 0)` and
+            // `mul(x, y)` reduce the same product, so starting from the
+            // first product gives the bytes of accumulating into zeros.
+            // The extension's buffers go back to the pool when it drops,
+            // for the next digit and the next keyswitch.
+            match &mut acc {
+                None => acc = Some((ext.mul_wide(&digit.b)?, ext.mul_wide(&digit.a)?)),
+                Some((acc_b, acc_a)) => {
+                    acc_b.mul_add_assign(&ext, &digit.b)?;
+                    acc_a.mul_add_assign(&ext, &digit.a)?;
+                }
+            }
         }
+        // With no active digit the inner product is zero.
+        let (mut acc_b, mut acc_a) = acc.unwrap_or_else(|| {
+            let zero = || RnsPoly::zero(pool, &f_l, Domain::Ntt);
+            (zero(), zero())
+        });
 
         // Mod-down by the special primes through the pool's memoized
         // P → Q_ℓ converter (extracting `special` from `f_l` leaves

@@ -26,7 +26,6 @@ use crate::error::EvalError;
 use crate::eval::{DigitExtensions, Evaluator, GaloisReader};
 use crate::keys::EvaluationKey;
 use bp_ir::{LevelBudget, Op, Program};
-use bp_rns::RnsPoly;
 use std::fmt;
 
 /// Supplies plaintext operand values for `*_plain` IR ops.
@@ -178,7 +177,9 @@ pub fn level_budget(chain: &ModulusChain) -> LevelBudget {
 
 impl Evaluator<'_> {
     /// Interprets a whole [`Program`] through a [`ProgramStepper`] that
-    /// keeps every node, since [`ProgramRun`] returns them all. Works
+    /// keeps every node, since [`ProgramRun`] returns them all. Such a
+    /// run does not release the thread's scratch pool when it starts, so
+    /// it reuses the buffers of the previous run's dropped nodes. Works
     /// identically under Strict and AutoAlign policies and under both
     /// representations — the program is the backend-agnostic artifact,
     /// this method is the backend binding.
@@ -195,8 +196,7 @@ impl Evaluator<'_> {
         ek: &EvaluationKey,
         plain: &mut dyn PlainSource,
     ) -> Result<ProgramRun, ProgramError> {
-        let mut run = ProgramStepper::new(self, program, inputs, ek, plain)?;
-        run.retire = false;
+        let mut run = ProgramStepper::start(self, program, inputs, ek, plain, false)?;
         while let Some(step) = run.step() {
             if let Err(error) = step {
                 let node = program.inputs + run.pos;
@@ -218,10 +218,17 @@ impl Evaluator<'_> {
 /// read by two or more `Rotate`/`Conjugate` ops has its `c1` modded up
 /// once, by its first Galois reader, and each reader gathers the cached
 /// digit extensions by its own Galois element. After a node's last reader
-/// it goes back to the scratch pool, unless it is an output or the last
-/// node of a program without outputs. And it gives the live set that a
-/// checkpoint holds, without the hoisting cache: a resumed run recomputes
-/// a shared mod-up, with the same bytes.
+/// it is dropped, which gives its buffers back to the scratch pool, unless
+/// it is an output or the last node of a program without outputs. And it
+/// gives the live set that a checkpoint holds, without the hoisting
+/// cache: a resumed run recomputes a shared mod-up, with the same bytes.
+///
+/// A stepper built by [`ProgramStepper::new`] or
+/// [`ProgramStepper::resume`] retires nodes that way, and releases the
+/// thread's scratch pool when it starts (see [`bp_rns::scratch`]): its
+/// live set refills the pool within a few ops, and buffers an earlier
+/// keep-all run left pooled would otherwise sit beside this run's
+/// checkpoint streams.
 pub struct ProgramStepper<'r> {
     ev: &'r Evaluator<'r>,
     program: &'r Program,
@@ -254,13 +261,26 @@ impl<'r> ProgramStepper<'r> {
         ek: &'r EvaluationKey,
         plain: &'r mut dyn PlainSource,
     ) -> Result<Self, ProgramError> {
+        Self::start(ev, program, inputs, ek, plain, true)
+    }
+
+    /// [`ProgramStepper::new`], retiring nodes or keeping every one.
+    fn start(
+        ev: &'r Evaluator<'r>,
+        program: &'r Program,
+        inputs: Vec<Ciphertext>,
+        ek: &'r EvaluationKey,
+        plain: &'r mut dyn PlainSource,
+        retire: bool,
+    ) -> Result<Self, ProgramError> {
         if inputs.len() != program.inputs {
             return Err(ProgramError::InputCount {
                 expected: program.inputs,
                 got: inputs.len(),
             });
         }
-        Self::resume(ev, program, 0, inputs.into_iter().enumerate(), ek, plain)
+        let live = inputs.into_iter().enumerate();
+        Self::resume_as(ev, program, 0, live, ek, plain, retire)
     }
 
     /// Continues a run of `program` with `ops[..pos]` done, from the nodes
@@ -276,6 +296,20 @@ impl<'r> ProgramStepper<'r> {
         live: impl IntoIterator<Item = (usize, Ciphertext)>,
         ek: &'r EvaluationKey,
         plain: &'r mut dyn PlainSource,
+    ) -> Result<Self, ProgramError> {
+        Self::resume_as(ev, program, pos, live, ek, plain, true)
+    }
+
+    /// [`ProgramStepper::resume`], retiring nodes or keeping every one. A
+    /// retiring run releases the thread's scratch pool once it can start.
+    fn resume_as(
+        ev: &'r Evaluator<'r>,
+        program: &'r Program,
+        pos: usize,
+        live: impl IntoIterator<Item = (usize, Ciphertext)>,
+        ek: &'r EvaluationKey,
+        plain: &'r mut dyn PlainSource,
+        retire: bool,
     ) -> Result<Self, ProgramError> {
         program.check_shape().map_err(ProgramError::Malformed)?;
         if pos > program.ops.len() {
@@ -305,6 +339,9 @@ impl<'r> ProgramStepper<'r> {
             let missing = Some(i);
             return Err(ProgramError::Resume { pos, missing });
         }
+        if retire {
+            bp_rns::scratch::release();
+        }
         Ok(Self {
             ev,
             program,
@@ -315,7 +352,7 @@ impl<'r> ProgramStepper<'r> {
             galois,
             hoisted: vec![None; program.num_nodes()],
             pos,
-            retire: true,
+            retire,
         })
     }
 
@@ -338,8 +375,9 @@ impl<'r> ProgramStepper<'r> {
     }
 
     /// Runs the next op and lends out its node; `None` once every op has
-    /// run. Every earlier node that no later op reads then goes back to
-    /// the scratch pool, unless the run keeps it.
+    /// run. Every earlier node that no later op reads is then dropped,
+    /// which gives its buffers back to the scratch pool, unless the run
+    /// keeps it; so is a shared mod-up after its last Galois reader.
     ///
     /// # Errors
     /// The op's [`EvalError`]; the failed op stays next.
@@ -356,15 +394,11 @@ impl<'r> ProgramStepper<'r> {
         self.pos += 1;
         if let Op::Rotate { a, .. } | Op::Conjugate { a } = op {
             if self.galois[a].1 == id {
-                let exts = self.hoisted[a].take().into_iter().flatten().flatten();
-                exts.for_each(RnsPoly::into_scratch);
+                self.hoisted[a] = None;
             }
         }
         for i in (0..id).filter(|&i| self.retire && self.last[i] <= id) {
-            if let Some(ct) = self.nodes[i].take() {
-                ct.c0.into_scratch();
-                ct.c1.into_scratch();
-            }
+            self.nodes[i] = None;
         }
         self.nodes[id].as_ref().map(Ok)
     }

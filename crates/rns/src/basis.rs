@@ -40,7 +40,7 @@
 //! integer in `[0, q)` that a per-term modular sum gives.
 
 use crate::poly::{elemwise_work, ntt_work};
-use crate::{scratch, Domain, NttTable, ResiduePoly, RnsError};
+use crate::{Domain, NttTable, ResiduePoly, RnsError};
 use bp_math::BigUint;
 use std::sync::Arc;
 
@@ -176,14 +176,13 @@ impl BasisConverter {
         let n = self.src_tables[0].n();
 
         // tᵢ = xᵢ · (P/pᵢ)⁻¹ mod pᵢ — independent per source residue.
-        // Scratch-backed temporaries: copy the residue, transform in
-        // place, and recycle once the accumulation pass is done.
-        let t_vals: Vec<Vec<u64>> = ex.par_map(src.len(), elemwise_work(n), |i| {
-            let r = &src[i];
+        // Each is a pooled clone of its residue, transformed in place; its
+        // buffer goes back to the pool when `t_vals` drops.
+        let t_vals: Vec<ResiduePoly> = ex.par_map(src.len(), elemwise_work(n), |i| {
+            let mut t = src[i].clone();
             let (inv, inv_s) = self.inv_phat[i];
-            let m = r.table().modulus();
-            let mut t = scratch::take_copy(r.coeffs());
-            for x in t.iter_mut() {
+            let m = *t.table().modulus();
+            for x in t.coeffs_mut() {
                 *x = m.mul_shoup(*x, inv, inv_s);
             }
             t
@@ -194,7 +193,7 @@ impl BasisConverter {
         let mut lifts = vec![0u8; n];
         for (t, st) in t_vals.iter().zip(&self.src_tables) {
             let half = st.modulus().value() >> 1;
-            for (l, &x) in lifts.iter_mut().zip(t) {
+            for (l, &x) in lifts.iter_mut().zip(t.coeffs()) {
                 *l += u8::from(x > half);
             }
         }
@@ -217,7 +216,7 @@ impl BasisConverter {
             for (b, out_block) in out.coeffs_mut().chunks_mut(BLOCK).enumerate() {
                 let acc = &mut acc[..out_block.len()];
                 let cols = b * BLOCK..b * BLOCK + out_block.len();
-                let (t0, ph0) = (&t_vals[0][cols.clone()], u128::from(row[0]));
+                let (t0, ph0) = (&t_vals[0].coeffs()[cols.clone()], u128::from(row[0]));
                 for ((a, &l), &x) in acc.iter_mut().zip(&lifts[cols.clone()]).zip(t0) {
                     *a = u128::from(l) * neg_p + u128::from(x) * ph0;
                 }
@@ -227,7 +226,7 @@ impl BasisConverter {
                             *a = u128::from(m.reduce_u128(*a));
                         }
                     }
-                    for (a, &x) in acc.iter_mut().zip(&t[cols.clone()]) {
+                    for (a, &x) in acc.iter_mut().zip(&t.coeffs()[cols.clone()]) {
                         *a += u128::from(x) * u128::from(ph);
                     }
                 }
@@ -237,9 +236,6 @@ impl BasisConverter {
             }
             out
         });
-        for t in t_vals {
-            scratch::recycle(t);
-        }
         Ok(out)
     }
 
@@ -258,19 +254,15 @@ impl BasisConverter {
         let ex = Arc::clone(self.src_tables[0].threads());
         let n = self.src_tables[0].n();
         let mut out = if src_domain == Domain::Ntt {
-            // Scratch-backed coefficient-domain copies, recycled as soon
-            // as the conversion has consumed them.
+            // Pooled coefficient-domain copies; their buffers go back to
+            // the pool as soon as the conversion has consumed them.
             let coeff_src: Vec<ResiduePoly> = ex.par_map(src.len(), ntt_work(n), |i| {
-                let mut c = src[i].clone_scratch();
+                let mut c = src[i].clone();
                 let t = Arc::clone(c.table());
                 t.inverse(c.coeffs_mut());
                 c
             });
-            let converted = self.convert(&coeff_src);
-            for c in coeff_src {
-                c.recycle();
-            }
-            converted?
+            self.convert(&coeff_src)?
         } else {
             self.convert(src)?
         };

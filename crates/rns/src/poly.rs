@@ -8,7 +8,7 @@
 //! bit-identical at any thread setting.
 
 use crate::{scratch, NttTable, PrimePool, RnsError};
-use bp_math::BigUint;
+use bp_math::{BigUint, Modulus};
 use bp_par::BpThreadPool;
 use bp_telemetry::counters::Counter;
 use std::sync::Arc;
@@ -33,6 +33,19 @@ pub(crate) fn ntt_work(n: usize) -> u64 {
     (n as u64).saturating_mul(u64::from(usize::BITS - 1 - n.leading_zeros()).max(1))
 }
 
+/// `c mod q` in `[0, q)` for any `i128`: `|c|` reduced by Barrett, then
+/// negated when `c < 0`. The value of `c.rem_euclid(q)` without a 128-bit
+/// division.
+#[inline]
+fn reduce_i128(m: &Modulus, c: i128) -> u64 {
+    let r = m.reduce_u128(c.unsigned_abs());
+    if c < 0 {
+        m.neg(r)
+    } else {
+        r
+    }
+}
+
 /// Telemetry: `k` residues shed, extracted, or appended.
 #[inline]
 fn count_residue_moves(k: usize) {
@@ -50,40 +63,39 @@ pub enum Domain {
 
 /// One residue polynomial: `N` coefficients modulo a single prime, plus a
 /// handle to that prime's NTT tables.
-#[derive(Debug, Clone)]
+///
+/// Its buffer belongs to the thread-local [`scratch`] pool: building or
+/// cloning a residue takes a pooled buffer when one of its length is
+/// there, and dropping it gives the buffer back.
+#[derive(Debug)]
 pub struct ResiduePoly {
     table: Arc<NttTable>,
     coeffs: Vec<u64>,
 }
 
+impl Clone for ResiduePoly {
+    fn clone(&self) -> Self {
+        Self {
+            table: Arc::clone(&self.table),
+            coeffs: scratch::take_copy(&self.coeffs),
+        }
+    }
+}
+
+impl Drop for ResiduePoly {
+    fn drop(&mut self) {
+        scratch::give_back(std::mem::take(&mut self.coeffs));
+    }
+}
+
 impl ResiduePoly {
-    /// An all-zero residue polynomial for the given table. The backing
-    /// buffer comes from the thread-local [`scratch`] pool when one is
-    /// available, so short-lived zero polynomials (keyswitch accumulators)
-    /// avoid the allocator.
+    /// An all-zero residue polynomial for the given table.
     pub fn zero(table: Arc<NttTable>) -> Self {
         let n = table.n();
         Self {
             table,
             coeffs: scratch::take_zeroed(n),
         }
-    }
-
-    /// A copy of this residue whose buffer comes from the thread-local
-    /// [`scratch`] pool when one is available. Identical values to
-    /// `clone()`; only the allocation strategy differs.
-    pub(crate) fn clone_scratch(&self) -> Self {
-        Self {
-            table: Arc::clone(&self.table),
-            coeffs: scratch::take_copy(&self.coeffs),
-        }
-    }
-
-    /// Retires this residue's buffer into the thread-local [`scratch`]
-    /// pool. Call on temporaries that would otherwise be dropped at the
-    /// end of a kernel; purely an allocator bypass, never required.
-    pub fn recycle(self) {
-        scratch::recycle(self.coeffs);
     }
 
     /// The prime modulus of this residue.
@@ -164,10 +176,9 @@ impl RnsPoly {
         assert!(coeffs.len() <= pool.n(), "too many coefficients");
         let mut p = Self::zero(pool, moduli, Domain::Coeff);
         p.for_each_residue_mut(4 * elemwise_work(pool.n()), |_, r| {
-            let q = r.modulus() as i128;
+            let m = *r.table.modulus();
             for (dst, &c) in r.coeffs.iter_mut().zip(coeffs) {
-                let v = c.rem_euclid(q);
-                *dst = v as u64;
+                *dst = reduce_i128(&m, c);
             }
         });
         p
@@ -241,17 +252,6 @@ impl RnsPoly {
     /// polynomials (keyswitch digit decomposition).
     pub fn into_residues(self) -> Vec<ResiduePoly> {
         self.residues
-    }
-
-    /// Retires every residue buffer into the thread-local [`scratch`]
-    /// pool. Call on kernel temporaries (keyswitch digit extensions,
-    /// consumed accumulators) instead of dropping them, so the next
-    /// `zero`/`restricted` of the same degree reuses the memory. Purely
-    /// an allocator bypass — skipping it is always correct.
-    pub fn into_scratch(self) {
-        for r in self.residues {
-            r.recycle();
-        }
     }
 
     /// The executor carried by this polynomial's tables, if any residue
@@ -473,12 +473,7 @@ impl RnsPoly {
             });
         }
         self.check_compatible(x)?;
-        self.check_degree_and_domain(y)?;
-        let ys = self
-            .moduli
-            .iter()
-            .map(|&q| y.residue_by_modulus(q))
-            .collect::<Result<Vec<_>, _>>()?;
+        let ys = self.residues_in(y)?;
         count_elemwise(self.residues.len());
         let xs = x.residues.as_slice();
         self.for_each_residue_mut(elemwise_work(self.n), |i, acc| {
@@ -488,6 +483,57 @@ impl RnsPoly {
             }
         });
         Ok(())
+    }
+
+    /// Polynomial product `self · y`, both in NTT domain, over `self`'s
+    /// basis. As in [`RnsPoly::mul_add_assign`], `y`'s basis may be wider
+    /// and is read in place at `self`'s moduli. Each output residue is
+    /// written straight into a pooled buffer, with no zero-fill first:
+    /// the keyswitch starts its accumulators from the first digit's
+    /// product with this.
+    ///
+    /// # Errors
+    /// [`RnsError`] if either operand is in coefficient domain, if `y`'s
+    /// degree differs, or [`RnsError::MissingModulus`] if `y` lacks one of
+    /// `self`'s moduli.
+    pub fn mul_wide(&self, y: &Self) -> Result<Self, RnsError> {
+        if self.domain != Domain::Ntt {
+            return Err(RnsError::WrongDomain {
+                op: "mul_wide",
+                found: self.domain,
+                required: Domain::Ntt,
+            });
+        }
+        let ys = self.residues_in(y)?;
+        count_elemwise(self.residues.len());
+        let (n, xs) = (self.n, self.residues.as_slice());
+        let residues = match self.executor() {
+            None => Vec::new(),
+            Some(ex) => ex.par_map(xs.len(), elemwise_work(n), |i| {
+                let m = *xs[i].table.modulus();
+                let (x, y) = (&xs[i].coeffs[..n], &ys[i].coeffs[..n]);
+                ResiduePoly {
+                    table: Arc::clone(&xs[i].table),
+                    coeffs: scratch::take_with(n, |k| m.mul(x[k], y[k])),
+                }
+            }),
+        };
+        Ok(Self {
+            n,
+            domain: Domain::Ntt,
+            residues,
+            moduli: self.moduli.clone(),
+        })
+    }
+
+    /// `y`'s residues at `self`'s moduli, borrowed in place (`y`'s basis
+    /// may be wider).
+    fn residues_in<'y>(&self, y: &'y Self) -> Result<Vec<&'y ResiduePoly>, RnsError> {
+        self.check_degree_and_domain(y)?;
+        self.moduli
+            .iter()
+            .map(|&q| y.residue_by_modulus(q))
+            .collect()
     }
 
     /// Multiplies residue `i` by the scalar `consts[i]` (already reduced mod
@@ -675,7 +721,7 @@ impl RnsPoly {
     pub fn restricted(&self, moduli: &[u64]) -> Result<Self, RnsError> {
         let residues = moduli
             .iter()
-            .map(|&q| self.residue_by_modulus(q).map(ResiduePoly::clone_scratch))
+            .map(|&q| self.residue_by_modulus(q).cloned())
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self {
             n: self.n,
@@ -726,6 +772,34 @@ pub(crate) mod tests {
         let c = a.add(&b).unwrap().sub(&b).unwrap();
         for i in 0..a.num_residues() {
             assert_eq!(a.residue(i).coeffs(), c.residue(i).coeffs());
+        }
+    }
+
+    /// The encoder's reduction equals `rem_euclid` at 28-, 45- and 61-bit
+    /// primes: at the edges around 0 and ±q, at the ends of `i128`, and
+    /// at seeded random values of every width.
+    #[test]
+    fn reduce_i128_matches_rem_euclid() {
+        use bp_math::primes::ntt_primes_below;
+        use rand::{Rng, RngCore, SeedableRng};
+        let mut rng = rand_chacha::ChaCha20Rng::seed_from_u64(0x1128);
+        for bits in [28, 45, 61] {
+            let q = ntt_primes_below(bits, 64).next().expect("a prime");
+            let m = Modulus::new(q);
+            let qi = i128::from(q);
+            let mut cases = vec![i128::MIN, i128::MAX, i128::MIN + 1];
+            for c in [0, 1, qi - 1, qi, qi + 1] {
+                cases.extend([c, -c]);
+            }
+            for _ in 0..2000 {
+                let shift = rng.gen_range(0..128);
+                let c = (u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64())) as i128;
+                cases.push(c >> shift);
+            }
+            for c in cases {
+                let want = c.rem_euclid(qi) as u64;
+                assert_eq!(reduce_i128(&m, c), want, "{c} mod {q}");
+            }
         }
     }
 

@@ -98,11 +98,6 @@ pub fn scale_down(
             }
         });
     }
-    // The correction polynomials are kernel temporaries: retire their
-    // buffers for the next conversion of the same degree.
-    for c in corrections {
-        c.recycle();
-    }
     Ok(())
 }
 

@@ -1,22 +1,39 @@
-//! Property tests for the recycled-scratch pool (`bp_rns::scratch`).
+//! Property tests for the pool that owns every residue buffer
+//! (`bp_rns::scratch`).
 //!
-//! The pool buckets retired buffers by *exact length*, so a buffer
-//! recycled from one residue count must never leak its length — or its
-//! stale contents — into a request for a different count. These tests
-//! interleave takes and recycles across deliberately mismatched sizes
-//! (including re-recycling buffers the caller resized, the way kernel
-//! code might after `truncate`) and assert the two invariants every
+//! A residue gives its buffer back to the pool, dirty, when it drops, and
+//! the pool buckets buffers by *exact length*, so a buffer of one degree
+//! must never leak its length — or its stale contents — into a request
+//! for another. These tests interleave drops of dirty residues with takes
+//! across deliberately mismatched sizes and assert the invariants every
 //! caller relies on:
 //!
 //! * `take_zeroed(n)` is exactly `n` zeros, always;
-//! * `take_copy(src)` equals `src` exactly, always.
+//! * `take_copy(src)` equals `src` exactly, always;
+//! * a new residue is all zeros at its table's degree, and a clone equals
+//!   its source.
 
-use bp_rns::scratch;
+use bp_rns::{scratch, PrimePool, ResiduePoly};
 use proptest::prelude::*;
 
-/// Residue counts the interleaving alternates between — includes 0 (the
-/// pool must refuse to pool empties) and non-power-of-two sizes.
+/// Degrees of the residues dropped dirty.
+const DEGREES: [usize; 3] = [8, 16, 256];
+
+/// Lengths the takes alternate between — includes 0 and non-power-of-two
+/// sizes that no residue has.
 const SIZES: [usize; 6] = [0, 1, 8, 16, 100, 256];
+
+/// A residue of degree `n` with every coefficient `fill`.
+fn dirty(pools: &[PrimePool], n: usize, fill: u64) -> ResiduePoly {
+    let pool = pools
+        .iter()
+        .find(|p| p.n() == n)
+        .expect("a pool per degree");
+    let q = pool.first_primes_below(30, 1)[0];
+    let mut r = ResiduePoly::zero(pool.table(q));
+    r.coeffs_mut().fill(fill % q);
+    r
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -25,63 +42,62 @@ proptest! {
     fn mismatched_sizes_never_leak_length_or_data(
         steps in proptest::collection::vec(any::<u64>(), 1..120)
     ) {
+        let pools: Vec<PrimePool> = DEGREES.iter().map(|&n| PrimePool::new(n)).collect();
         for step in steps {
-            // Decode (action, size selector, fill pattern) from one word.
+            // Decode (action, sizes, fill pattern) from one word.
             let what = step & 3;
             let n = SIZES[(step >> 2) as usize % SIZES.len()];
-            let other = SIZES[(step >> 5) as usize % SIZES.len()];
+            let degree = DEGREES[(step >> 5) as usize % DEGREES.len()];
             let fill = (step >> 8) | 0xDEAD_0000;
             match what {
-                // Recycle a dirty buffer of this size.
-                0 => scratch::recycle(vec![fill; n]),
+                // Drop a dirty residue.
+                0 => drop(dirty(&pools, degree, fill)),
                 // take_zeroed must be all zeros at exactly n — even right
-                // after dirty recycles at this and other sizes.
+                // after a dirty drop at this or another degree.
                 1 => {
-                    scratch::recycle(vec![fill; other]);
-                    let mut v = scratch::take_zeroed(n);
+                    drop(dirty(&pools, degree, fill));
+                    let v = scratch::take_zeroed(n);
                     prop_assert_eq!(v.len(), n);
                     prop_assert!(v.iter().all(|&x| x == 0), "stale data in take_zeroed({})", n);
-                    // Hand it back resized: the pool must re-bucket it
-                    // under the *new* length, not the one it was born at.
-                    v.truncate(n / 2);
-                    v.iter_mut().for_each(|x| *x = fill);
-                    scratch::recycle(v);
                 }
                 // take_copy must equal the source at exactly src.len().
                 2 => {
+                    drop(dirty(&pools, degree, fill));
                     let src: Vec<u64> =
                         (0..n as u64).map(|i| i.wrapping_mul(0x9E37) ^ fill).collect();
                     let v = scratch::take_copy(&src);
                     prop_assert_eq!(&v, &src);
-                    scratch::recycle(v);
                 }
-                // with_scratch sees a zeroed buffer of the right length
-                // even right after a dirty recycle of another size.
+                // A new residue is zeros at its degree even right after a
+                // dirty drop, and its dirty clone equals it.
                 _ => {
-                    scratch::recycle(vec![u64::MAX; other]);
-                    scratch::with_scratch(n, |buf| {
-                        assert_eq!(buf.len(), n);
-                        assert!(buf.iter().all(|&x| x == 0), "stale data in with_scratch({n})");
-                        buf.fill(fill);
-                    });
+                    drop(dirty(&pools, degree, u64::MAX));
+                    let pool = &pools[(step >> 7) as usize % pools.len()];
+                    let q = pool.first_primes_below(30, 1)[0];
+                    let mut r = ResiduePoly::zero(pool.table(q));
+                    prop_assert_eq!(r.coeffs().len(), pool.n());
+                    prop_assert!(r.coeffs().iter().all(|&x| x == 0), "stale data in zero()");
+                    r.coeffs_mut().fill(fill % q);
+                    prop_assert_eq!(r.clone().coeffs(), r.coeffs());
                 }
             }
         }
     }
 }
 
-/// Deterministic worst case: a buffer recycled after being truncated has
-/// capacity for its old size but length of the new one — the classic
-/// stale-length hazard if bucketing were by capacity instead of length.
+/// Deterministic worst case: a dropped residue of a large degree never
+/// serves a smaller request, and a smaller one never serves a larger.
 #[test]
-fn recycled_truncated_buffer_never_serves_its_old_size() {
-    let mut big = vec![0xABCDu64; 256];
-    big.truncate(16); // capacity 256, length 16
-    scratch::recycle(big);
-    let v = scratch::take_zeroed(256);
-    assert_eq!(v.len(), 256);
+fn a_dropped_residue_serves_only_its_own_degree() {
+    let pools: Vec<PrimePool> = DEGREES.iter().map(|&n| PrimePool::new(n)).collect();
+    drop(dirty(&pools, 256, 0xABCD));
+    drop(dirty(&pools, 16, 0xABCD));
+    let v = scratch::take_zeroed(8);
+    assert_eq!(v.len(), 8);
     assert!(v.iter().all(|&x| x == 0));
-    let v16 = scratch::take_zeroed(16);
-    assert_eq!(v16.len(), 16);
-    assert!(v16.iter().all(|&x| x == 0), "stale 0xABCD leaked through");
+    let v = scratch::take_copy(&[1; 100]);
+    assert_eq!(v, vec![1; 100]);
+    let v256 = scratch::take_zeroed(256);
+    assert_eq!(v256.len(), 256);
+    assert!(v256.iter().all(|&x| x == 0), "stale 0xABCD leaked through");
 }

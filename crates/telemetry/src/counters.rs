@@ -58,7 +58,7 @@ pub enum Counter {
     /// per-chunk work was below the dispatch threshold. Utilization
     /// class.
     ParInline,
-    /// Scratch-buffer requests served from the thread-local recycle pool
+    /// Scratch-buffer requests served from the thread-local scratch pool
     /// (no allocator round-trip). Utilization class.
     ScratchReuses,
     /// Scratch-buffer requests that fell through to a fresh allocation.
