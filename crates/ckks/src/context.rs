@@ -183,41 +183,33 @@ impl CkksContext {
             public,
             evaluation: EvaluationKey {
                 relin,
-                rotations: HashMap::new(),
-                conjugation: None,
+                galois: HashMap::new(),
             },
         }
     }
 
     /// Generates rotation keys for the given step counts and adds them to
-    /// the key set.
+    /// the key set; steps equal modulo `N/2` share one key. Each key is
+    /// stored permuted by the inverse rotation, so that
+    /// [`Evaluator::rotate`] permutes only its result: generating one
+    /// gathers 2·dnum full-basis polynomials more than the key alone.
     pub fn gen_rotation_keys<R: Rng + ?Sized>(&self, ks: &mut KeySet, steps: &[i64], rng: &mut R) {
         let _span = bp_telemetry::spans::span(bp_telemetry::spans::SpanKind::KeyGen);
-        let order = (self.params.n() / 2) as i64;
         for &st in steps {
-            let norm = st.rem_euclid(order);
-            if ks.evaluation.rotations.contains_key(&norm) {
-                continue;
-            }
-            let t = keys::galois_element(norm, self.params.n());
-            let key = keys::gen_galois(&self.pool, &self.chain, &ks.secret, t, rng);
-            ks.evaluation.rotations.insert(norm, key);
+            let t = keys::galois_element(st, self.params.n());
+            ks.evaluation
+                .add_galois(&self.pool, &self.chain, &ks.secret, t, rng);
         }
     }
 
-    /// Generates the conjugation key and adds it to the key set.
+    /// Generates the conjugation key and adds it to the key set. It is
+    /// stored permuted by the conjugation, its own inverse, so that
+    /// [`Evaluator::conjugate`] permutes only its result.
     pub fn gen_conjugation_key<R: Rng + ?Sized>(&self, ks: &mut KeySet, rng: &mut R) {
         let _span = bp_telemetry::spans::span(bp_telemetry::spans::SpanKind::KeyGen);
-        if ks.evaluation.conjugation.is_none() {
-            let t = 2 * self.params.n() - 1;
-            ks.evaluation.conjugation = Some(keys::gen_galois(
-                &self.pool,
-                &self.chain,
-                &ks.secret,
-                t,
-                rng,
-            ));
-        }
+        let t = 2 * self.params.n() - 1;
+        ks.evaluation
+            .add_galois(&self.pool, &self.chain, &ks.secret, t, rng);
     }
 
     /// Encodes real values at `level`, using the chain's exact scale for

@@ -8,7 +8,7 @@
 //! `⟨5⟩ mod 2N`.
 
 use bp_math::FactoredScale;
-use bp_rns::{PrimePool, RnsPoly};
+use bp_rns::RnsPoly;
 use std::cell::Cell;
 
 thread_local! {
@@ -20,17 +20,14 @@ thread_local! {
 }
 
 /// A complex number (f64 parts). Minimal, internal to encoding.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Complex {
-    /// Real part.
-    pub re: f64,
-    /// Imaginary part.
-    pub im: f64,
+#[derive(Debug, Clone, Copy, Default)]
+struct Complex {
+    re: f64,
+    im: f64,
 }
 
 impl Complex {
-    /// Creates a complex value.
-    pub fn new(re: f64, im: f64) -> Self {
+    fn new(re: f64, im: f64) -> Self {
         Self { re, im }
     }
 
@@ -191,19 +188,6 @@ impl Encoder {
         out
     }
 
-    /// Embeds complex slot values into scaled integer coefficients.
-    ///
-    /// # Panics
-    /// Panics if `vals.len() > slots`.
-    pub fn embed_complex(&self, vals: &[Complex], scale: f64) -> Vec<i128> {
-        assert!(vals.len() <= self.slots, "too many slot values");
-        let mut buf = vec![Complex::default(); self.slots];
-        buf[..vals.len()].copy_from_slice(vals);
-        let mut coeffs = vec![0i128; self.n];
-        self.embed_into(&mut buf, scale, &mut coeffs);
-        coeffs
-    }
-
     /// The inverse embedding of the `slots` values in `buf` (overwritten),
     /// scaled and rounded into all `N` of `coeffs`.
     fn embed_into(&self, buf: &mut [Complex], scale: f64, coeffs: &mut [i128]) {
@@ -219,17 +203,6 @@ impl Encoder {
     /// # Panics
     /// Panics if `coeffs.len() != N`.
     pub fn unembed(&self, coeffs: &[i128], scale: f64) -> Vec<f64> {
-        self.unembed_complex(coeffs, scale)
-            .into_iter()
-            .map(|c| c.re)
-            .collect()
-    }
-
-    /// Decodes scaled integer coefficients back into complex slot values.
-    ///
-    /// # Panics
-    /// Panics if `coeffs.len() != N`.
-    pub fn unembed_complex(&self, coeffs: &[i128], scale: f64) -> Vec<Complex> {
         assert_eq!(coeffs.len(), self.n, "coefficient count");
         let mut buf: Vec<Complex> = (0..self.slots)
             .map(|i| {
@@ -240,7 +213,7 @@ impl Encoder {
             })
             .collect();
         self.special_fft(&mut buf);
-        buf
+        buf.into_iter().map(|c| c.re).collect()
     }
 }
 
@@ -265,28 +238,6 @@ pub struct Plaintext {
     pub scale: FactoredScale,
     /// The chain level this plaintext is encoded for.
     pub level: usize,
-}
-
-/// Encodes real values into a [`Plaintext`] over the given moduli.
-///
-/// # Panics
-/// Panics if more values than slots are supplied.
-pub fn encode(
-    encoder: &Encoder,
-    pool: &PrimePool,
-    moduli: &[u64],
-    vals: &[f64],
-    scale: &FactoredScale,
-    level: usize,
-) -> Plaintext {
-    let poly = encoder.embed_with(vals, scale.to_f64(), |coeffs| {
-        RnsPoly::from_i128_coeffs(pool, moduli, coeffs)
-    });
-    Plaintext {
-        poly,
-        scale: scale.clone(),
-        level,
-    }
 }
 
 #[cfg(test)]

@@ -94,35 +94,10 @@ type PolyOp = fn(&RnsPoly, &RnsPoly) -> Result<RnsPoly, RnsError>;
 
 /// One polynomial's keyswitch digit extensions, in key-digit order:
 /// digit `j`'s residues modded up to the level's basis plus the special
-/// primes, or `None` when none of the digit's primes is active.
-pub(crate) type DigitExtensions = Vec<Option<RnsPoly>>;
-
-/// How a `Rotate`/`Conjugate` op reads its operand, decided in the
-/// program path by the operand node's number of Galois readers
+/// primes, or `None` when none of the digit's primes is active. In the
+/// program path, the shared mod-up of a node read by several Galois ops
 /// ([`crate::ProgramStepper`]).
-pub(crate) enum GaloisReader<'c> {
-    /// The only Galois reader (and every public `rotate`/`conjugate`
-    /// call): gather `c1`, then mod up the gathered `c1` one digit at a
-    /// time.
-    Lone,
-    /// One of several Galois readers of one node: the node's un-permuted
-    /// `c1` is modded up once, into this entry, by whichever reader finds
-    /// it empty, and every reader gathers the cached extensions.
-    Shared(&'c mut Option<DigitExtensions>),
-}
-
-/// Where [`Evaluator::apply_ksk`] takes each digit's extension from.
-enum Extensions<'c> {
-    /// Mod up the switched polynomial itself, one digit at a time.
-    ModUp,
-    /// The switched polynomial is the Galois image `X → X^t` of the one
-    /// passed: gather each of its digit extensions, made once into
-    /// `cache` if it is empty.
-    Gather {
-        t: usize,
-        cache: &'c mut Option<DigitExtensions>,
-    },
-}
+pub(crate) type DigitExtensions = Vec<Option<RnsPoly>>;
 
 /// Operation dispatcher bound to a [`CkksContext`].
 ///
@@ -549,7 +524,7 @@ impl<'a> Evaluator<'a> {
         scale: FactoredScale,
         noise: NoiseEstimate,
     ) -> Result<Ciphertext, EvalError> {
-        let (ks_b, ks_a) = self.apply_ksk(&d2, &ek.relin, Extensions::ModUp)?;
+        let (ks_b, ks_a) = self.apply_ksk(&d2, &ek.relin, None)?;
         let mut ct = Ciphertext::new(
             d0.add_owned(&ks_b)?,
             d1.add_owned(&ks_a)?,
@@ -572,26 +547,7 @@ impl<'a> Evaluator<'a> {
         steps: i64,
         ek: &EvaluationKey,
     ) -> Result<Ciphertext, EvalError> {
-        self.rotate_as(a, steps, ek, GaloisReader::Lone)
-    }
-
-    /// [`Evaluator::rotate`], reading `a` as `reader`.
-    pub(crate) fn rotate_as(
-        &self,
-        a: &Ciphertext,
-        steps: i64,
-        ek: &EvaluationKey,
-        reader: GaloisReader<'_>,
-    ) -> Result<Ciphertext, EvalError> {
-        self.run_op(OpKind::Rotate, || {
-            let n = self.ctx.params().n();
-            let normalized = steps.rem_euclid((n / 2) as i64);
-            let key = ek
-                .rotations
-                .get(&normalized)
-                .ok_or(EvalError::MissingRotationKey { steps, normalized })?;
-            self.galois(a, galois_element(steps, n), key, reader)
-        })
+        self.galois(a, Some(steps), ek, None)
     }
 
     /// Complex conjugation of the slot values (the Galois automorphism
@@ -601,43 +557,29 @@ impl<'a> Evaluator<'a> {
     /// # Errors
     /// [`EvalError::MissingConjugationKey`] if `ek` has no conjugation key.
     pub fn conjugate(&self, a: &Ciphertext, ek: &EvaluationKey) -> Result<Ciphertext, EvalError> {
-        self.conjugate_as(a, ek, GaloisReader::Lone)
+        self.galois(a, None, ek, None)
     }
 
-    /// [`Evaluator::conjugate`], reading `a` as `reader`.
-    pub(crate) fn conjugate_as(
-        &self,
-        a: &Ciphertext,
-        ek: &EvaluationKey,
-        reader: GaloisReader<'_>,
-    ) -> Result<Ciphertext, EvalError> {
-        self.run_op(OpKind::Conjugate, || {
-            let key = ek
-                .conjugation
-                .as_ref()
-                .ok_or(EvalError::MissingConjugationKey)?;
-            self.galois(a, 2 * self.ctx.params().n() - 1, key, reader)
-        })
-    }
-
-    /// The Galois keyswitch behind rotation and conjugation: applies the
-    /// automorphism `X → X^t` to both components as a permutation of NTT
-    /// slots, then switches the permuted `c1` back to the canonical secret
-    /// with `key`. A coefficient-domain operand (the wire format admits
-    /// one) is brought to NTT form first, so the result is always in NTT
-    /// form.
+    /// The one body of rotation by `Some(steps)` and of conjugation
+    /// (`None`), for public calls and every Galois op of a program: looks
+    /// up the key of the Galois element `t`, switches the un-permuted `c1`
+    /// with it into `(b, a)`, and returns `(φₜ(c0 + b), φₜ(a))`, where the
+    /// automorphism `φₜ: X → X^t` is a permutation of NTT slots. A
+    /// coefficient-domain operand (the wire format admits one) is brought
+    /// to NTT form first, so the result is always in NTT form.
     ///
-    /// A [`GaloisReader::Shared`] reader takes the digit extensions of the
-    /// permuted `c1` as gathers of the un-permuted `c1`'s extensions.
-    /// Basis conversion lifts to centered representatives, so it commutes
-    /// with the automorphism, and the inner product sees the same values
-    /// either way: the output bytes do not depend on the reader.
-    fn galois(
+    /// The key is stored permuted by `φ_{t⁻¹}`, and `φₜ` commutes with
+    /// every step of the keyswitch, so the bytes are those of the textbook
+    /// `(φₜ(c0) + b', a')` with `(b', a')` the switch of `φₜ(c1)` under the
+    /// key as generated (`EvaluationKey::add_galois`). `cache` is the
+    /// program path's shared mod-up of a node with several Galois readers,
+    /// `None` elsewhere ([`Evaluator::apply_ksk`]).
+    pub(crate) fn galois(
         &self,
         a: &Ciphertext,
-        t: usize,
-        key: &KeySwitchKey,
-        reader: GaloisReader<'_>,
+        steps: Option<i64>,
+        ek: &EvaluationKey,
+        cache: Option<&mut Option<DigitExtensions>>,
     ) -> Result<Ciphertext, EvalError> {
         fn ntt_form(p: &RnsPoly) -> Cow<'_, RnsPoly> {
             let mut p = Cow::Borrowed(p);
@@ -646,23 +588,30 @@ impl<'a> Evaluator<'a> {
             }
             p
         }
-        let c0t = ntt_form(&a.c0).automorphism(t)?;
-        let (ks_b, ks_a) = match reader {
-            GaloisReader::Lone => {
-                let c1t = ntt_form(&a.c1).automorphism(t)?;
-                self.apply_ksk(&c1t, key, Extensions::ModUp)?
+        let n = self.ctx.params().n();
+        let (kind, t, missing) = match steps {
+            Some(steps) => {
+                let normalized = steps.rem_euclid((n / 2) as i64);
+                let missing = EvalError::MissingRotationKey { steps, normalized };
+                (OpKind::Rotate, galois_element(steps, n), missing)
             }
-            GaloisReader::Shared(cache) => {
-                self.apply_ksk(&ntt_form(&a.c1), key, Extensions::Gather { t, cache })?
-            }
+            None => (
+                OpKind::Conjugate,
+                2 * n - 1,
+                EvalError::MissingConjugationKey,
+            ),
         };
-        Ok(Ciphertext::new(
-            c0t.add_owned(&ks_b)?,
-            ks_a,
-            a.level,
-            a.scale.clone(),
-            a.noise.keyswitch(self.ctx.params().n()),
-        ))
+        self.run_op(kind, || {
+            let key = ek.galois.get(&t).ok_or(missing)?;
+            let (ks_b, ks_a) = self.apply_ksk(&ntt_form(&a.c1), key, cache)?;
+            Ok(Ciphertext::new(
+                ks_b.add_owned(&ntt_form(&a.c0))?.automorphism(t)?,
+                ks_a.automorphism(t)?,
+                a.level,
+                a.scale.clone(),
+                a.noise.keyswitch(n),
+            ))
+        })
     }
 
     /// Homomorphic negation.
@@ -742,25 +691,27 @@ impl<'a> Evaluator<'a> {
 
     /// Hybrid keyswitch: takes `d` (over the current level's basis, NTT
     /// domain) encrypted under the keyswitch key's source secret and
-    /// returns `(b, a)` with `b + a·s ≈ d·s'`.
+    /// returns `(b, a)` with `b + a·s ≈ d·s'`. A Galois key is stored
+    /// permuted, so a rotation switches its un-permuted `c1` here and
+    /// permutes the result ([`Evaluator::galois`]).
     ///
     /// Per digit: slice the active residues, mod-up to the extended basis
     /// `Q_ℓ ∪ P` (a CRB operation), inner-product with the key, then
     /// mod-down by the special primes `P` (another CRB; paper Sec. 4.3).
     ///
-    /// The inner product streams one digit extension at a time: take it
-    /// (modded up from `d` now, or, under [`Extensions::Gather`], which
-    /// switches `d`'s Galois image, gathered from `d`'s cached mod-up),
-    /// multiply it into both accumulators, drop it. The first active
-    /// digit's products start the accumulators and later digits
-    /// multiply-accumulate, so nothing is zero-filled first. An empty
-    /// cache is filled here, after the fault hook and inside the keyswitch
-    /// span, so a shared mod-up runs within its first reader's frame.
+    /// Without a `cache` the inner product streams one digit extension
+    /// at a time: mod it up from `d`, multiply it into both accumulators,
+    /// drop it. With one, it reads every extension of `d` from the cache,
+    /// which is filled here if empty, after the fault hook and inside the
+    /// keyswitch span, so a shared mod-up runs within its first reader's
+    /// frame. The first active digit's products start the accumulators
+    /// and later digits multiply-accumulate, so nothing is zero-filled
+    /// first.
     fn apply_ksk(
         &self,
         d: &RnsPoly,
         ksk: &KeySwitchKey,
-        extensions: Extensions<'_>,
+        cache: Option<&mut Option<DigitExtensions>>,
     ) -> Result<(RnsPoly, RnsPoly), EvalError> {
         // Fault-injection hook: an armed keyswitch fault is reported as
         // detected corruption of the switched polynomial — the transient
@@ -783,10 +734,10 @@ impl<'a> Evaluator<'a> {
         f_l.extend_from_slice(special);
 
         // Every key of one chain splits the keyswitch basis into the same
-        // digits, so a cache filled by one Galois key serves the others.
-        let gather = match extensions {
-            Extensions::ModUp => None,
-            Extensions::Gather { t, cache } => {
+        // digits, so a cache filled with one Galois key serves the others.
+        let cached = match cache {
+            None => None,
+            Some(cache) => {
                 if cache.is_none() {
                     let exts = ksk
                         .digits
@@ -795,15 +746,15 @@ impl<'a> Evaluator<'a> {
                         .collect::<Result<_, _>>()?;
                     *cache = Some(exts);
                 }
-                cache.as_ref().map(|exts| (t, exts))
+                cache.as_ref()
             }
         };
 
         let mut acc: Option<(RnsPoly, RnsPoly)> = None;
         for (j, digit) in ksk.digits.iter().enumerate() {
-            let ext = match gather {
-                None => self.mod_up(d, &digit.moduli, &f_l)?,
-                Some((t, exts)) => exts[j].as_ref().map(|e| e.automorphism(t)).transpose()?,
+            let ext = match cached {
+                None => self.mod_up(d, &digit.moduli, &f_l)?.map(Cow::Owned),
+                Some(exts) => exts[j].as_ref().map(Cow::Borrowed),
             };
             let Some(ext) = ext else {
                 continue;
@@ -812,8 +763,8 @@ impl<'a> Evaluator<'a> {
             // `f_l`'s moduli, never copied. `mul_add(x, y, 0)` and
             // `mul(x, y)` reduce the same product, so starting from the
             // first product gives the bytes of accumulating into zeros.
-            // The extension's buffers go back to the pool when it drops,
-            // for the next digit and the next keyswitch.
+            // A streamed extension's buffers go back to the pool when it
+            // drops, for the next digit and the next keyswitch.
             match &mut acc {
                 None => acc = Some((ext.mul_wide(&digit.b)?, ext.mul_wide(&digit.a)?)),
                 Some((acc_b, acc_a)) => {
@@ -889,58 +840,95 @@ impl<'a> Evaluator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::keys::gen_ksk;
     use crate::wire::write_ciphertext;
     use crate::{CkksParams, SecurityLevel};
     use rand::SeedableRng;
     use rand_chacha::ChaCha20Rng;
 
-    /// The wire format admits coefficient-domain ciphertexts; rotating or
-    /// conjugating one must give the same bytes as the op on its NTT form
-    /// (the automorphism permutes NTT slots, so coefficient data must be
-    /// transformed first, never gathered).
+    /// Every rotation and the conjugation give the bytes of the textbook
+    /// Galois keyswitch `(φₜ(c0) + b, a)`, where `(b, a)` switches
+    /// `φₜ(c1)` with the key as generated, drawn again from a copy of the
+    /// RNG: for steps {1, 2, 3, 7, −1} and the conjugation, under both
+    /// representations, at the top level and two lower ones. The wire
+    /// format admits coefficient-domain ciphertexts; such an operand gives
+    /// the bytes of the op on its NTT form (the automorphism permutes NTT
+    /// slots, so coefficient data must be transformed first, never
+    /// gathered).
     #[test]
-    fn galois_ops_on_coefficient_domain_operands_match_ntt_form() {
+    fn galois_ops_match_the_textbook_keyswitch() {
+        const STEPS: [i64; 5] = [1, 2, 3, 7, -1];
         for repr in [Representation::BitPacker, Representation::RnsCkks] {
             let params = CkksParams::builder()
                 .log_n(7)
                 .word_bits(28)
                 .representation(repr)
                 .security(SecurityLevel::Insecure)
-                .levels(3, 26)
+                .levels(4, 26)
                 .base_modulus_bits(30)
+                .dnum(2)
                 .build()
                 .unwrap();
             let ctx = CkksContext::new(&params).unwrap();
+            let n = ctx.params().n();
             let mut rng = ChaCha20Rng::seed_from_u64(31);
             let mut keys = ctx.keygen(&mut rng);
-            ctx.gen_rotation_keys(&mut keys, &[3], &mut rng);
-            ctx.gen_conjugation_key(&mut keys, &mut rng);
+            let mut ops = Vec::new();
+            for steps in STEPS.map(Some).into_iter().chain([None]) {
+                let t = match steps {
+                    Some(steps) => galois_element(steps, n),
+                    None => 2 * n - 1,
+                };
+                let s_t = keys.secret.s.automorphism(t).unwrap();
+                let (pool, chain) = (ctx.pool(), ctx.chain());
+                let generated = gen_ksk(pool, chain, &keys.secret, &s_t, &mut rng.clone());
+                match steps {
+                    Some(steps) => ctx.gen_rotation_keys(&mut keys, &[steps], &mut rng),
+                    None => ctx.gen_conjugation_key(&mut keys, &mut rng),
+                }
+                ops.push((steps, t, generated));
+            }
+            let ek = &keys.evaluation;
             let vals: Vec<f64> = (0..ctx.params().slots())
                 .map(|i| (i as f64 * 0.3).cos() / 2.0)
                 .collect();
-            let ntt = ctx.encrypt(&ctx.encode(&vals, ctx.max_level()), &keys.public, &mut rng);
-            let mut coeff = ntt.clone();
-            coeff.c0.to_coeff();
-            coeff.c1.to_coeff();
-            assert_ne!(write_ciphertext(&coeff), write_ciphertext(&ntt));
-
+            let pt = ctx.encode(&vals, ctx.max_level());
+            let top = ctx.encrypt(&pt, &keys.public, &mut rng);
             let ev = ctx.evaluator();
-            let ek = &keys.evaluation;
-            for (name, want, got) in [
-                ("rotate", ev.rotate(&ntt, 3, ek), ev.rotate(&coeff, 3, ek)),
-                (
-                    "conjugate",
-                    ev.conjugate(&ntt, ek),
-                    ev.conjugate(&coeff, ek),
-                ),
-            ] {
-                let (want, got) = (want.unwrap(), got.unwrap());
-                assert_eq!(got.c0.domain(), Domain::Ntt, "{repr} {name}");
-                assert_eq!(
-                    write_ciphertext(&got),
-                    write_ciphertext(&want),
-                    "{repr} {name}"
-                );
+            let rescaled = ev.rescale(&ev.mul_plain(&top, &pt).unwrap()).unwrap();
+            let adjusted = ev.adjust_to(&top, 1).unwrap();
+
+            for ntt in [top, rescaled, adjusted] {
+                let level = ntt.level();
+                let mut coeff = ntt.clone();
+                coeff.c0.to_coeff();
+                coeff.c1.to_coeff();
+                assert_ne!(write_ciphertext(&coeff), write_ciphertext(&ntt));
+                for &(steps, t, ref key) in &ops {
+                    let c1t = ntt.c1.automorphism(t).unwrap();
+                    let (b, a) = ev.apply_ksk(&c1t, key, None).unwrap();
+                    let c0t = ntt.c0.automorphism(t).unwrap();
+                    let want = Ciphertext::new(
+                        c0t.add_owned(&b).unwrap(),
+                        a,
+                        level,
+                        ntt.scale.clone(),
+                        ntt.noise.keyswitch(n),
+                    );
+                    for (form, ct) in [("ntt", &ntt), ("coeff", &coeff)] {
+                        let got = match steps {
+                            Some(steps) => ev.rotate(ct, steps, ek),
+                            None => ev.conjugate(ct, ek),
+                        }
+                        .unwrap();
+                        assert_eq!(got.c0.domain(), Domain::Ntt, "{repr} l{level} {form}");
+                        assert_eq!(
+                            write_ciphertext(&got),
+                            write_ciphertext(&want),
+                            "{repr} l{level} {form}: steps {steps:?}"
+                        );
+                    }
+                }
             }
         }
     }

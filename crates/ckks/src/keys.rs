@@ -49,12 +49,14 @@ pub struct KeySwitchKey {
     pub(crate) digits: Vec<KskDigit>,
 }
 
-/// Evaluation keys: relinearization plus any generated rotation keys.
+/// Evaluation keys: relinearization plus any generated rotation and
+/// conjugation keys.
 #[derive(Debug, Clone)]
 pub struct EvaluationKey {
     pub(crate) relin: KeySwitchKey,
-    pub(crate) rotations: HashMap<i64, KeySwitchKey>,
-    pub(crate) conjugation: Option<KeySwitchKey>,
+    /// The rotation and conjugation keys by Galois element `t`, each
+    /// stored permuted by `φ_{t⁻¹}` ([`EvaluationKey::add_galois`]).
+    pub(crate) galois: HashMap<usize, KeySwitchKey>,
 }
 
 /// Full basis (keyswitch basis followed by special primes).
@@ -171,20 +173,43 @@ pub(crate) fn galois_element(steps: i64, n: usize) -> usize {
     bp_math::primes::pow_mod_u64(5, k, two_n) as usize
 }
 
-/// Generates the Galois key for the odd element `t` (source key `φₜ(s)`):
-/// a rotation key for `t = 5^steps mod 2N` ([`galois_element`]), the
-/// conjugation key for `t = 2N − 1`.
-pub(crate) fn gen_galois<R: Rng + ?Sized>(
-    pool: &PrimePool,
-    chain: &ModulusChain,
-    sk: &SecretKey,
-    t: usize,
-    rng: &mut R,
-) -> KeySwitchKey {
-    let s_t =
-        sk.s.automorphism(t)
-            .expect("Galois elements are odd and the secret key is in NTT form");
-    gen_ksk(pool, chain, sk, &s_t, rng)
+impl EvaluationKey {
+    /// Adds the Galois key for the odd element `t` unless the table holds
+    /// one: a rotation key for `t = 5^steps mod 2N` ([`galois_element`]),
+    /// the conjugation key for `t = 2N − 1`. The key is generated as the
+    /// switch from `φₜ(s)` to `s` and stored with every digit permuted by
+    /// `φ_{t⁻¹}`, at the cost of 2·dnum full-basis gathers, so that a
+    /// rotation switches the un-permuted `c1` and permutes only its result
+    /// (`Evaluator::galois` says why the bytes are those of the key as
+    /// generated).
+    pub(crate) fn add_galois<R: Rng + ?Sized>(
+        &mut self,
+        pool: &PrimePool,
+        chain: &ModulusChain,
+        sk: &SecretKey,
+        t: usize,
+        rng: &mut R,
+    ) {
+        if self.galois.contains_key(&t) {
+            return;
+        }
+        let s_t =
+            sk.s.automorphism(t)
+                .expect("Galois elements are odd and the secret key is in NTT form");
+        let mut key = gen_ksk(pool, chain, sk, &s_t, rng);
+        // The units mod 2N form a group of order N, so t⁻¹ = t^(N−1).
+        let two_n = 2 * sk.s.n() as u64;
+        let t_inv = bp_math::primes::pow_mod_u64(t as u64, two_n / 2 - 1, two_n) as usize;
+        let permute = |p: &RnsPoly| {
+            p.automorphism(t_inv)
+                .expect("t⁻¹ is odd and key digits are in NTT form")
+        };
+        for digit in &mut key.digits {
+            digit.b = permute(&digit.b);
+            digit.a = permute(&digit.a);
+        }
+        self.galois.insert(t, key);
+    }
 }
 
 #[cfg(test)]

@@ -8,11 +8,12 @@
 //! [`EvalPolicy`](crate::EvalPolicy). [`ProgramStepper`] is the one loop
 //! that runs a program. Its one departure is keyswitch hoisting: `Rotate`
 //! and `Conjugate` ops that read the same node share that node's mod-up
-//! instead of each redoing it, and produce the bytes the public methods
-//! would. Plaintext operands are not stored in the program; they are
-//! named by a `pseed` and materialised on demand through a
-//! [`PlainSource`], which keeps the wire format free of bulk data and
-//! makes replay deterministic.
+//! instead of each redoing it. They run the public methods' one Galois
+//! body, which switches the un-permuted `c1`, so they produce the bytes
+//! the public methods would. Plaintext operands are not stored in the
+//! program; they are named by a `pseed` and materialised on demand
+//! through a [`PlainSource`], which keeps the wire format free of bulk
+//! data and makes replay deterministic.
 //!
 //! Trace integration: while a program runs, the evaluator stamps the
 //! current IR node id into every telemetry [`OpRecord`](bp_telemetry::trace::OpRecord)
@@ -23,7 +24,7 @@
 use crate::chain::ModulusChain;
 use crate::ciphertext::Ciphertext;
 use crate::error::EvalError;
-use crate::eval::{DigitExtensions, Evaluator, GaloisReader};
+use crate::eval::{DigitExtensions, Evaluator};
 use crate::keys::EvaluationKey;
 use bp_ir::{LevelBudget, Op, Program};
 use std::fmt;
@@ -216,12 +217,15 @@ impl Evaluator<'_> {
 ///
 /// One table per run of who reads each node decides three things. A node
 /// read by two or more `Rotate`/`Conjugate` ops has its `c1` modded up
-/// once, by its first Galois reader, and each reader gathers the cached
-/// digit extensions by its own Galois element. After a node's last reader
-/// it is dropped, which gives its buffers back to the scratch pool, unless
-/// it is an output or the last node of a program without outputs. And it
-/// gives the live set that a checkpoint holds, without the hoisting
-/// cache: a resumed run recomputes a shared mod-up, with the same bytes.
+/// once, by its first Galois reader, and each reader takes its inner
+/// product over the cached digit extensions with its own Galois key; a
+/// Galois key is stored permuted, so only the reader's result is
+/// permuted. A node with one Galois reader streams its digit extensions,
+/// as a public call does. After a node's last reader it is dropped, which
+/// gives its buffers back to the scratch pool, unless it is an output or
+/// the last node of a program without outputs. And it gives the live set
+/// that a checkpoint holds, without the hoisting cache: a resumed run
+/// recomputes a shared mod-up, with the same bytes.
 ///
 /// A stepper built by [`ProgramStepper::new`] or
 /// [`ProgramStepper::resume`] retires nodes that way, and releases the
@@ -411,11 +415,11 @@ impl<'r> ProgramStepper<'r> {
         let mut encode_for = |a: &Ciphertext, pseed: u64| {
             ctx.encode(&plain.values(pseed, ctx.params().slots()), a.level())
         };
-        let reader = match op {
+        let cache = match op {
             Op::Rotate { a, .. } | Op::Conjugate { a } if self.galois[a].0 >= 2 => {
-                GaloisReader::Shared(&mut self.hoisted[a])
+                Some(&mut self.hoisted[a])
             }
-            _ => GaloisReader::Lone,
+            _ => None,
         };
         match op {
             Op::Add { a, b } => ev.add(node(a), node(b)),
@@ -426,8 +430,8 @@ impl<'r> ProgramStepper<'r> {
             Op::MulPlain { a, pseed } => ev.mul_plain(node(a), &encode_for(node(a), pseed)),
             Op::Mul { a, b } => ev.mul(node(a), node(b), ek),
             Op::Square { a } => ev.square(node(a), ek),
-            Op::Rotate { a, steps } => ev.rotate_as(node(a), steps, ek, reader),
-            Op::Conjugate { a } => ev.conjugate_as(node(a), ek, reader),
+            Op::Rotate { a, steps } => ev.galois(node(a), Some(steps), ek, cache),
+            Op::Conjugate { a } => ev.galois(node(a), None, ek, cache),
             Op::Rescale { a } => ev.rescale(node(a)),
             Op::Adjust { a, target } => ev.adjust_to(node(a), target),
         }

@@ -158,7 +158,7 @@ fn truncation_fault_surfaces_as_malformed() {
     // Every prefix must be rejected without panicking.
     for keep in [0, 3, 4, 5, 13, bytes.len() / 2, bytes.len() - 1] {
         let mut b = bytes.clone();
-        fault::truncate_bytes(&mut b, keep);
+        b.truncate(keep);
         assert!(
             matches!(read_ciphertext(&ctx, &b), Err(WireError::Malformed(_))),
             "prefix of {keep} bytes not rejected"
@@ -178,7 +178,7 @@ fn bitflip_fault_in_payload_is_detected() {
     // past its (28-bit) modulus: rejected as unreduced.
     let mut b = bytes.clone();
     let last = b.len() - 1;
-    fault::flip_byte_bit(&mut b, last, 7);
+    b[last] ^= 1 << 7;
     assert!(matches!(
         read_ciphertext(&ctx, &b),
         Err(WireError::Malformed(_))
@@ -186,7 +186,7 @@ fn bitflip_fault_in_payload_is_detected() {
 
     // Corrupting the version byte is structural.
     let mut b = bytes.clone();
-    fault::flip_byte_bit(&mut b, 4, 3);
+    b[4] ^= 1 << 3;
     assert!(matches!(
         read_ciphertext(&ctx, &b),
         Err(WireError::Malformed(_))
@@ -200,7 +200,7 @@ fn bitflip_fault_in_payload_is_detected() {
         .position(|w| w == pattern)
         .expect("modulus present in encoding");
     let mut b = bytes.clone();
-    fault::flip_byte_bit(&mut b, pos, 1);
+    b[pos] ^= 1 << 1;
     assert!(matches!(
         read_ciphertext(&ctx, &b),
         Err(WireError::Incompatible(_))

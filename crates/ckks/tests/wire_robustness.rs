@@ -15,7 +15,6 @@
 
 use bp_ckks::wire::{read_ciphertext, write_ciphertext, WireError};
 use bp_ckks::{CkksContext, CkksParams, Representation, SecurityLevel};
-use bp_rns::fault;
 use rand::SeedableRng;
 use rand_chacha::ChaCha20Rng;
 
@@ -49,7 +48,7 @@ fn truncation_at_every_length_is_a_typed_permanent_error() {
     let bytes = sample_bytes(&ctx);
     for keep in 0..bytes.len() {
         let mut cut = bytes.clone();
-        fault::truncate_bytes(&mut cut, keep);
+        cut.truncate(keep);
         match read_ciphertext(&ctx, &cut) {
             Err(e @ WireError::Malformed(_)) => {
                 assert!(!e.is_transient(), "truncation is permanent (keep={keep})")
@@ -68,7 +67,7 @@ fn single_bit_flips_never_panic_and_never_yield_invalid_ciphertexts() {
     for pos in 0..bytes.len() {
         for bit in [0u32, 7] {
             let mut bad = bytes.clone();
-            fault::flip_byte_bit(&mut bad, pos, bit);
+            bad[pos] ^= 1 << bit;
             match read_ciphertext(&ctx, &bad) {
                 Err(_) => rejected += 1,
                 // Flips in semantically-slack fields (noise estimate

@@ -1,12 +1,12 @@
 //! Fault injection for robustness testing.
 //!
 //! Compiled into every build. These helpers deliberately corrupt RNS
-//! polynomials and serialized bytes the way a faulty memory, a truncated
-//! network read, or a hostile peer would, so the test suites can assert
-//! that every corruption surfaces as a typed error ([`crate::RnsError`]
-//! or the CKKS layer's integrity errors) instead of a panic or silent
-//! garbage. No library code calls them: nothing happens, and nothing is
-//! paid, until a test does.
+//! polynomials the way a faulty memory would, so the test suites can
+//! assert that every corruption surfaces as a typed error
+//! ([`crate::RnsError`] or the CKKS layer's integrity errors) instead of
+//! a panic or silent garbage. Serialized bytes need no helper: tests
+//! truncate or XOR them directly. No library code calls these: nothing
+//! happens, and nothing is paid, until a test does.
 
 use crate::RnsPoly;
 
@@ -45,20 +45,6 @@ pub fn flip_coefficient_bit(poly: &mut RnsPoly, residue: usize, index: usize, bi
     old
 }
 
-/// Truncates a serialized blob to `keep` bytes, simulating a short read or
-/// interrupted transfer. No-op if the blob is already shorter.
-pub fn truncate_bytes(bytes: &mut Vec<u8>, keep: usize) {
-    bytes.truncate(keep);
-}
-
-/// Flips one bit in a serialized blob, simulating in-flight corruption.
-///
-/// # Panics
-/// Panics if `byte` is out of range.
-pub fn flip_byte_bit(bytes: &mut [u8], byte: usize, bit: u32) {
-    bytes[byte] ^= 1 << (bit % 8);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,14 +71,5 @@ mod tests {
         flip_coefficient_bit(&mut p, 0, 0, 5);
         assert!(p.check_reduced().is_ok());
         assert_eq!(p.residue(0).coeffs()[0], 1 << 5);
-    }
-
-    #[test]
-    fn byte_faults_modify_blobs() {
-        let mut blob = vec![0u8; 16];
-        flip_byte_bit(&mut blob, 7, 2);
-        assert_eq!(blob[7], 4);
-        truncate_bytes(&mut blob, 4);
-        assert_eq!(blob.len(), 4);
     }
 }

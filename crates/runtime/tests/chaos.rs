@@ -4,7 +4,7 @@
 //! classes: armed keyswitch and rescale failures in the evaluator
 //! (`bp_ckks::fault`), panics raised by the caller's plaintext source, a
 //! deadline that expires mid-program, and truncated or bit-flipped
-//! checkpoint bytes (`bp_rns::fault`). Invariants under test (the
+//! checkpoint bytes. Invariants under test (the
 //! acceptance bar of the fault-tolerant runtime):
 //!
 //! 1. **No panic escapes** the job boundary — every injected fault and
@@ -28,7 +28,6 @@ use bp_ckks::{
     SecurityLevel,
 };
 use bp_ir::{Program, ProgramBuilder};
-use bp_rns::fault as rns_fault;
 use bp_runtime::{
     BreakerConfig, Checkpoint, CheckpointStore, JobSpec, MemoryStore, ProgramOutcome, RetryPolicy,
     Runtime, RuntimeError,
@@ -274,13 +273,13 @@ fn checkpoint_faults_are_typed_never_panic() {
     // Truncation at every length: typed error, no panic, no garbage.
     for keep in 0..bytes.len() {
         let mut cut = bytes.clone();
-        rns_fault::truncate_bytes(&mut cut, keep);
+        cut.truncate(keep);
         assert!(Checkpoint::from_bytes(&cut).is_err(), "keep={keep}");
     }
     // A bit flip anywhere is caught (checksum or field validation).
     for pos in (0..bytes.len()).step_by(7) {
         let mut bad = bytes.clone();
-        rns_fault::flip_byte_bit(&mut bad, pos, 3);
+        bad[pos] ^= 1 << 3;
         assert!(Checkpoint::from_bytes(&bad).is_err(), "pos={pos}");
     }
     // The pristine bytes still decode and restore a valid ciphertext.
