@@ -549,6 +549,13 @@ fn choose_packed_moduli(
 
 /// Greedy DFS over descending terminal candidates (paper Listing 7), in
 /// log₂ space: succeeds when the residual target is within ±0.5 bits.
+///
+/// Two cuts skip only choices that cannot complete, so the search tries
+/// the rest in the same order and returns the same first solution. The
+/// candidates that alone overshoot form a prefix, found by binary search.
+/// And a choice whose residual `r` is no success is skipped when no depth
+/// is left after it, or when even the smallest candidate overshoots `r`;
+/// at the last depth `r` only grows along the list, so the loop stops.
 fn greedy_terminals(
     target_log2: f64,
     cands: &[u64],
@@ -567,11 +574,22 @@ fn greedy_terminals(
     if depth_left == 0 {
         return false;
     }
-    for idx in start..cands.len() {
+    let log2 = |p: u64| (p as f64).log2();
+    let Some(min_lp) = cands.last().map(|&p| log2(p)) else {
+        return false;
+    };
+    // Each of these primes alone would overshoot past tolerance.
+    let first =
+        start + cands[start.min(cands.len())..].partition_point(|&p| log2(p) > target_log2 + tol);
+    for idx in first..cands.len() {
         let p = cands[idx];
-        let lp = (p as f64).log2();
-        if lp > target_log2 + tol {
-            continue; // this prime alone would overshoot past tolerance
+        let lp = log2(p);
+        let r = target_log2 - lp;
+        if r.abs() >= tol && (depth_left == 1 || min_lp > r + tol) {
+            if depth_left == 1 && r > 0.0 {
+                break; // every later candidate leaves a larger residual
+            }
+            continue; // no terminal can complete this choice
         }
         if exclude.contains(&p) {
             continue;
@@ -836,6 +854,89 @@ mod tests {
         for l in 0..=chain.max_level() {
             assert!(chain.utilization_at(l) > 0.80, "level {l}");
         }
+    }
+
+    /// [`greedy_terminals`] without its cuts: the paper's Listing 7 DFS as
+    /// first written, which tries every candidate that does not overshoot.
+    fn greedy_terminals_unpruned(
+        target_log2: f64,
+        cands: &[u64],
+        start: usize,
+        depth_left: usize,
+        tol: f64,
+        exclude: &[u64],
+        result: &mut Vec<u64>,
+    ) -> bool {
+        if target_log2 < -tol {
+            return false;
+        }
+        if target_log2.abs() < tol {
+            return true;
+        }
+        if depth_left == 0 {
+            return false;
+        }
+        for idx in start..cands.len() {
+            let p = cands[idx];
+            let lp = (p as f64).log2();
+            if lp > target_log2 + tol || exclude.contains(&p) {
+                continue;
+            }
+            result.push(p);
+            let rest = target_log2 - lp;
+            if greedy_terminals_unpruned(rest, cands, idx + 1, depth_left - 1, tol, exclude, result)
+            {
+                return true;
+            }
+            result.pop();
+        }
+        false
+    }
+
+    /// The cuts change how much is searched, never what is found: on
+    /// random descending candidate lists, targets, depths, tolerances,
+    /// start indices and exclusion sets, the pruned search returns the
+    /// unpruned one's verdict and terminals.
+    #[test]
+    fn pruned_search_finds_what_the_unpruned_one_finds() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha20Rng::seed_from_u64(7);
+        let mut found_some = 0;
+        for case in 0..4000 {
+            let len = rng.gen_range(0..24);
+            let mut cands: Vec<u64> = (0..len)
+                .map(|_| 2f64.powf(rng.gen_range(8.0..28.0)) as u64)
+                .collect();
+            cands.sort_unstable_by(|a, b| b.cmp(a));
+            cands.dedup();
+            let exclude: Vec<u64> = cands
+                .iter()
+                .copied()
+                .filter(|_| rng.gen_bool(0.2))
+                .collect();
+            let target = rng.gen_range(-2.0..64.0);
+            let start = rng.gen_range(0..cands.len() + 1);
+            let depth = rng.gen_range(0..5);
+            let tol = rng.gen_range(0.05..2.5);
+            let (mut pruned, mut unpruned) = (vec![7], vec![7]);
+            let found = greedy_terminals(target, &cands, start, depth, tol, &exclude, &mut pruned);
+            let want = greedy_terminals_unpruned(
+                target,
+                &cands,
+                start,
+                depth,
+                tol,
+                &exclude,
+                &mut unpruned,
+            );
+            assert_eq!((found, &pruned), (want, &unpruned), "case {case}");
+            found_some += usize::from(found);
+        }
+        // Both verdicts are well represented.
+        assert!(
+            (400..3600).contains(&found_some),
+            "{found_some} of 4000 found"
+        );
     }
 
     #[test]

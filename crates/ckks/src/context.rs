@@ -11,10 +11,10 @@ use crate::params::CkksParams;
 use crate::sampling;
 use bp_math::crt::{centered_to_f64, crt_reconstruct};
 use bp_math::FactoredScale;
-use bp_rns::{BpThreadPool, PrimePool, RnsPoly};
+use bp_rns::{BpThreadPool, Domain, PrimePool, RnsPoly};
 use rand::Rng;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Errors from context construction.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,8 +62,123 @@ pub struct KeySet {
     pub evaluation: EvaluationKey,
 }
 
+/// Bytes of plaintext operands one context stores: 16 MiB. `matvec-bp`,
+/// the benchmark program with the most plaintext operands, stores 36 of
+/// them, 5.6 MB at N = 2¹²; the `logreg-*` programs store 6, 2.4 MB
+/// (BitPacker) and 3.5 MB (RNS-CKKS) at N = 2¹³.
+const PLAIN_STORE_CAP_BYTES: usize = 16 << 20;
+
+/// Profiler frame of a program plaintext operand's encode and NTT.
+const ENCODE_PLAIN: &str = "encode_plain";
+
+/// One stored plaintext operand: its key (a hash, the level, the number of
+/// values) and one allocation holding the bit patterns of the values
+/// followed by the NTT-form residues, residue by residue.
+struct StoredPlain {
+    hash: u64,
+    level: usize,
+    values: usize,
+    words: Box<[u64]>,
+}
+
+impl StoredPlain {
+    /// Whether this is `vals` at `level`: the hash picks the candidates,
+    /// the bit patterns decide.
+    fn is(&self, hash: u64, level: usize, vals: &[f64]) -> bool {
+        let bits = self.words[..self.values].iter();
+        self.hash == hash
+            && self.level == level
+            && self.values == vals.len()
+            && bits.zip(vals).all(|(&w, v)| w == v.to_bits())
+    }
+}
+
+/// FNV-1a over the level and the values' bit patterns, a word at a time.
+fn plain_hash(level: usize, vals: &[f64]) -> u64 {
+    let words = std::iter::once(level as u64).chain(vals.iter().map(|v| v.to_bits()));
+    words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The program path's plaintext operands in NTT form, keyed by level and
+/// by the exact bit patterns of their values, under a byte cap: an insert
+/// that would pass the cap first clears the store. The lock is held only
+/// to look up or insert an entry, never while a source or the encoder
+/// runs, and a poisoned lock is recovered.
+struct PlainStore {
+    cap: usize,
+    /// The entries and their bytes.
+    inner: Mutex<(Vec<Arc<StoredPlain>>, usize)>,
+}
+
+impl PlainStore {
+    fn with_cap(cap: usize) -> Self {
+        Self {
+            cap,
+            inner: Mutex::default(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, (Vec<Arc<StoredPlain>>, usize)> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn get(&self, hash: u64, level: usize, vals: &[f64]) -> Option<Arc<StoredPlain>> {
+        let (entries, _) = &*self.lock();
+        entries.iter().find(|e| e.is(hash, level, vals)).cloned()
+    }
+
+    /// Stores `poly`, the NTT form of `vals` at `level`, unless it alone
+    /// exceeds the cap or another run stored it first.
+    fn insert(&self, hash: u64, level: usize, vals: &[f64], poly: &RnsPoly) {
+        let len = vals.len() + poly.num_residues() * poly.n();
+        let size = len * std::mem::size_of::<u64>();
+        if size > self.cap {
+            return;
+        }
+        let mut words = Vec::with_capacity(len);
+        words.extend(vals.iter().map(|v| v.to_bits()));
+        for r in poly.residues() {
+            words.extend_from_slice(r.coeffs());
+        }
+        let entry = StoredPlain {
+            hash,
+            level,
+            values: vals.len(),
+            words: words.into_boxed_slice(),
+        };
+        let (entries, bytes) = &mut *self.lock();
+        if entries.iter().any(|e| e.is(hash, level, vals)) {
+            return;
+        }
+        if *bytes + size > self.cap {
+            entries.clear();
+            *bytes = 0;
+        }
+        *bytes += size;
+        entries.push(Arc::new(entry));
+    }
+}
+
+impl std::fmt::Debug for PlainStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (entries, bytes) = &*self.lock();
+        f.debug_struct("PlainStore")
+            .field("entries", &entries.len())
+            .field("bytes", bytes)
+            .finish()
+    }
+}
+
 /// An executable CKKS instance: everything needed to encode, encrypt,
 /// compute, and decrypt.
+///
+/// A context also stores the plaintext operands that programs run on it
+/// read, encoded in NTT form, so that a later run with the same operand
+/// values at the same level skips their encode and NTT
+/// ([`crate::ProgramStepper`]). The store is bounded and private:
+/// [`CkksContext::encode`] and the per-op API never read it.
 ///
 /// See the crate-level example for end-to-end usage.
 #[derive(Debug)]
@@ -72,6 +187,7 @@ pub struct CkksContext {
     pool: Arc<PrimePool>,
     chain: ModulusChain,
     encoder: Encoder,
+    plains: PlainStore,
 }
 
 impl CkksContext {
@@ -112,6 +228,7 @@ impl CkksContext {
             pool: Arc::new(PrimePool::with_threads(params.n(), threads)),
             chain,
             encoder: Encoder::new(params.n()),
+            plains: PlainStore::with_cap(PLAIN_STORE_CAP_BYTES),
         })
     }
 
@@ -229,6 +346,29 @@ impl CkksContext {
             RnsPoly::from_i128_coeffs(&self.pool, moduli, coeffs)
         });
         Plaintext { poly, scale, level }
+    }
+
+    /// A program's plaintext operand: `vals` encoded at `level`, in NTT
+    /// form. Built from the store when it holds bit-equal values at
+    /// `level`; otherwise encoded and transformed once, in the
+    /// `encode_plain` profiler frame, and stored. Either way the bytes are
+    /// those of [`CkksContext::encode`] brought to NTT form.
+    pub(crate) fn plain_operand(&self, vals: &[f64], level: usize) -> Plaintext {
+        let hash = plain_hash(level, vals);
+        if let Some(hit) = self.plains.get(hash, level, vals) {
+            let moduli = self.chain.moduli_at(level);
+            let residues = &hit.words[hit.values..];
+            return Plaintext {
+                poly: RnsPoly::from_flat(&self.pool, moduli, Domain::Ntt, residues),
+                scale: self.chain.scale_at(level).clone(),
+                level,
+            };
+        }
+        let _frame = bp_telemetry::profile::frame(ENCODE_PLAIN);
+        let mut pt = self.encode(vals, level);
+        pt.poly.to_ntt();
+        self.plains.insert(hash, level, vals, &pt.poly);
+        pt
     }
 
     /// Decodes a plaintext back to real values (one per slot).
@@ -376,5 +516,76 @@ impl CkksContext {
         let mut v = self.decode(&self.decrypt(ct, sk)?);
         v.truncate(count);
         Ok(v)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::params::Representation;
+    use crate::security::SecurityLevel;
+
+    /// Filling the store past its cap clears it whole, an operand larger
+    /// than the cap is never stored, and every operand served, stored or
+    /// not, is the public encode in NTT form.
+    #[test]
+    fn the_store_clears_at_its_cap_and_stays_correct() {
+        let params = CkksParams::builder()
+            .log_n(7)
+            .word_bits(28)
+            .representation(Representation::BitPacker)
+            .security(SecurityLevel::Insecure)
+            .levels(4, 26)
+            .base_modulus_bits(30)
+            .build()
+            .expect("params");
+        let mut ctx = CkksContext::new(&params).expect("context");
+        let (level, slots) = (ctx.max_level(), ctx.params().slots());
+        let vals = |k: usize| -> Vec<f64> { (0..slots).map(|i| (k * i) as f64 * 1e-3).collect() };
+        let entry = 8 * (slots + ctx.chain().residue_count_at(level) * ctx.params().n());
+        let check = |ctx: &CkksContext, k: usize| {
+            let mut want = ctx.encode(&vals(k), level);
+            want.poly.to_ntt();
+            let got = ctx.plain_operand(&vals(k), level);
+            assert_eq!(got.poly.domain(), Domain::Ntt, "operand {k}");
+            assert_eq!(got.poly.moduli(), want.poly.moduli(), "operand {k}");
+            for (g, w) in got.poly.residues().iter().zip(want.poly.residues()) {
+                assert_eq!(g.coeffs(), w.coeffs(), "operand {k}");
+            }
+            assert_eq!((got.level, &got.scale), (want.level, &want.scale));
+        };
+        let stored = |ctx: &CkksContext| {
+            let (entries, bytes) = &*ctx.plains.lock();
+            (entries.len(), *bytes)
+        };
+
+        // Room for three: the fourth operand clears the store first, and
+        // operand 0 is then a miss that is stored again. Each operand is
+        // asked for twice; the second time is a hit.
+        ctx.plains = PlainStore::with_cap(3 * entry);
+        for (k, entries) in [
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (1, 3),
+            (0, 3),
+            (3, 1),
+            (3, 1),
+            (0, 2),
+        ] {
+            check(&ctx, k);
+            check(&ctx, k);
+            assert_eq!(
+                stored(&ctx),
+                (entries, entries * entry),
+                "after operand {k}"
+            );
+        }
+
+        // An operand larger than the cap is served but never stored.
+        ctx.plains = PlainStore::with_cap(entry - 1);
+        check(&ctx, 4);
+        check(&ctx, 4);
+        assert_eq!(stored(&ctx), (0, 0));
     }
 }

@@ -92,6 +92,15 @@ impl fmt::Display for RepairLog {
 /// A residue-wise binary polynomial op (`RnsPoly::add` or `RnsPoly::sub`).
 type PolyOp = fn(&RnsPoly, &RnsPoly) -> Result<RnsPoly, RnsError>;
 
+/// `p` in NTT form: borrowed when it is, transformed copy when not.
+fn ntt_form(p: &RnsPoly) -> Cow<'_, RnsPoly> {
+    let mut p = Cow::Borrowed(p);
+    if p.domain() == Domain::Coeff {
+        p.to_mut().to_ntt();
+    }
+    p
+}
+
 /// One polynomial's keyswitch digit extensions, in key-digit order:
 /// digit `j`'s residues modded up to the level's basis plus the special
 /// primes, or `None` when none of the digit's primes is active. In the
@@ -403,7 +412,9 @@ impl<'a> Evaluator<'a> {
         })
     }
 
-    /// Adds an (unencrypted) plaintext to a ciphertext.
+    /// Adds an (unencrypted) plaintext to a ciphertext. The plaintext may
+    /// be in either domain: one in NTT form, as a program's operands are,
+    /// is read in place; one in coefficient form is transformed in a copy.
     ///
     /// # Errors
     /// [`EvalError::PlaintextLevelMismatch`] /
@@ -413,7 +424,8 @@ impl<'a> Evaluator<'a> {
         self.add_sub_plain(OpKind::AddPlain, a, pt, RnsPoly::add)
     }
 
-    /// Subtracts a plaintext from a ciphertext.
+    /// Subtracts a plaintext, in either domain, from a ciphertext (see
+    /// [`Evaluator::add_plain`]).
     ///
     /// # Errors
     /// Same alignment errors as [`Evaluator::add_plain`].
@@ -438,10 +450,8 @@ impl<'a> Evaluator<'a> {
                     plaintext_log2: pt.scale.log2(),
                 });
             }
-            let mut p = pt.poly.clone();
-            p.to_ntt();
             Ok(Ciphertext::new(
-                poly_op(&a.c0, &p)?,
+                poly_op(&a.c0, &ntt_form(&pt.poly))?,
                 a.c1.clone(),
                 a.level,
                 a.scale.clone(),
@@ -452,15 +462,15 @@ impl<'a> Evaluator<'a> {
 
     /// Multiplies a ciphertext by a plaintext (no relinearization needed;
     /// paper Sec. 2.2 — "multiply allows one operand to be unencrypted").
-    /// The result's scale is the product of the operand scales.
+    /// The result's scale is the product of the operand scales. The
+    /// plaintext may be in either domain, as for [`Evaluator::add_plain`].
     ///
     /// # Errors
     /// [`EvalError::PlaintextLevelMismatch`] when the levels differ.
     pub fn mul_plain(&self, a: &Ciphertext, pt: &Plaintext) -> Result<Ciphertext, EvalError> {
         self.run_op(OpKind::MulPlain, || {
             let a = self.align_to_plain(a, pt)?;
-            let mut p = pt.poly.clone();
-            p.to_ntt();
+            let p = ntt_form(&pt.poly);
             let mut ct = Ciphertext::new(
                 a.c0.mul(&p)?,
                 a.c1.mul(&p)?,
@@ -581,13 +591,6 @@ impl<'a> Evaluator<'a> {
         ek: &EvaluationKey,
         cache: Option<&mut Option<DigitExtensions>>,
     ) -> Result<Ciphertext, EvalError> {
-        fn ntt_form(p: &RnsPoly) -> Cow<'_, RnsPoly> {
-            let mut p = Cow::Borrowed(p);
-            if p.domain() == Domain::Coeff {
-                p.to_mut().to_ntt();
-            }
-            p
-        }
         let n = self.ctx.params().n();
         let (kind, t, missing) = match steps {
             Some(steps) => {

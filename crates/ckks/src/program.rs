@@ -13,7 +13,9 @@
 //! the public methods would. Plaintext operands are not stored in the
 //! program; they are named by a `pseed` and materialised on demand
 //! through a [`PlainSource`], which keeps the wire format free of bulk
-//! data and makes replay deterministic.
+//! data and makes replay deterministic. The context keeps each operand it
+//! encoded, in NTT form, so a later run that reads the same values at the
+//! same level skips their encode and NTT.
 //!
 //! Trace integration: while a program runs, the evaluator stamps the
 //! current IR node id into every telemetry [`OpRecord`](bp_telemetry::trace::OpRecord)
@@ -35,6 +37,14 @@ use std::fmt;
 /// that seed into `slots` slot values. Any `FnMut(u64, usize) -> Vec<f64>`
 /// closure is a `PlainSource` via the blanket impl, so callers can back it
 /// with a PRNG (the oracle), a weight table (workloads), or a constant.
+///
+/// A run asks the source once for every plaintext op, in program order,
+/// and the values it returns are the operand: the `pseed` names it only
+/// to the source. A source may return other values for the same `pseed`
+/// in a later run, and that run reads the new values. The context keeps
+/// the operands it encoded, keyed by level and by the values' exact bit
+/// patterns, so an operand whose values and level repeat is not encoded
+/// again; the bytes are the same either way.
 pub trait PlainSource {
     /// Returns the slot values for the plaintext operand named `pseed`.
     fn values(&mut self, pseed: u64, slots: usize) -> Vec<f64>;
@@ -214,6 +224,14 @@ impl Evaluator<'_> {
 /// Runs a [`Program`] one op at a time, stamping each op's node id into
 /// every trace record it emits (auto-align repairs included) and encoding
 /// its plaintext operand at the ciphertext operand's level.
+///
+/// A plaintext op asks the [`PlainSource`] for its values, then takes the
+/// operand in NTT form from its context's store: on a miss the operand is
+/// encoded and transformed once, in the `encode_plain` profiler frame,
+/// and stored; on a hit neither runs. The store is shared by every run on
+/// the context (each later `run_program` call, runtime attempt or
+/// stepper), holds no lock while the source or the encoder runs, and
+/// moves no output byte.
 ///
 /// One table per run of who reads each node decides three things. A node
 /// read by two or more `Rotate`/`Conjugate` ops has its `c1` modded up
@@ -412,8 +430,8 @@ impl<'r> ProgramStepper<'r> {
         let (ev, ek, nodes, plain) = (self.ev, self.ek, &self.nodes, &mut self.plain);
         let node = |i: usize| nodes[i].as_ref().expect("an operand is live");
         let ctx = ev.context();
-        let mut encode_for = |a: &Ciphertext, pseed: u64| {
-            ctx.encode(&plain.values(pseed, ctx.params().slots()), a.level())
+        let mut plain_for = |a: &Ciphertext, pseed: u64| {
+            ctx.plain_operand(&plain.values(pseed, ctx.params().slots()), a.level())
         };
         let cache = match op {
             Op::Rotate { a, .. } | Op::Conjugate { a } if self.galois[a].0 >= 2 => {
@@ -425,9 +443,9 @@ impl<'r> ProgramStepper<'r> {
             Op::Add { a, b } => ev.add(node(a), node(b)),
             Op::Sub { a, b } => ev.sub(node(a), node(b)),
             Op::Negate { a } => ev.negate(node(a)),
-            Op::AddPlain { a, pseed } => ev.add_plain(node(a), &encode_for(node(a), pseed)),
-            Op::SubPlain { a, pseed } => ev.sub_plain(node(a), &encode_for(node(a), pseed)),
-            Op::MulPlain { a, pseed } => ev.mul_plain(node(a), &encode_for(node(a), pseed)),
+            Op::AddPlain { a, pseed } => ev.add_plain(node(a), &plain_for(node(a), pseed)),
+            Op::SubPlain { a, pseed } => ev.sub_plain(node(a), &plain_for(node(a), pseed)),
+            Op::MulPlain { a, pseed } => ev.mul_plain(node(a), &plain_for(node(a), pseed)),
             Op::Mul { a, b } => ev.mul(node(a), node(b), ek),
             Op::Square { a } => ev.square(node(a), ek),
             Op::Rotate { a, steps } => ev.galois(node(a), Some(steps), ek, cache),

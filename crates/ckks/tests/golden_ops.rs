@@ -414,7 +414,10 @@ const GOLDEN: &[Golden] = &[
 /// each op frames itself at the root, repairs nest under the op that
 /// needed them, and kernels nest under both. `rotate` and `conjugate`
 /// run NTTs only inside their keyswitch: their automorphism permutes NTT
-/// slots.
+/// slots. A program's plaintext operand is encoded and transformed in its
+/// own root frame, `encode_plain`, before its op runs (each golden run
+/// has a fresh context, so every operand is encoded); the plaintext ops
+/// then read it in NTT form and run no NTT.
 const PATHS: &[&str] = &[
     "add",
     "add;adjust",
@@ -426,7 +429,6 @@ const PATHS: &[&str] = &[
     "add;rescale;ntt_forward",
     "add;rescale;ntt_inverse",
     "add_plain",
-    "add_plain;ntt_forward",
     "adjust",
     "adjust;basis_convert",
     "adjust;ntt_forward",
@@ -436,6 +438,8 @@ const PATHS: &[&str] = &[
     "conjugate;keyswitch;basis_convert",
     "conjugate;keyswitch;ntt_forward",
     "conjugate;keyswitch;ntt_inverse",
+    "encode_plain",
+    "encode_plain;ntt_forward",
     "mul",
     "mul;adjust",
     "mul;adjust;basis_convert",
@@ -446,7 +450,6 @@ const PATHS: &[&str] = &[
     "mul;keyswitch;ntt_forward",
     "mul;keyswitch;ntt_inverse",
     "mul_plain",
-    "mul_plain;ntt_forward",
     "negate",
     "rescale",
     "rescale;basis_convert",
@@ -468,7 +471,6 @@ const PATHS: &[&str] = &[
     "sub;adjust;ntt_forward",
     "sub;adjust;ntt_inverse",
     "sub_plain",
-    "sub_plain;ntt_forward",
 ];
 
 #[test]

@@ -184,6 +184,32 @@ impl RnsPoly {
         p
     }
 
+    /// Builds a polynomial over `moduli` in `domain` from its residues laid
+    /// end to end, residue `i` at `coeffs[i·N..(i+1)·N]`, copying each into
+    /// a pooled buffer. The values must be reduced modulo their primes,
+    /// as for [`RnsPoly::residues_mut`].
+    ///
+    /// # Panics
+    /// Panics if `coeffs.len()` is not `moduli.len() · N`.
+    pub fn from_flat(pool: &PrimePool, moduli: &[u64], domain: Domain, coeffs: &[u64]) -> Self {
+        let n = pool.n();
+        assert_eq!(coeffs.len(), moduli.len() * n, "coefficient count");
+        let residues = moduli
+            .iter()
+            .zip(coeffs.chunks_exact(n))
+            .map(|(&q, c)| ResiduePoly {
+                table: pool.table(q),
+                coeffs: scratch::take_copy(c),
+            })
+            .collect();
+        Self {
+            n,
+            domain,
+            residues,
+            moduli: moduli.to_vec(),
+        }
+    }
+
     /// The ring degree `N`.
     #[inline]
     pub fn n(&self) -> usize {
@@ -762,6 +788,21 @@ pub(crate) mod tests {
         let pool = Arc::new(PrimePool::new(1 << 5));
         let qs = pool.first_primes_below(30, 3);
         (pool, qs)
+    }
+
+    #[test]
+    fn from_flat_rebuilds_the_residues_laid_end_to_end() {
+        let (pool, qs) = setup();
+        let mut a = RnsPoly::from_i64_coeffs(&pool, &qs, &[1, -2, 3, -4, 5]);
+        a.to_ntt();
+        let flat: Vec<u64> = a
+            .residues()
+            .iter()
+            .flat_map(|r| r.coeffs())
+            .copied()
+            .collect();
+        let b = RnsPoly::from_flat(&pool, &qs, Domain::Ntt, &flat);
+        assert_same(&a, &b, "from_flat");
     }
 
     #[test]

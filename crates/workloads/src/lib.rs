@@ -434,17 +434,61 @@ mod tests {
         }
     }
 
+    /// The 28-bit chains of every workload, BitPacker then RNS-CKKS, with
+    /// their app levels; built once and shared by the tests that read
+    /// them.
+    fn matrix_chains() -> &'static [[(ModulusChain, usize); 2]] {
+        static CHAINS: std::sync::OnceLock<Vec<[(ModulusChain, usize); 2]>> =
+            std::sync::OnceLock::new();
+        CHAINS.get_or_init(|| {
+            let build = |spec: &WorkloadSpec, repr| {
+                spec.build_chain(repr, 28, SecurityLevel::Bits128)
+                    .unwrap_or_else(|e| panic!("{} {repr}: {e}", spec.name()))
+            };
+            WorkloadSpec::all()
+                .iter()
+                .map(|spec| {
+                    [
+                        build(spec, Representation::BitPacker),
+                        build(spec, Representation::RnsCkks),
+                    ]
+                })
+                .collect()
+        })
+    }
+
+    #[test]
+    fn matrix_chains_are_pinned() {
+        // FNV-1a 64 over every chain's app levels, every level's moduli
+        // and the special primes: the chain search must keep returning
+        // the chains it returned before it was pruned.
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |x: u64| {
+            for byte in x.to_le_bytes() {
+                h ^= u64::from(byte);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for (chain, app_levels) in matrix_chains().iter().flatten() {
+            eat(*app_levels as u64);
+            for l in 0..=chain.max_level() {
+                eat(chain.moduli_at(l).len() as u64);
+                chain.moduli_at(l).iter().for_each(|&q| eat(q));
+            }
+            eat(chain.special().len() as u64);
+            chain.special().iter().for_each(|&q| eat(q));
+        }
+        assert_eq!(
+            h, 0x6667_bc4d_0c63_2a9c,
+            "28-bit chain digest moved (got {h:#018x})"
+        );
+    }
+
     #[test]
     fn bitpacker_needs_fewer_residues_across_the_matrix() {
         // The structural root of Fig. 11: at 28-bit words BitPacker packs
         // every workload into fewer residues at every level.
-        for spec in WorkloadSpec::all() {
-            let (bp, al) = spec
-                .build_chain(Representation::BitPacker, 28, SecurityLevel::Bits128)
-                .unwrap();
-            let (rc, al_rc) = spec
-                .build_chain(Representation::RnsCkks, 28, SecurityLevel::Bits128)
-                .unwrap();
+        for (spec, [(bp, _), (rc, _)]) in WorkloadSpec::all().iter().zip(matrix_chains()) {
             let l = bp.max_level().min(rc.max_level());
             assert!(
                 bp.residue_count_at(l) < rc.residue_count_at(l),
@@ -453,7 +497,6 @@ mod tests {
                 bp.residue_count_at(l),
                 rc.residue_count_at(l)
             );
-            let _ = (al, al_rc);
         }
     }
 
